@@ -9,8 +9,6 @@ the square root is the natural exponent base.
 
 from __future__ import annotations
 
-from math import isqrt
-
 FAMILIES = ("Qplus", "Qparabolic", "Qminus", "W", "Hodd", "Heven")
 
 # tau = 2e: q^e + 1 generators pass through each next-to-maximal subspace.
@@ -60,16 +58,6 @@ def ambient_dim(family: str, d: int) -> int:
     if family == "Qminus":
         return 2 * d + 2
     raise ValueError(f"unknown family {family!r}")
-
-
-def exponent_base(family: str, q: int) -> int:
-    """Base b of all spectral half-powers: sqrt(q) for Hermitian families, else q."""
-    if family in HERMITIAN:
-        b = isqrt(q)
-        if b * b != q:
-            raise ValueError(f"Hermitian families need a square field order, got {q}")
-        return b
-    return q
 
 
 def space_label(family: str, d: int, q: int) -> str:

@@ -236,7 +236,3 @@ def field_of_order(q: int) -> FieldSpec:
         n //= p
         k += 1
     return field_make(p, k)
-
-
-def conjugate(a: int, spec: FieldSpec) -> int:
-    return spec.conjugate(a)

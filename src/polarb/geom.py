@@ -43,13 +43,6 @@ def vec_scale(fld: FieldSpec, c: int, v: Vector) -> Vector:
     return tuple(fld.mul(c, a) for a in v)
 
 
-def vec_submul(fld: FieldSpec, u: Vector, c: int, v: Vector) -> Vector:
-    """u - c*v."""
-    if c == 0:
-        return tuple(u)
-    return tuple(fld.sub(a, fld.mul(c, b)) for a, b in zip(u, v))
-
-
 def normalize_point(fld: FieldSpec, v: Vector) -> Vector:
     """Scale so the first nonzero coordinate is 1 (projective representative)."""
     for c in v:
@@ -462,7 +455,7 @@ def _enumerate_generator_bases(ps: PolarSpace, limit: int) -> list[tuple[Vector,
     for v in sig:
         transformed.append(
             tuple(
-                _dot_row(fld, ps.gram[t], v)
+                _dot(fld, ps.gram[t], v)
                 for t in range(ps.nv)
             )
         )
@@ -509,14 +502,6 @@ def _enumerate_generator_bases(ps: PolarSpace, limit: int) -> list[tuple[Vector,
 def _dot(fld: FieldSpec, u: Vector, v: Vector) -> int:
     acc = 0
     for a, b in zip(u, v):
-        if a and b:
-            acc = fld.add(acc, fld.mul(a, b))
-    return acc
-
-
-def _dot_row(fld: FieldSpec, row: Vector, v: Vector) -> int:
-    acc = 0
-    for a, b in zip(row, v):
         if a and b:
             acc = fld.add(acc, fld.mul(a, b))
     return acc

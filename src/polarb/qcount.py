@@ -44,7 +44,8 @@ def gaussian(n: int, k: int, q: int) -> int:
     for i in range(1, k + 1):
         num *= q ** (n - i + 1) - 1
         den *= q**i - 1
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"Gaussian binomial [{n} choose {k}]_{q}: {den} does not divide {num}")
     return num // den
 
 
@@ -284,19 +285,6 @@ def lemma_bound_gens_check(q: int, d: int) -> bool:
     return lhs <= rhs
 
 
-def is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True  # n itself prime
-
-
 __all__ = [
     "binom2",
     "gaussian",
@@ -313,5 +301,4 @@ __all__ = [
     "eigen_data",
     "lemma9_triple",
     "lemma_bound_gens_check",
-    "is_prime_power",
 ]

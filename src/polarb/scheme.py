@@ -1,9 +1,10 @@
 """The empirical association scheme of a generator catalog.
 
 Relations are stored as packed bit rows (Python ints), one row per generator
-per codimension class.  Verification against the closed-form spectral data is
-exact: the annihilating-polynomial products run in int64 after an a-priori
-overflow bound check, idempotent projections run in Fractions.
+per codimension class; codimension i is distance i in the distance-regular
+dual polar graph A_1.  One certificate of its three-term identity proves the
+scheme axioms; an exact recurrence checks the closed-form eigenmatrix, and
+the idempotent projections run in Fractions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 from .geom import GeneratorCatalog
 from .qcount import EigenData
 
-INT64_SAFE = 1 << 62
+# Every integer of absolute value below 2^53 is exact in float64.
+_FLOAT64_EXACT = 1 << 53
 
 
 class SchemeError(ValueError):
@@ -40,12 +42,12 @@ class RelationData:
         return self.cat.space.d
 
     def matrix(self, i: int) -> np.ndarray:
-        """A_i as a dense int64 array."""
+        """A_i as a dense 0/1 float64 array."""
         n = self.n
         nbytes = (n + 7) // 8
         raw = b"".join(row.to_bytes(nbytes, "little") for row in self.rows[i])
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes), axis=1, bitorder="little")
-        return bits[:, :n].astype(np.int64)
+        return bits[:, :n].astype(np.float64)
 
 
 def build_relations(cat: GeneratorCatalog) -> RelationData:
@@ -80,73 +82,102 @@ def build_relations(cat: GeneratorCatalog) -> RelationData:
     return RelationData(cat=cat, rows=tuple(tuple(r) for r in rows), valencies=tuple(valencies))
 
 
-def check_intersection_numbers(rel: RelationData):
-    """Exhaustive homogeneity check; returns the table p[i][j][k].
+def _intersection_array(rel: RelationData) -> list[tuple[int, int, int]]:
+    """Certify that R_0..R_d are the distance classes of the graph A_1.
 
-    Raises SchemeError naming the first violating triple (i, j, k) together
-    with the witnessing pair.
+    Returns [(b_(i-1), a_i, c_(i+1)) for i = 0..d], with b_(-1) := 0 and
+    c_(d+1) := 1, after checking that A_1 is symmetric, that c_1..c_d > 0 and
+    that on every entry
+
+        A_1 A_i = b_(i-1) A_(i-1) + a_i A_i + c_(i+1) A_(i+1)    (i = 0..d).
+
+    The coefficients are read off one pair of each relation.
+
+    Why this is a proof: build_relations checks that A_0 = I and that the A_i
+    are 0/1 matrices with disjoint supports summing to J.  Induction on the
+    identity gives A_i = v_i(A_1) with deg v_i = i, and A_1 A_d lies in
+    span(A_0..A_d).  That span is therefore the algebra generated by the
+    symmetric A_1: commutative and closed under products, so every A_i A_j is
+    sum_k p^k_ij A_k with constant p^k_ij: the relations form a symmetric
+    association scheme, and any one pair of R_k shows every p^k_ij.
+
+    The products run in float64 BLAS.  Every entry and partial sum of A_1 A_i
+    counts common neighbours, an integer at most n; below 2^53 float64
+    represents all of them, so the arithmetic is exact.
     """
-    d = rel.d
-    n = rel.n
-    rows = rel.rows
-    p = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
-    for x in range(n):
-        for i in range(d + 1):
-            rx = rows[i][x]
-            for k in range(d + 1):
-                m = rows[k][x]
-                while m:
-                    lsb = m & -m
-                    m ^= lsb
-                    y = lsb.bit_length() - 1
-                    for j in range(d + 1):
-                        cnt = (rx & rows[j][y]).bit_count()
-                        if p[i][j][k] is None:
-                            p[i][j][k] = cnt
-                        elif p[i][j][k] != cnt:
-                            raise SchemeError(
-                                f"p[{i}][{j}]^{k} inhomogeneous: {cnt} at pair ({x},{y}), "
-                                f"expected {p[i][j][k]}"
-                            )
-    return p
+    d, n = rel.d, rel.n
+    if d == 0:
+        return [(0, 0, 1)]
+    if n >= _FLOAT64_EXACT:
+        raise ValueError(f"n = {n} is not below 2^53; float64 products would not be exact")
+    if not all(row[0] for row in rel.rows):
+        raise SchemeError("a relation is empty")
+    witness = [(row[0] & -row[0]).bit_length() - 1 for row in rel.rows]
+    A1 = rel.matrix(1)
+    if not np.array_equal(A1, A1.T):
+        raise SchemeError("A_1 is not symmetric")
+    window = {0: np.eye(n), 1: A1}  # A_(i-1), A_i, A_(i+1)
+    array = []
+    for i in range(d + 1):
+        window.pop(i - 2, None)
+        if i < d and i + 1 not in window:
+            window[i + 1] = rel.matrix(i + 1)
+        M = A1 @ window[i]
+        coef = {j: int(M[0, witness[j]]) for j in (i - 1, i, i + 1) if j in window}
+        for j, x in coef.items():
+            M -= x * window[j]
+        if M.any():
+            raise SchemeError(
+                f"A_1 A_{i} is not a combination of A_{i - 1}, A_{i}, A_{i + 1}: "
+                "the relations are not the distance classes of A_1"
+            )
+        if coef.get(i + 1) == 0:
+            raise SchemeError(f"c_{i + 1} = 0: relation {i + 1} is not at distance {i + 1}")
+        array.append((coef.get(i - 1, 0), coef[i], coef.get(i + 1, 1)))
+    return array
+
+
+def check_intersection_numbers(rel: RelationData):
+    """The intersection numbers p[i][j][k] of the certified scheme.
+
+    Once _intersection_array has certified homogeneity, p^k_ij is read off
+    one pair (0, y) of R_k as |R_i(0) & R_j(y)|.  Raises SchemeError when the
+    certificate fails.
+    """
+    _intersection_array(rel)
+    rows, r = rel.rows, range(rel.d + 1)
+    ys = [(row[0] & -row[0]).bit_length() - 1 for row in rows]
+    return [[[(rows[i][0] & rows[j][y]).bit_count() for y in ys] for j in r] for i in r]
 
 
 def verify_spectrum(rel: RelationData, eig: EigenData) -> bool:
-    """Annihilating-polynomial and product-expansion checks in exact arithmetic.
+    """Certify the scheme and check that eig.P is its eigenmatrix, exactly.
 
-    For each relation i the product over r of (A_i - P[r][i] I) must vanish,
-    and A_i A_j must equal sum_k p_ij^k A_k (equivalently: the entries of
-    A_i A_j are constant on every relation class).  Intermediate entries are
-    bounded by prod_r (n_i + |P[r][i]|), so int64 is exact once that bound
-    clears 2^62; otherwise the slow object-dtype path is taken.
+    With the intersection array and the recurrence
+
+        x v_i = b_(i-1) v_(i-1) + a_i v_i + c_(i+1) v_(i+1),   v_0 = 1,
+
+    requires the d+1 values theta_r = P[r][1] to be distinct, v_(d+1)(theta_r)
+    = 0 and v_i(theta_r) = P[r][i] for every i.  v_(d+1)(A_1) = 0 while
+    I, A_1, .., A_1^d are independent, so the roots of v_(d+1) are exactly
+    the d+1 eigenvalues of A_1; A_i = v_i(A_1) acts on the theta_r-eigenspace
+    as P[r][i].  That pins down the full spectrum of every A_i.
     """
     d = rel.d
-    n = rel.n
-    if eig.n != n or eig.d != d:
+    if eig.n != rel.n or eig.d != d:
         raise ValueError("eigen data does not match the relation data")
-    mats = [rel.matrix(i) for i in range(d + 1)]
-    if not np.array_equal(mats[0], np.eye(n, dtype=np.int64)):
-        raise SchemeError("A_0 is not the identity matrix")
-    for i in range(1, d + 1):
-        evs = [eig.P[r][i] for r in range(d + 1)]
-        bound = 1
-        for ev in evs:
-            bound *= rel.valencies[i] + abs(ev)
-        A = mats[i] if bound < INT64_SAFE else mats[i].astype(object)
-        M = A - evs[0] * np.eye(n, dtype=A.dtype)
-        for ev in evs[1:]:
-            M = A @ M - ev * M
-        if M.any():
-            raise SchemeError(f"relation {i} is not annihilated by its P-column {evs}")
-    for i in range(d + 1):
-        for j in range(d + 1):
-            B = mats[i] @ mats[j]
-            for k in range(d + 1):
-                vals = B[mats[k] == 1]
-                if vals.size and (vals != vals[0]).any():
-                    raise SchemeError(
-                        f"A_{i} A_{j} is not constant on relation {k}: product identity fails"
-                    )
+    array = _intersection_array(rel)
+    thetas = [eig.P[r][1] if d else 0 for r in range(d + 1)]
+    if len(set(thetas)) != d + 1:
+        raise SchemeError(f"P column 1 {thetas} repeats an eigenvalue")
+    for r, theta in enumerate(thetas):
+        prev, cur = Fraction(0), Fraction(1)
+        for i, (b, a, c) in enumerate(array):
+            if cur != eig.P[r][i]:
+                raise SchemeError(f"P[{r}][{i}] = {eig.P[r][i]}, but the intersection array gives {cur}")
+            prev, cur = cur, ((theta - a) * cur - b * prev) / c
+        if cur:
+            raise SchemeError(f"theta_{r} = {theta} is not a root of v_{d + 1}")
     return True
 
 

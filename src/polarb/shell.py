@@ -9,6 +9,7 @@ exact quantities, and is byte-reproducible across runs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import struct
@@ -34,7 +35,7 @@ from .qcount import (
     num_generators,
     num_points,
 )
-from .scheme import RelationData, build_relations, check_intersection_numbers, verify_spectrum
+from .scheme import RelationData, SchemeError, build_relations, verify_spectrum
 from .specbound import classical_bound, hermitian_cross_report, hermitian_ekr_bound
 
 MAGIC = b"POLARB1"
@@ -279,7 +280,6 @@ def cmd_scheme(args) -> int:
     lines = [f"{cat.space.label}: n = {cat.n}, valencies {list(rel.valencies)}"]
     if args.check:
         eig = eigen_data(family, args.d, args.q)
-        check_intersection_numbers(rel)
         verify_spectrum(rel, eig)
         payload.update(
             {
@@ -383,11 +383,11 @@ def cmd_verify(args) -> int:
         kwargs["d"] = args.d
     if args.samples is not None:
         kwargs["samples"] = args.samples
-    try:
-        report = run_check(args.check_id, **kwargs)
-    except TypeError as exc:
-        print(f"error: check {args.check_id!r} does not accept these options ({exc})", file=sys.stderr)
+    unknown = sorted(set(kwargs) - set(inspect.signature(CHECKS[args.check_id]).parameters))
+    if unknown:
+        print(f"error: check {args.check_id!r} does not accept --{', --'.join(unknown)}", file=sys.stderr)
         return 2
+    report = run_check(args.check_id, **kwargs)
     lines = [f"[{report['status'].upper()}] {report['check_id']}"]
     lines += [f"  {s}" for s in report["details"]]
     emit(report, args.json, lines)
@@ -533,6 +533,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except SchemeError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

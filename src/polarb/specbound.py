@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .families import TAU, space_label
+from .ff import field_of_order
 from .qcount import (
     EigenData,
     disjointness_eigenvalue,
-    is_prime_power,
     nbracket,
     num_generators,
 )
@@ -143,8 +143,7 @@ class HermitianParams:
 def hermitian_params(d: int, q: int) -> HermitianParams:
     if d <= 1:
         raise ValueError("the weighted Hermitian machinery needs d > 1")
-    if not is_prime_power(q):
-        raise ValueError(f"q must be a prime power, got {q}")
+    field_of_order(q)  # raises ValueError unless q is a prime power
     n = 1
     for i in range(d):
         n *= q ** (2 * i + 1) + 1

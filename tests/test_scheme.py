@@ -1,9 +1,12 @@
+import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from polarb.qcount import eigen_data
 from polarb.scheme import (
+    RelationData,
     SchemeError,
     check_intersection_numbers,
     eigenspace_support,
@@ -48,6 +51,92 @@ def test_intersection_numbers_w33(relations):
         for j in range(3):
             for k in range(3):
                 assert p[0][j][k] == (1 if j == k else 0)
+
+
+def _reference_intersection_numbers(rel):
+    """Exhaustive count of p[i][j][k] over every pair; raises on inhomogeneity."""
+    d = rel.d
+    rows = rel.rows
+    p = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+    for x in range(rel.n):
+        for i in range(d + 1):
+            rx = rows[i][x]
+            for k in range(d + 1):
+                m = rows[k][x]
+                while m:
+                    lsb = m & -m
+                    m ^= lsb
+                    y = lsb.bit_length() - 1
+                    for j in range(d + 1):
+                        cnt = (rx & rows[j][y]).bit_count()
+                        if p[i][j][k] is None:
+                            p[i][j][k] = cnt
+                        elif p[i][j][k] != cnt:
+                            raise AssertionError(f"p[{i}][{j}]^{k} inhomogeneous at pair ({x},{y})")
+    return p
+
+
+@pytest.mark.parametrize("space", [("W", 2, 3), ("Qparabolic", 2, 2), ("Hodd", 2, 4)])
+def test_intersection_numbers_match_exhaustive_count(relations, space):
+    rel = relations(*space)
+    assert check_intersection_numbers(rel) == _reference_intersection_numbers(rel)
+
+
+def _moved_pair(rel, src, dst):
+    """A copy of rel with one pair {x, y} of R_src moved to R_dst, symmetrically."""
+    x = rel.n - 1
+    y = rel.rows[src][x].bit_length() - 1
+    pair = (1 << x) | (1 << y)
+    rows = [list(r) for r in rel.rows]
+    for z in (x, y):
+        other = pair ^ (1 << z)
+        rows[src][z] ^= other
+        rows[dst][z] |= other
+    return RelationData(cat=rel.cat, rows=tuple(tuple(r) for r in rows), valencies=rel.valencies)
+
+
+@pytest.mark.parametrize(
+    "space", [("W", 2, 3), ("Qparabolic", 2, 2), ("Hodd", 2, 4), ("Qplus", 3, 2), ("W", 3, 2)]
+)
+@pytest.mark.parametrize("src, dst", [(1, 2), (2, 1)])
+def test_moved_pair_breaks_the_certificate(relations, space, src, dst):
+    rel = relations(*space)
+    bad = _moved_pair(rel, src, dst)
+    with pytest.raises(SchemeError):
+        check_intersection_numbers(bad)
+    with pytest.raises(SchemeError):
+        verify_spectrum(bad, eigen_data(*space))
+
+
+def test_disconnected_relation_is_rejected():
+    # Two disjoint edges as R_1 and the other four pairs as R_2: every
+    # identity A_1 A_i holds, but c_2 = 0, so R_2 is not at distance 2.
+    cat = SimpleNamespace(n=4, space=SimpleNamespace(d=2))
+    rows = ((1, 2, 4, 8), (2, 1, 8, 4), (12, 12, 3, 3))
+    rel = RelationData(cat=cat, rows=rows, valencies=(1, 1, 2))
+    eig = dataclasses.replace(eigen_data("Qparabolic", 2, 2), n=4)
+    with pytest.raises(SchemeError, match="c_2 = 0"):
+        verify_spectrum(rel, eig)
+
+
+@pytest.mark.parametrize("r, i", [(r, i) for r in range(3) for i in range(3)])
+def test_wrong_p_entry_is_detected(relations, r, i):
+    rel = relations("Qparabolic", 2, 2)
+    eig = eigen_data("Qparabolic", 2, 2)
+    P = [list(row) for row in eig.P]
+    P[r][i] += 1
+    wrong = dataclasses.replace(eig, P=tuple(tuple(row) for row in P))
+    with pytest.raises(SchemeError):
+        verify_spectrum(rel, wrong)
+
+
+@pytest.mark.parametrize("row", [(1, 1, -2), (1, 0, -2)], ids=["repeated", "non-root"])
+def test_p_rows_must_be_the_distinct_roots(relations, row):
+    # Q(4,2) has v_1 = x and v_2 = (x^2 - x - 6)/3; each row agrees with them.
+    eig = eigen_data("Qparabolic", 2, 2)
+    wrong = dataclasses.replace(eig, P=(eig.P[0], eig.P[1], row))
+    with pytest.raises(SchemeError):
+        verify_spectrum(relations("Qparabolic", 2, 2), wrong)
 
 
 def test_annihilating_polynomials(relations):

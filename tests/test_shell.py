@@ -4,8 +4,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from polarb import checks
-from polarb.scheme import build_relations
+from polarb import checks, shell
+from polarb.scheme import SchemeError, build_relations
 from polarb.shell import CacheError, cache_read, cache_write, main
 
 
@@ -104,6 +104,23 @@ def test_cli_enum_and_cached_scheme(capsys, tmp_path):
     assert payload["multiplicities"] == [1, 20, 6]
 
 
+def test_cli_scheme_check_rank0(capsys):
+    assert main(["scheme", "W", "0", "2", "--check", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == 1
+    assert payload["checked"] is True
+    assert payload["P"] == [[1]]
+
+
+def test_cli_scheme_failed_certificate_exits_1(capsys, monkeypatch):
+    def fail(rel, eig):
+        raise SchemeError("relations are not distance classes")
+
+    monkeypatch.setattr(shell, "verify_spectrum", fail)
+    assert main(["scheme", "W", "2", "2", "--check"]) == 1
+    assert "relations are not distance classes" in capsys.readouterr().err
+
+
 def test_cli_search_max_pairs(capsys):
     assert main(["search", "max-pairs", "Hodd", "2", "4", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -123,6 +140,15 @@ def test_cli_verify_pass_and_fail_exit_codes(capsys):
 
 def test_cli_verify_rejects_bad_options(capsys):
     assert main(["verify", "lemma13", "--q", "3"]) == 2  # lemma13 takes no parameters
+
+
+def test_cli_verify_internal_type_error_propagates(monkeypatch):
+    def broken(q: int = 2):
+        raise TypeError("internal bug")
+
+    monkeypatch.setitem(checks.CHECKS, "thm16", broken)
+    with pytest.raises(TypeError, match="internal bug"):
+        main(["verify", "thm16", "--q", "3"])
 
 
 @pytest.mark.parametrize(
