@@ -17,14 +17,14 @@ from functools import lru_cache
 from .geom import (
     GeneratorCatalog,
     Subspace,
+    bit_indices,
     enumerate_generators,
+    enumerate_subspaces_within,
+    generators_through,
     intersect_bases,
     polar_space_make,
     rank_of,
     rref,
-    rref_insert,
-    subspace_points,
-    generators_through,
 )
 from .qcount import binom2, gaussian, nbracket, num_generators, num_points
 
@@ -79,15 +79,6 @@ class CrossPairCertificate:
         return len(self.y), len(self.z)
 
 
-def _ids(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        lsb = mask & -mask
-        mask ^= lsb
-        out.append(lsb.bit_length() - 1)
-    return tuple(out)
-
-
 def _mask(ids) -> int:
     m = 0
     for i in ids:
@@ -117,7 +108,7 @@ def _certificate(g: CrossGraph, ymask: int, zmask: int) -> CrossPairCertificate:
         ymask.bit_count() == zmask.bit_count() and ymask > zmask
     ):
         ymask, zmask = zmask, ymask
-    yids, zids = _ids(ymask), _ids(zmask)
+    yids, zids = bit_indices(ymask), bit_indices(zmask)
     return CrossPairCertificate(
         y=yids,
         z=zids,
@@ -145,7 +136,7 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
     candidates = {full}
     nonn = g.nonn
     for y in range(g.n):
-        elems = _ids(nonn[y])
+        elems = bit_indices(nonn[y])
         rows = [nonn[e] for e in elems]
         add = candidates.add
 
@@ -312,30 +303,6 @@ def verify_zgh(cat: GeneratorCatalog, pair: CrossPairCertificate, gidx: int, hid
     details.append(f"pairwise dim(z_i ∩ z_j) < {d - 1}: {pairwise}")
     ok &= pairwise
     return {"ok": ok, "details": details}
-
-
-def enumerate_subspaces_within(ps, basis, k: int) -> list[tuple]:
-    """All k-dimensional subspaces of the span of ``basis`` (canonical bases)."""
-    if k == 0:
-        return [()]
-    fld = ps.field
-    pts = subspace_points(ps, tuple(basis))
-    found: set = set()
-    seen: set = set()
-
-    def extend(cur) -> None:
-        if len(cur) == k:
-            found.add(cur)
-            return
-        for p in pts:
-            nb = rref_insert(fld, cur, p)
-            if nb is None or nb in seen:
-                continue
-            seen.add(nb)
-            extend(nb)
-
-    extend(())
-    return sorted(found)
 
 
 def verify_hyperplane_section(cat: GeneratorCatalog, gidx: int, hidx: int) -> dict:

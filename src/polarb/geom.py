@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .families import HERMITIAN, ORTHOGONAL, TAU, ambient_dim
 from .ff import FieldSpec, field_of_order
 from .qcount import nbracket, num_generators, num_points
@@ -436,61 +438,194 @@ def subspace_points(ps: PolarSpace, basis: tuple[Vector, ...]) -> list[Vector]:
     return out
 
 
+# Entries per numpy temporary in blocked loops (128 KiB of int32): keeps the
+# peak memory of orthogonality masks, line tables and relations near O(npts + n).
+BLOCK_ENTRIES = 1 << 15
+
+
+def bit_indices(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
+
+
+def bits_to_masks(bits) -> list[int]:
+    """Pack each row of a 0/1 matrix into an int whose bit j is column j."""
+    packed = np.packbits(np.asarray(bits, dtype=bool), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def masks_to_bits(masks, width: int) -> np.ndarray:
+    """The len(masks) x width 0/1 uint8 matrix whose row i holds the bits of masks[i]."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes), axis=1, bitorder="little")
+    return bits[:, :width]
+
+
+def _array_arithmetic(fld: FieldSpec):
+    """Exact (mul, add) on int32 arrays of field codes, by integer gathers only.
+
+    mul gathers exp[log a + log b]: exp holds two periods of the exp table,
+    and log 0 points past them into a zero tail that every sum involving it
+    lands in, so no branch is needed for zero.  add is XOR in characteristic
+    2 and base-p digitwise addition otherwise.  Tables are O(q); every value
+    stays below 4q <= 2^18.
+    """
+    q, p = fld.order, fld.p
+    zero = 2 * (q - 1)
+    log = np.array(fld.log, dtype=np.int32)
+    log[0] = zero
+    exp = np.zeros(2 * zero + 1, dtype=np.int32)
+    exp[:zero] = np.tile(np.array(fld.exp, dtype=np.int32), 2)
+
+    def mul(a, b):
+        return exp[log[a] + log[b]]
+
+    def add(a, b):
+        if p == 2:
+            return a ^ b
+        out, pe = 0, 1
+        for _ in range(fld.k):
+            out = out + (a // pe + b // pe) % p * pe
+            pe *= p
+        return out
+
+    return mul, add
+
+
+def _point_array(ps: PolarSpace, pts) -> np.ndarray:
+    return np.array(pts, dtype=np.int32).reshape(len(pts), ps.nv)
+
+
+def _point_keys(ps: PolarSpace, A: np.ndarray) -> np.ndarray:
+    """Base-q value of each row of A; increasing exactly when the rows are lexicographically increasing."""
+    if ps.q**ps.nv >= 1 << 63:
+        raise ValueError(f"{ps.label}: q^nv = {ps.q}^{ps.nv} does not fit int64 point keys")
+    return A @ (ps.q ** np.arange(ps.nv - 1, -1, -1, dtype=np.int64))
+
+
+def _orth_masks(ps: PolarSpace, pts) -> list[int]:
+    """orth[i] has bit j iff B(pts[i], pts[j]) = 0; symmetric, since the form is reflexive."""
+    fld = ps.field
+    mul, add = _array_arithmetic(fld)
+    A = _point_array(ps, pts)
+    sig = A
+    if ps.is_hermitian:
+        sig = np.array([fld.conjugate(x) for x in range(fld.order)], dtype=np.int32)[A]
+    # T[:, t] = sum_j gram[t][j] sigma(v_j), so that B(u, v) = sum_t u_t T(v)_t.
+    T = np.zeros_like(A)
+    for t, grow in enumerate(ps.gram):
+        for j, g in enumerate(grow):
+            if g:
+                T[:, t] = add(T[:, t], mul(g, sig[:, j]))
+    orth: list[int] = []
+    step = max(1, BLOCK_ENTRIES // max(1, len(pts)))
+    for r in range(0, len(pts), step):
+        acc = 0
+        for t in range(ps.nv):
+            acc = add(acc, mul(A[r : r + step, t, None], T[None, :, t]))
+        orth += bits_to_masks(acc == 0)
+    return orth
+
+
+def _line_table(ps: PolarSpace, pts, orth) -> list[list[int]]:
+    """line[a][b] = point mask of the line through pts[a] and pts[b] for every
+    b != a with bit b of orth[a], else 0.
+
+    ``pts`` must be lexicographically sorted and contain every point of those
+    lines.  Each line's mask is one int, shared by the (q+1)q ordered pairs of
+    its points.
+    """
+    fld = ps.field
+    q, npts = fld.order, len(pts)
+    mul, add = _array_arithmetic(fld)
+    A = _point_array(ps, pts)
+    keys = _point_keys(ps, A)
+    inv = np.array([0] + [fld.inv(c) for c in range(1, q)], dtype=np.int32)
+    scalars = np.arange(1, q, dtype=np.int32)[None, :, None]
+    line = [[0] * npts for _ in range(npts)]
+    step = max(1, BLOCK_ENTRIES // max(1, npts * (q - 1) * ps.nv))
+    for r in range(0, npts, step):
+        I, J = np.nonzero(masks_to_bits(orth[r : r + step], npts))
+        I += r
+        I, J = I[J > I], J[J > I]
+        # The other q-1 points of line(i, j): p_i + c p_j for c != 0, normalized.
+        V = add(A[I, None, :], mul(scalars, A[J, None, :]))
+        lead = np.take_along_axis(V, (V != 0).argmax(axis=2)[:, :, None], axis=2)
+        V = mul(inv[lead], V)
+        key = _point_keys(ps, V)
+        idx = np.minimum(np.searchsorted(keys, key), npts - 1)
+        if not np.array_equal(keys[idx], key):
+            raise ValueError(f"{ps.label}: a line through two orthogonal points leaves the point list")
+        # Build each line once, from its two least points i < j.
+        first = (idx > J[:, None]).all(axis=1)
+        for members in np.column_stack([I, J, idx])[first].tolist():
+            mask = 0
+            for x in members:
+                mask |= 1 << x
+            for a in members:
+                row = line[a]
+                for b in members:
+                    row[b] = mask
+                row[a] = 0
+    return line
+
+
+def _orderly_subspaces(ps: PolarSpace, pts, orth, k: int) -> list[tuple[Vector, ...]]:
+    """Canonical bases of the k-dimensional subspaces spanned by k pairwise
+    orthogonal points of ``pts``, each exactly once.
+
+    ``pts`` are lexicographically sorted normalized points, closed under the
+    lines through orthogonal pairs; bit j of orth[i] says pts[i] and pts[j]
+    are orthogonal.  A search state is a chain of chosen indices, its span
+    mask and its perp mask (the points orthogonal to the whole span).  Point
+    p extends it when p lies in the perp, outside the span and above the
+    last chosen index, and when no point it adds to the span, span | p |
+    line(p, s) for s in the span, has an index below p.  That admits exactly
+    the greedy bases, b_1 the least point and b_(i+1) the least point outside
+    span(b_1..b_i), so every subspace is reached once (orderly generation,
+    R. C. Read 1978) and no seen-set is needed.
+    """
+    fld = ps.field
+    line = _line_table(ps, pts, orth) if k > 1 else None
+    found: list[tuple[Vector, ...]] = []
+    stack = [((), 0, (), (1 << len(pts)) - 1)]  # chain, span, points of span, perp
+    while stack:
+        chain, span, members, perp = stack.pop()
+        if len(chain) == k:
+            found.append(rref(fld, [pts[c] for c in chain]))
+            continue
+        above = chain[-1] + 1 if chain else 0
+        cand = (perp & ~span) >> above << above
+        while cand:
+            low = cand & -cand
+            p = low.bit_length() - 1
+            new = span | low
+            if span:
+                row = line[p]
+                for s in members:
+                    new |= row[s]
+            # Every point of new outside span gives the same subspace: try it once.
+            cand &= ~new
+            if (new ^ span) & (low - 1):
+                continue
+            stack.append((chain + (p,), new, members + bit_indices(new ^ span), perp & orth[p]))
+    return found
+
+
 def _enumerate_generator_bases(ps: PolarSpace, limit: int) -> list[tuple[Vector, ...]]:
     expected = num_generators(ps.family, ps.d, ps.q)
     if expected > limit:
         raise ValueError(
             f"{ps.label} has {expected} generators, above the enumeration limit {limit}"
         )
-    if ps.d == 0:
-        return [()]
-    fld = ps.field
     pts = enumerate_points(ps)
-    npts = len(pts)
-    # Orthogonality masks: bit j of orth[i] <=> B(pts[i], pts[j]) = 0.
-    sig = (
-        [tuple(fld.conjugate(x) for x in v) for v in pts] if ps.is_hermitian else list(pts)
-    )
-    transformed = []
-    for v in sig:
-        transformed.append(
-            tuple(
-                _dot(fld, ps.gram[t], v)
-                for t in range(ps.nv)
-            )
-        )
-    orth = [0] * npts
-    for i in range(npts):
-        u = pts[i]
-        ti = transformed[i]
-        mask = 0
-        for j in range(i, npts):
-            if _dot(fld, pts[j], ti) == 0:
-                mask |= 1 << j
-                if j != i:
-                    orth[j] |= 1 << i
-        orth[i] |= mask
-    full = (1 << npts) - 1
-    found: list[tuple[Vector, ...]] = []
-    seen: set[tuple[Vector, ...]] = set()
-    d = ps.d
-
-    def extend(basis: tuple[Vector, ...], mask: int) -> None:
-        if len(basis) == d:
-            found.append(basis)
-            return
-        m = mask
-        while m:
-            lsb = m & -m
-            m ^= lsb
-            idx = lsb.bit_length() - 1
-            nb = rref_insert(fld, basis, pts[idx])
-            if nb is None or nb in seen:
-                continue
-            seen.add(nb)
-            extend(nb, mask & orth[idx])
-
-    extend((), full)
+    found = _orderly_subspaces(ps, pts, _orth_masks(ps, pts), ps.d)
     found.sort()
     if len(found) != expected:
         raise AssertionError(
@@ -499,12 +634,11 @@ def _enumerate_generator_bases(ps: PolarSpace, limit: int) -> list[tuple[Vector,
     return found
 
 
-def _dot(fld: FieldSpec, u: Vector, v: Vector) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = fld.add(acc, fld.mul(a, b))
-    return acc
+def enumerate_subspaces_within(ps: PolarSpace, basis, k: int) -> list[tuple[Vector, ...]]:
+    """All k-dimensional subspaces of the span of ``basis`` (canonical bases, sorted)."""
+    pts = sorted(subspace_points(ps, tuple(basis)))
+    full = (1 << len(pts)) - 1
+    return sorted(_orderly_subspaces(ps, pts, [full] * len(pts), k))
 
 
 @dataclass(eq=False)
@@ -553,6 +687,16 @@ def enumerate_generators(ps: PolarSpace, limit: int = ENUM_LIMIT_DEFAULT) -> Gen
 
 
 def catalog_from_bases(ps: PolarSpace, bases) -> GeneratorCatalog:
+    """Catalog of the given generator bases, which must be canonical.
+
+    The point mask of a generator G is the AND of orth over its basis rows,
+    the singular points of G^perp: a singular point x in G^perp with x not in
+    G would span a larger totally isotropic subspace with G, so that set is G
+    itself (the nucleus of a characteristic-2 parabolic quadric lies in every
+    G^perp but is not singular).  Raises ValueError when a row is not a
+    singular point, the rows are not pairwise orthogonal, or the mask does
+    not have [d]_q points.
+    """
     pts = enumerate_points(ps)
     pt_index = {v: i for i, v in enumerate(pts)}
     npoints_expected = num_points(ps.family, ps.d, ps.q) if ps.d > 0 else 0
@@ -560,11 +704,20 @@ def catalog_from_bases(ps: PolarSpace, bases) -> GeneratorCatalog:
         raise AssertionError(
             f"point count mismatch for {ps.label}: {len(pts)} vs {npoints_expected}"
         )
+    orth = _orth_masks(ps, pts)
+    size = nbracket(ps.d, ps.q)
     masks = []
-    for basis in bases:
-        mask = 0
-        for v in subspace_points(ps, basis):
-            mask |= 1 << pt_index[v]
+    for g, basis in enumerate(bases):
+        rows = [pt_index.get(row) for row in basis]
+        if None in rows:
+            raise ValueError(f"basis {g}: row {basis[rows.index(None)]} is not a singular point")
+        mask = (1 << len(pts)) - 1
+        for i in rows:
+            mask &= orth[i]
+        if not all(mask >> i & 1 for i in rows):
+            raise ValueError(f"basis {g}: rows are not pairwise orthogonal")
+        if mask.bit_count() != size:
+            raise ValueError(f"basis {g}: {mask.bit_count()} points, expected [{ps.d}]_q = {size}")
         masks.append(mask)
     dim_of_count = {nbracket(j, ps.q): j for j in range(ps.d + 1)}
     gens = tuple(Subspace(b) for b in bases)

@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geom import GeneratorCatalog
+from .geom import BLOCK_ENTRIES, GeneratorCatalog, bits_to_masks, masks_to_bits
 from .qcount import EigenData
 
-# Every integer of absolute value below 2^53 is exact in float64.
+# Every integer of absolute value below 2^24 (2^53) is exact in float32 (float64).
+_FLOAT32_EXACT = 1 << 24
 _FLOAT64_EXACT = 1 << 53
 
 
@@ -43,25 +44,34 @@ class RelationData:
 
     def matrix(self, i: int) -> np.ndarray:
         """A_i as a dense 0/1 float64 array."""
-        n = self.n
-        nbytes = (n + 7) // 8
-        raw = b"".join(row.to_bytes(nbytes, "little") for row in self.rows[i])
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes), axis=1, bitorder="little")
-        return bits[:, :n].astype(np.float64)
+        return masks_to_bits(self.rows[i], self.n).astype(np.float64)
 
 
 def build_relations(cat: GeneratorCatalog) -> RelationData:
+    """Relation rows from the incidence product M M^T, in row blocks.
+
+    M is the n x npts generator/point incidence matrix, so (M M^T)[x, y] is
+    the number of common points of generators x and y, an integer at most
+    npts.  float32 represents every such integer and partial sum exactly
+    below 2^24.  A count that is no [j]_q raises SchemeError.
+    """
     n = cat.n
     d = cat.space.d
-    masks = cat.point_masks
-    dim_of = cat._dim_of_count
-    rows = [[0] * n for _ in range(d + 1)]
-    for x in range(n):
-        mx = masks[x]
-        for y in range(x, n):
-            i = d - dim_of[(mx & masks[y]).bit_count()]
-            rows[i][x] |= 1 << y
-            rows[i][y] |= 1 << x
+    npts = len(cat.points)
+    if npts >= _FLOAT32_EXACT:
+        raise ValueError(f"{npts} points is not below 2^24; float32 products would not be exact")
+    M = masks_to_bits(cat.point_masks, npts).astype(np.float32)
+    codim_of = np.full(npts + 1, -1, dtype=np.int8)
+    for count, j in cat._dim_of_count.items():
+        codim_of[count] = d - j
+    rows: list[list[int]] = [[] for _ in range(d + 1)]
+    step = max(1, BLOCK_ENTRIES // n)
+    for r in range(0, n, step):
+        codim = codim_of[(M[r : r + step] @ M.T).astype(np.int32)]
+        if (codim < 0).any():
+            raise SchemeError("two generators share a number of points that is no [j]_q")
+        for i in range(d + 1):
+            rows[i] += bits_to_masks(codim == i)
     full = (1 << n) - 1
     valencies = []
     for i in range(d + 1):

@@ -27,6 +27,7 @@ from .geom import (
     catalog_from_bases,
     enumerate_generators,
     polar_space_make,
+    rref,
 )
 from .qcount import (
     disjointness_eigenvalue,
@@ -123,8 +124,12 @@ def cache_write(cat: GeneratorCatalog, path=None, rel: RelationData | None = Non
 def cache_read(path, expected: tuple[str, int, int, int]):
     """Read a cache file; ``expected`` is (family, d, p, k).
 
-    Returns (catalog, relations-or-None).  Refuses descriptor mismatches and
-    truncated payloads.
+    Returns (catalog, relations-or-None).  Refuses descriptor mismatches,
+    truncated payloads and trailing bytes, and every generator list that
+    enumeration could not have written: a basis whose bytes are not its
+    encoding, that is not canonical reduced row-echelon form of dimension d,
+    whose rows are not pairwise orthogonal singular points or whose point
+    set is not [d]_q points, and bases that are not strictly increasing.
     """
     blob = Path(path).read_bytes()
     if blob[: len(MAGIC)] != MAGIC:
@@ -149,9 +154,20 @@ def cache_read(path, expected: tuple[str, int, int, int]):
         raise CacheError(f"{path}: truncated generator payload")
     bases = []
     for i in range(count):
-        bases.append(_decode_basis(ps, blob[off + i * width : off + (i + 1) * width]))
+        chunk = blob[off + i * width : off + (i + 1) * width]
+        basis = _decode_basis(ps, chunk)
+        if _encode_basis(ps, basis) != chunk:
+            raise CacheError(f"{path}: basis {i} has digits beyond its {d} x {ps.nv} entries")
+        if rref(ps.field, basis) != basis:
+            raise CacheError(f"{path}: basis {i} is not canonical reduced row-echelon form of dimension {d}")
+        if bases and basis <= bases[-1]:
+            raise CacheError(f"{path}: bases are not strictly increasing at basis {i}")
+        bases.append(basis)
     off = need
-    cat = catalog_from_bases(ps, bases)
+    try:
+        cat = catalog_from_bases(ps, bases)
+    except ValueError as exc:
+        raise CacheError(f"{path}: {exc}") from exc
     rel = None
     if has_rel:
         nbytes = (count + 7) // 8
@@ -167,19 +183,24 @@ def cache_read(path, expected: tuple[str, int, int, int]):
             rows.append(tuple(rel_rows))
         valencies = tuple(rows[i][0].bit_count() for i in range(d + 1))
         rel = RelationData(cat=cat, rows=tuple(rows), valencies=valencies)
+    if len(blob) != need:
+        raise CacheError(f"{path}: {len(blob) - need} trailing bytes")
     return cat, rel
 
 
 def load_catalog(family: str, d: int, q: int, limit: int = ENUM_LIMIT_DEFAULT, use_cache: bool = True):
-    """Catalog from the cache when a valid file exists, else fresh enumeration."""
+    """Catalog from the cache when a valid file exists, else fresh enumeration.
+
+    A rejected cache file is named on stderr with the reason; stdout is not touched.
+    """
     ps = polar_space_make(family, d, q)
     path = cache_path(family, d, q)
     if use_cache and path.exists():
         try:
             cat, _ = cache_read(path, (family, d, ps.field.p, ps.field.k))
             return cat
-        except CacheError:
-            pass  # stale or foreign file; fall back to enumeration
+        except CacheError as exc:
+            print(f"warning: ignoring cache file {exc}; enumerating instead", file=sys.stderr)
     return enumerate_generators(ps, limit)
 
 

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polarb.extremal import enumerate_subspaces_within
 from polarb.geom import (
     Subspace,
+    bilinear,
     codim_intersection,
     enumerate_generators,
+    enumerate_points,
     generators_through,
     intersect_bases,
     is_singular,
@@ -16,6 +20,7 @@ from polarb.geom import (
     quotient_geometry,
     quotient_map,
     rref,
+    rref_insert,
     subspace_points,
 )
 from polarb.qcount import num_generators, num_points
@@ -222,3 +227,130 @@ def test_rref_canonical():
     r2 = rref(fld, list(reversed(rows)))
     assert r1 == r2
     assert all(next(i for i, x in enumerate(row) if x) is not None for row in r1)
+
+
+# ---------------------------------------------------------------------------
+# The orderly point-mask search against the rref_insert + seen-set search
+# ---------------------------------------------------------------------------
+
+
+def _reference_generator_bases(ps):
+    """Depth-first rref_insert over orthogonal points, deduplicated by a seen-set of bases."""
+    pts = enumerate_points(ps)
+    orth = [sum(1 << j for j, v in enumerate(pts) if bilinear(ps, u, v) == 0) for u in pts]
+    found, seen = [], set()
+
+    def extend(basis, mask):
+        if len(basis) == ps.d:
+            found.append(basis)
+            return
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            idx = low.bit_length() - 1
+            nb = rref_insert(ps.field, basis, pts[idx])
+            if nb is None or nb in seen:
+                continue
+            seen.add(nb)
+            extend(nb, mask & orth[idx])
+
+    extend((), (1 << len(pts)) - 1)
+    return sorted(found)
+
+
+def _reference_point_masks(ps, bases, points):
+    index = {v: i for i, v in enumerate(points)}
+    return tuple(sum(1 << index[v] for v in subspace_points(ps, b)) for b in bases)
+
+
+def _reference_subspaces_within(ps, basis, k):
+    pts = subspace_points(ps, tuple(basis))
+    found, seen = set(), set()
+
+    def extend(cur):
+        if len(cur) == k:
+            found.add(cur)
+            return
+        for p in pts:
+            nb = rref_insert(ps.field, cur, p)
+            if nb is None or nb in seen:
+                continue
+            seen.add(nb)
+            extend(nb)
+
+    extend(())
+    return sorted(found)
+
+
+def _assert_matches_reference(family, d, q):
+    ps = polar_space_make(family, d, q)
+    cat = enumerate_generators(ps)
+    bases = [g.basis for g in cat.generators]
+    assert bases == _reference_generator_bases(ps)
+    assert len(bases) == num_generators(family, d, q)
+    assert cat.point_masks == _reference_point_masks(ps, bases, cat.points)
+
+
+REFERENCE_SPACES = [
+    ("W", 2, 2),  # characteristic 2
+    ("Qplus", 3, 2),
+    ("Qminus", 2, 2),
+    ("W", 2, 3),  # odd q
+    ("Qminus", 2, 3),
+    ("Qparabolic", 2, 3),
+    ("Hodd", 2, 4),  # both Hermitian families
+    ("Heven", 2, 4),
+    ("Qparabolic", 2, 2),  # characteristic-2 parabolic: the nucleus is in every G^perp
+    ("Qparabolic", 2, 4),
+    ("W", 0, 2),  # d = 0
+    ("Qminus", 0, 3),
+    ("W", 1, 3),  # d = 1
+    ("Heven", 1, 4),
+]
+
+
+@pytest.mark.parametrize("family,d,q", REFERENCE_SPACES)
+def test_enumeration_matches_seen_set_reference(family, d, q):
+    _assert_matches_reference(family, d, q)
+
+
+@pytest.mark.parametrize("family,d,q", [("W", 2, 3), ("Hodd", 2, 4), ("Qparabolic", 2, 2)])
+def test_subspaces_within_identity_match_seen_set_reference(family, d, q):
+    ps = polar_space_make(family, d, q)
+    identity = tuple(tuple(int(i == j) for j in range(ps.nv)) for i in range(ps.nv))
+    for k in range(ps.nv + 1):
+        assert enumerate_subspaces_within(ps, identity, k) == _reference_subspaces_within(ps, identity, k)
+    for k in range(3):
+        assert enumerate_subspaces_within(ps, (), k) == _reference_subspaces_within(ps, (), k)
+
+
+def test_subspaces_within_a_generator_match_seen_set_reference(catalog):
+    cat = catalog("Qparabolic", 3, 2)
+    for g in cat.generators[:5]:
+        for k in range(4):
+            assert enumerate_subspaces_within(cat.space, g.basis, k) == _reference_subspaces_within(
+                cat.space, g.basis, k
+            )
+
+
+_SMALL_FIELDS = {
+    "W": (2, 3, 4, 5),
+    "Qplus": (2, 3, 4, 5),
+    "Qparabolic": (2, 3, 4, 5),
+    "Qminus": (2, 3, 4),
+    "Hodd": (4, 9),
+    "Heven": (4, 9),
+}
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(
+    st.sampled_from(sorted(_SMALL_FIELDS)).flatmap(
+        lambda fam: st.tuples(st.just(fam), st.integers(0, 2), st.sampled_from(_SMALL_FIELDS[fam]))
+    )
+)
+def test_enumeration_matches_reference_on_drawn_spaces(space):
+    family, d, q = space
+    assume(num_generators(family, d, q) <= 300)
+    _assert_matches_reference(family, d, q)

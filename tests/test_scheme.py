@@ -4,10 +4,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from polarb import scheme
 from polarb.qcount import eigen_data
 from polarb.scheme import (
     RelationData,
     SchemeError,
+    build_relations,
     check_intersection_numbers,
     eigenspace_support,
     idempotent,
@@ -41,6 +43,56 @@ def test_relations_partition_and_symmetry(relations):
             for y in range(n):
                 assert (rel.rows[i][x] >> y) & 1 == (rel.rows[i][y] >> x) & 1
     assert all(rel.rows[0][x] == 1 << x for x in range(n))
+
+
+def _reference_relation_rows(cat):
+    """Relation rows by one popcount per pair of point masks."""
+    n, d = cat.n, cat.space.d
+    masks = cat.point_masks
+    rows = [[0] * n for _ in range(d + 1)]
+    for x in range(n):
+        for y in range(x, n):
+            i = d - cat._dim_of_count[(masks[x] & masks[y]).bit_count()]
+            rows[i][x] |= 1 << y
+            rows[i][y] |= 1 << x
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        ("W", 2, 2),
+        ("Qplus", 3, 2),
+        ("W", 2, 3),
+        ("Qminus", 2, 3),
+        ("Hodd", 2, 4),
+        ("Heven", 2, 4),
+        ("Qparabolic", 2, 2),
+        ("Qparabolic", 2, 4),
+        ("W", 0, 2),
+        ("W", 1, 3),
+        ("W", 3, 2),
+    ],
+)
+def test_relation_rows_match_popcount_reference(relations, space):
+    rel = relations(*space)
+    assert rel.rows == _reference_relation_rows(rel.cat)
+    assert rel.valencies == tuple(row[0].bit_count() for row in rel.rows)
+
+
+def test_unknown_intersection_size_is_a_scheme_error(catalog):
+    cat = catalog("W", 2, 3)
+    extra = next(j for j in range(len(cat.points)) if not cat.point_masks[0] >> j & 1)
+    masks = (cat.point_masks[0] | 1 << extra,) + cat.point_masks[1:]
+    with pytest.raises(SchemeError, match="no \\[j\\]_q"):
+        build_relations(dataclasses.replace(cat, point_masks=masks))
+
+
+def test_float32_product_needs_fewer_than_2_24_points(catalog, monkeypatch):
+    cat = catalog("W", 2, 3)
+    monkeypatch.setattr(scheme, "_FLOAT32_EXACT", len(cat.points))
+    with pytest.raises(ValueError, match="2\\^24"):
+        build_relations(cat)
 
 
 def test_intersection_numbers_w33(relations):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from polarb import checks, shell
+from polarb import checks, geom, shell
 from polarb.scheme import SchemeError, build_relations
 from polarb.shell import CacheError, cache_read, cache_write, main
 
@@ -64,6 +64,90 @@ def test_cache_rejects_corruption(catalog, tmp_path):
     bad.write_bytes(b"NOTMAGIC" + blob[8:])
     with pytest.raises(CacheError):
         cache_read(bad, descriptor(cat))
+
+
+def _write_bases(cat, bases, path):
+    """A cache file holding ``bases`` in place of the catalog's generators."""
+    ps = cat.space
+    header = shell._HEADER.pack(shell._FAMILY_CODE[ps.family], ps.d, ps.field.p, ps.field.k, len(bases), 0)
+    path.write_bytes(shell.MAGIC + header + b"".join(shell._encode_basis(ps, b) for b in bases))
+
+
+def _swap_first_two(bases):
+    return [bases[1], bases[0]] + bases[2:]
+
+
+def _replace_last(bad):
+    return lambda bases: sorted(bases[:-1] + [bad])
+
+
+@pytest.mark.parametrize(
+    "space, edit, reason",
+    [
+        (("W", 2, 3), lambda b: [tuple(reversed(b[0]))] + b[1:], "not canonical"),
+        (("W", 2, 3), lambda b: [(b[0][0], b[0][0])] + b[1:], "not canonical"),
+        (("W", 2, 3), _swap_first_two, "not strictly increasing"),
+        (("W", 2, 3), lambda b: [b[0]] + b[:-1], "not strictly increasing"),
+        (("Qparabolic", 2, 2), _replace_last(((1, 0, 0, 0, 0), (0, 0, 0, 1, 0))), "not a singular point"),
+        (("W", 2, 3), _replace_last(((1, 0, 0, 0), (0, 1, 0, 0))), "not pairwise orthogonal"),
+    ],
+    ids=["unreduced", "dependent-rows", "unsorted", "duplicate", "non-singular-row", "non-orthogonal-rows"],
+)
+def test_cache_rejects_bases_enumeration_cannot_write(catalog, tmp_path, space, edit, reason):
+    cat = catalog(*space)
+    path = tmp_path / "edited.plb"
+    _write_bases(cat, edit([g.basis for g in cat.generators]), path)
+    with pytest.raises(CacheError, match=reason):
+        cache_read(path, descriptor(cat))
+
+
+def test_cache_rejects_digits_beyond_the_basis(catalog, tmp_path):
+    cat = catalog("W", 2, 3)  # 8 base-3 digits per basis fill 13 of its 16 bits
+    path = tmp_path / "w23.plb"
+    cache_write(cat, path)
+    blob = bytearray(path.read_bytes())
+    blob[len(shell.MAGIC) + shell._HEADER.size + 1] |= 0x80
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CacheError, match="digits beyond"):
+        cache_read(path, descriptor(cat))
+
+
+def test_cache_rejects_a_point_set_of_the_wrong_size(catalog, tmp_path, monkeypatch):
+    cat = catalog("W", 2, 3)
+    path = tmp_path / "w23.plb"
+    cache_write(cat, path)
+    orth_masks = geom._orth_masks
+    monkeypatch.setattr(geom, "_orth_masks", lambda ps, pts: [m | 1 for m in orth_masks(ps, pts)])
+    with pytest.raises(CacheError, match="expected \\[2\\]_q = 4"):
+        cache_read(path, descriptor(cat))
+
+
+@pytest.mark.parametrize("with_relations", [False, True])
+def test_cache_rejects_trailing_bytes(catalog, tmp_path, with_relations):
+    cat = catalog("Qparabolic", 2, 2)
+    path = tmp_path / "q42.plb"
+    cache_write(cat, path, rel=build_relations(cat) if with_relations else None)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(CacheError, match="1 trailing bytes"):
+        cache_read(path, descriptor(cat))
+
+
+def test_cli_flipped_cache_bit_is_rejected_and_reenumerated(capsys):
+    assert main(["enum", "W", "2", "3"]) == 0
+    capsys.readouterr()
+    assert main(["search", "max-pairs", "W", "2", "3", "--json"]) == 0
+    intact = capsys.readouterr()
+    assert intact.err == ""
+    path = shell.cache_path("W", 2, 3)
+    blob = bytearray(path.read_bytes())
+    blob[-5] ^= 1  # basis 37 becomes ((2,0,2,0), (0,1,1,0)): unreduced and out of order
+    path.write_bytes(bytes(blob))
+    assert main(["search", "max-pairs", "W", "2", "3", "--json"]) == 0
+    flipped = capsys.readouterr()
+    assert json.loads(flipped.out)["max_product"] == 16
+    assert flipped.out == intact.out
+    assert flipped.err.count("\n") == 1
+    assert str(path) in flipped.err and "basis 37 is not canonical" in flipped.err
 
 
 def test_cli_info(capsys):
