@@ -13,20 +13,26 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+
+import numpy as np
 
 from .geom import (
+    BLOCK_ENTRIES,
     GeneratorCatalog,
     Subspace,
     bit_indices,
+    bits_to_masks,
     enumerate_generators,
     enumerate_subspaces_within,
     generators_through,
     intersect_bases,
     polar_space_make,
-    rank_of,
     rref,
+    rref_batch,
 )
 from .qcount import binom2, gaussian, nbracket, num_generators, num_points
+from .scheme import common_point_counts
 
 
 @dataclass(eq=False)
@@ -49,17 +55,12 @@ class CrossGraph:
 
 
 def cross_graph(cat: GeneratorCatalog) -> CrossGraph:
+    """Disjoint generators share no point: adj is where the incidence product is 0."""
     n = cat.n
-    pm = cat.point_masks
     full = (1 << n) - 1
-    adj = []
-    for x in range(n):
-        row = 0
-        mx = pm[x]
-        for y in range(n):
-            if mx & pm[y] == 0:
-                row |= 1 << y
-        adj.append(row)
+    adj: list[int] = []
+    for counts in common_point_counts(cat):
+        adj += bits_to_masks(counts == 0)
     nonn = tuple(full ^ row for row in adj)
     return CrossGraph(cat=cat, n=n, adj=tuple(adj), nonn=nonn)
 
@@ -442,18 +443,26 @@ def example_h7_sizes(q: int = 2) -> tuple[int, int]:
 
 
 def example_h7_cross_sample(q: int = 2, samples: int = 10_000, seed: int = 20260810) -> dict:
-    """Random y in Y, z in Z pairs; every one must intersect non-trivially."""
+    """Random y in Y, z in Z pairs; every one must intersect non-trivially.
+
+    The pairs are drawn in blocks and each block is ranked by one rref_batch;
+    a pair of full rank nv is disjoint.
+    """
     ps, G, through = _h7_data(q)
-    fld = ps.field
     rng = random.Random(seed)
     pool_y = through[2]
     pool_z = through[3]
     bad = 0
-    for _ in range(samples):
-        _, gens_y = pool_y[rng.randrange(len(pool_y))]
-        y = gens_y[rng.randrange(len(gens_y))]
-        _, gens_z = pool_z[rng.randrange(len(pool_z))]
-        z = gens_z[rng.randrange(len(gens_z))]
-        if rank_of(fld, y.basis + z.basis) == 8:
-            bad += 1
+    block = BLOCK_ENTRIES // (2 * ps.d * ps.nv)
+    for start in range(0, samples, block):
+        pairs = []
+        for _ in range(min(block, samples - start)):
+            _, gens_y = pool_y[rng.randrange(len(pool_y))]
+            y = gens_y[rng.randrange(len(gens_y))]
+            _, gens_z = pool_z[rng.randrange(len(pool_z))]
+            z = gens_z[rng.randrange(len(gens_z))]
+            pairs += y.basis + z.basis
+        M = np.fromiter(chain.from_iterable(pairs), dtype=np.int32, count=len(pairs) * ps.nv)
+        _, rank = rref_batch(ps.field, M.reshape(-1, 2 * ps.d, ps.nv))
+        bad += int((rank == ps.nv).sum())
     return {"ok": bad == 0, "samples": samples, "disjoint_pairs": bad}

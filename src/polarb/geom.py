@@ -13,12 +13,14 @@ byte-for-byte.  All dimensions are vector space dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .families import HERMITIAN, ORTHOGONAL, TAU, ambient_dim
-from .ff import FieldSpec, field_of_order
+from .ff import FieldSpec, field_make, field_of_order
 from .qcount import nbracket, num_generators, num_points
 
 Vector = tuple[int, ...]
@@ -118,10 +120,6 @@ def in_span(fld: FieldSpec, basis: tuple[Vector, ...], v: Vector) -> bool:
             coef = vv[p]
             vv = [fld.sub(x, fld.mul(coef, y)) for x, y in zip(vv, row)]
     return not any(vv)
-
-
-def rank_of(fld: FieldSpec, rows) -> int:
-    return len(rref(fld, rows))
 
 
 def nullspace(fld: FieldSpec, rows, ncols: int) -> tuple[Vector, ...]:
@@ -407,16 +405,55 @@ def polar_space_make(family: str, d: int, q: int) -> PolarSpace:
 
 
 def enumerate_points(ps: PolarSpace) -> tuple[Vector, ...]:
-    """All singular/isotropic projective points, lexicographically ordered."""
-    fld = ps.field
-    pts = []
-    for v in product(range(fld.order), repeat=ps.nv):
-        lead = next((c for c in v if c), None)
-        if lead != 1:  # one representative per point
-            continue
-        if is_singular(v, ps):
-            pts.append(v)
-    return tuple(pts)
+    """All singular/isotropic projective points, lexicographically ordered.
+
+    A blocked scan of the normalized vectors by a running index i.  Group g
+    = 0, 1, .. holds the q^g vectors whose leading 1 sits at position
+    nv-1-g, so groups in order, each in base-q counting order, are
+    lexicographic order.  Vector i of group g has the base-q digits of
+    i - start[g] < q^g as coordinates, zero up to the leading 1.  The form
+    is evaluated on each block by integer gathers.
+    """
+    q, nv = ps.q, ps.nv
+    place = _places(ps)
+    start = np.cumsum([0] + [q**i for i in range(nv)])
+    total = int(start[-1])
+    ar = _array_arithmetic(ps.field)
+    step = max(1, BLOCK_ENTRIES // max(1, nv))
+    out: list[list[int]] = []
+    for s in range(0, total, step):
+        idx = np.arange(s, min(total, s + step), dtype=np.int64)
+        group = np.searchsorted(start, idx, side="right") - 1
+        V = ((idx - start[group])[:, None] // place % q).astype(np.int32)
+        V[np.arange(idx.size), nv - 1 - group] = 1
+        out += V[_self_values(ps, V, ar) == 0].tolist()
+    return tuple(map(tuple, out))
+
+
+def _self_values(ps: PolarSpace, V: np.ndarray, ar: _Gathers) -> np.ndarray:
+    """Q(v) for orthogonal families, else B(v, v), for each row v of V."""
+    acc = np.zeros(len(V), dtype=np.int32)
+    if ps.is_orthogonal:
+        for i, qrow in enumerate(ps.quad):
+            for j in range(i, ps.nv):
+                if qrow[j]:
+                    acc = ar.add(acc, ar.mul(qrow[j], ar.mul(V[:, i], V[:, j])))
+        return acc
+    T = _gram_image(ps, V, ar)
+    for t in range(ps.nv):
+        acc = ar.add(acc, ar.mul(V[:, t], T[:, t]))
+    return acc
+
+
+def _gram_image(ps: PolarSpace, A: np.ndarray, ar: _Gathers) -> np.ndarray:
+    """T[:, t] = sum_j gram[t][j] sigma(A[:, j]), so that B(u, v) = sum_t u_t T(v)_t."""
+    sig = ar.conj[A] if ps.is_hermitian else A
+    T = np.zeros_like(A)
+    for t, grow in enumerate(ps.gram):
+        for j, g in enumerate(grow):
+            if g:
+                T[:, t] = ar.add(T[:, t], ar.mul(g, sig[:, j]))
+    return T
 
 
 def subspace_points(ps: PolarSpace, basis: tuple[Vector, ...]) -> list[Vector]:
@@ -467,8 +504,19 @@ def masks_to_bits(masks, width: int) -> np.ndarray:
     return bits[:, :width]
 
 
-def _array_arithmetic(fld: FieldSpec):
-    """Exact (mul, add) on int32 arrays of field codes, by integer gathers only.
+class _Gathers(NamedTuple):
+    """Exact GF(q) arithmetic on int32 arrays of field codes, by integer gathers only."""
+
+    mul: Callable
+    add: Callable
+    neg: np.ndarray  # neg[a] = -a
+    inv: np.ndarray  # inv[a] = 1/a, inv[0] = 0
+    conj: np.ndarray | None  # conj[a] = a^sqrt(q), square orders only
+
+
+@lru_cache(maxsize=None)
+def _field_gathers(p: int, k: int) -> _Gathers:
+    """The gather tables of GF(p^k), built once per field.
 
     mul gathers exp[log a + log b]: exp holds two periods of the exp table,
     and log 0 points past them into a zero tail that every sum involving it
@@ -476,7 +524,8 @@ def _array_arithmetic(fld: FieldSpec):
     2 and base-p digitwise addition otherwise.  Tables are O(q); every value
     stays below 4q <= 2^18.
     """
-    q, p = fld.order, fld.p
+    fld = field_make(p, k)
+    q = fld.order
     zero = 2 * (q - 1)
     log = np.array(fld.log, dtype=np.int32)
     log[0] = zero
@@ -484,51 +533,106 @@ def _array_arithmetic(fld: FieldSpec):
     exp[:zero] = np.tile(np.array(fld.exp, dtype=np.int32), 2)
 
     def mul(a, b):
-        return exp[log[a] + log[b]]
+        return exp.take(log.take(a) + log.take(b))
 
     def add(a, b):
         if p == 2:
             return a ^ b
         out, pe = 0, 1
-        for _ in range(fld.k):
+        for _ in range(k):
             out = out + (a // pe + b // pe) % p * pe
             pe *= p
         return out
 
-    return mul, add
+    neg = np.array([fld.neg(a) for a in range(q)], dtype=np.int32)
+    inv = np.array([0] + [fld.inv(a) for a in range(1, q)], dtype=np.int32)
+    conj = np.array([fld.conjugate(a) for a in range(q)], dtype=np.int32) if fld.has_conjugation else None
+    for table in (log, exp, neg, inv, conj):
+        if table is not None:
+            table.flags.writeable = False  # shared by every caller through the cache
+    return _Gathers(mul, add, neg, inv, conj)
+
+
+def _array_arithmetic(fld: FieldSpec) -> _Gathers:
+    """The gather tables of fld, cached by (p, k)."""
+    return _field_gathers(fld.p, fld.k)
+
+
+def rref_batch(fld: FieldSpec, M) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row-echelon forms of a (B, r, c) stack of matrices of field codes.
+
+    Returns (R, rank): R[b, :rank[b]] is exactly the basis rref(fld, M[b])
+    returns and the other rows of R[b] are zero.  All matrices are reduced
+    together, column by column: the pivot is the first row at or below the
+    current rank with a nonzero entry; it is swapped into place, normalized
+    by the inv gather, and every other row loses its multiple of it.  Integer
+    gathers only, in blocks of BLOCK_ENTRIES // (r c) matrices.
+    """
+    R = np.array(M, dtype=np.int32)
+    if R.ndim != 3:
+        raise ValueError(f"rref_batch needs a (B, r, c) stack, got shape {R.shape}")
+    B, r, c = R.shape
+    ar = _array_arithmetic(fld)
+    rank = np.zeros(B, dtype=np.int64)
+    rows = np.arange(r)
+    step = max(1, BLOCK_ENTRIES // max(1, r * c))
+    for s in range(0, B, step):
+        Rb, rk = R[s : s + step], rank[s : s + step]  # views
+        for col in range(c):
+            if rk.min() == r:
+                break
+            cand = (Rb[:, :, col] != 0) & (rows >= rk[:, None])
+            has = cand.any(axis=1)
+            if has.all():  # every matrix pivots here: slices instead of copies
+                sel, b = slice(None), np.arange(len(Rb))
+            else:
+                sel = b = np.flatnonzero(has)
+                if not b.size:
+                    continue
+            piv, top = cand[sel].argmax(axis=1), rk[sel]
+            prow = Rb[b, piv]
+            Rb[b, piv] = Rb[b, top]
+            prow = ar.mul(ar.inv[prow[:, col, None]], prow)
+            Rb[b, top] = prow
+            coef = ar.neg[Rb[sel, :, col]]
+            coef[np.arange(b.size), top] = 0
+            Rb[sel] = ar.add(Rb[sel], ar.mul(coef[:, :, None], prow[:, None, :]))
+            rk[sel] += 1
+    return R, rank
+
+
+def _bases(R: np.ndarray) -> list[tuple[Vector, ...]]:
+    """Each matrix of a (B, r, c) stack as a tuple of row tuples."""
+    return [tuple(map(tuple, m)) for m in R.tolist()]
 
 
 def _point_array(ps: PolarSpace, pts) -> np.ndarray:
     return np.array(pts, dtype=np.int32).reshape(len(pts), ps.nv)
 
 
-def _point_keys(ps: PolarSpace, A: np.ndarray) -> np.ndarray:
-    """Base-q value of each row of A; increasing exactly when the rows are lexicographically increasing."""
+def _places(ps: PolarSpace) -> np.ndarray:
+    """q^(nv-1), .., q, 1: the base-q place values of the coordinates of a vector."""
     if ps.q**ps.nv >= 1 << 63:
         raise ValueError(f"{ps.label}: q^nv = {ps.q}^{ps.nv} does not fit int64 point keys")
-    return A @ (ps.q ** np.arange(ps.nv - 1, -1, -1, dtype=np.int64))
+    return ps.q ** np.arange(ps.nv - 1, -1, -1, dtype=np.int64)
+
+
+def _point_keys(ps: PolarSpace, A: np.ndarray) -> np.ndarray:
+    """Base-q value of each row of A; increasing exactly when the rows are lexicographically increasing."""
+    return A @ _places(ps)
 
 
 def _orth_masks(ps: PolarSpace, pts) -> list[int]:
     """orth[i] has bit j iff B(pts[i], pts[j]) = 0; symmetric, since the form is reflexive."""
-    fld = ps.field
-    mul, add = _array_arithmetic(fld)
+    ar = _array_arithmetic(ps.field)
     A = _point_array(ps, pts)
-    sig = A
-    if ps.is_hermitian:
-        sig = np.array([fld.conjugate(x) for x in range(fld.order)], dtype=np.int32)[A]
-    # T[:, t] = sum_j gram[t][j] sigma(v_j), so that B(u, v) = sum_t u_t T(v)_t.
-    T = np.zeros_like(A)
-    for t, grow in enumerate(ps.gram):
-        for j, g in enumerate(grow):
-            if g:
-                T[:, t] = add(T[:, t], mul(g, sig[:, j]))
+    T = _gram_image(ps, A, ar)
     orth: list[int] = []
     step = max(1, BLOCK_ENTRIES // max(1, len(pts)))
     for r in range(0, len(pts), step):
         acc = 0
         for t in range(ps.nv):
-            acc = add(acc, mul(A[r : r + step, t, None], T[None, :, t]))
+            acc = ar.add(acc, ar.mul(A[r : r + step, t, None], T[None, :, t]))
         orth += bits_to_masks(acc == 0)
     return orth
 
@@ -541,12 +645,10 @@ def _line_table(ps: PolarSpace, pts, orth) -> list[list[int]]:
     lines.  Each line's mask is one int, shared by the (q+1)q ordered pairs of
     its points.
     """
-    fld = ps.field
-    q, npts = fld.order, len(pts)
-    mul, add = _array_arithmetic(fld)
+    q, npts = ps.q, len(pts)
+    ar = _array_arithmetic(ps.field)
     A = _point_array(ps, pts)
     keys = _point_keys(ps, A)
-    inv = np.array([0] + [fld.inv(c) for c in range(1, q)], dtype=np.int32)
     scalars = np.arange(1, q, dtype=np.int32)[None, :, None]
     line = [[0] * npts for _ in range(npts)]
     step = max(1, BLOCK_ENTRIES // max(1, npts * (q - 1) * ps.nv))
@@ -555,9 +657,9 @@ def _line_table(ps: PolarSpace, pts, orth) -> list[list[int]]:
         I += r
         I, J = I[J > I], J[J > I]
         # The other q-1 points of line(i, j): p_i + c p_j for c != 0, normalized.
-        V = add(A[I, None, :], mul(scalars, A[J, None, :]))
+        V = ar.add(A[I, None, :], ar.mul(scalars, A[J, None, :]))
         lead = np.take_along_axis(V, (V != 0).argmax(axis=2)[:, :, None], axis=2)
-        V = mul(inv[lead], V)
+        V = ar.mul(ar.inv[lead], V)
         key = _point_keys(ps, V)
         idx = np.minimum(np.searchsorted(keys, key), npts - 1)
         if not np.array_equal(keys[idx], key):
@@ -576,9 +678,9 @@ def _line_table(ps: PolarSpace, pts, orth) -> list[list[int]]:
     return line
 
 
-def _orderly_subspaces(ps: PolarSpace, pts, orth, k: int) -> list[tuple[Vector, ...]]:
-    """Canonical bases of the k-dimensional subspaces spanned by k pairwise
-    orthogonal points of ``pts``, each exactly once.
+def _orderly_subspaces(ps: PolarSpace, pts, orth, k: int) -> np.ndarray:
+    """The k-dimensional subspaces spanned by k pairwise orthogonal points of
+    ``pts``, each exactly once, as an (L, k, nv) stack of spanning points.
 
     ``pts`` are lexicographically sorted normalized points, closed under the
     lines through orthogonal pairs; bit j of orth[i] says pts[i] and pts[j]
@@ -589,16 +691,16 @@ def _orderly_subspaces(ps: PolarSpace, pts, orth, k: int) -> list[tuple[Vector, 
     line(p, s) for s in the span, has an index below p.  That admits exactly
     the greedy bases, b_1 the least point and b_(i+1) the least point outside
     span(b_1..b_i), so every subspace is reached once (orderly generation,
-    R. C. Read 1978) and no seen-set is needed.
+    R. C. Read 1978) and no seen-set is needed.  Each leaf chain gives its
+    k points; _canonical_bases reduces them all in one rref_batch.
     """
-    fld = ps.field
     line = _line_table(ps, pts, orth) if k > 1 else None
-    found: list[tuple[Vector, ...]] = []
+    leaves: list[tuple[int, ...]] = []
     stack = [((), 0, (), (1 << len(pts)) - 1)]  # chain, span, points of span, perp
     while stack:
         chain, span, members, perp = stack.pop()
         if len(chain) == k:
-            found.append(rref(fld, [pts[c] for c in chain]))
+            leaves.append(chain)
             continue
         above = chain[-1] + 1 if chain else 0
         cand = (perp & ~span) >> above << above
@@ -615,30 +717,40 @@ def _orderly_subspaces(ps: PolarSpace, pts, orth, k: int) -> list[tuple[Vector, 
             if (new ^ span) & (low - 1):
                 continue
             stack.append((chain + (p,), new, members + bit_indices(new ^ span), perp & orth[p]))
-    return found
+    chains = np.array(leaves, dtype=np.intp).reshape(len(leaves), k)
+    return _point_array(ps, pts)[chains]
 
 
-def _enumerate_generator_bases(ps: PolarSpace, limit: int) -> list[tuple[Vector, ...]]:
+def _canonical_bases(fld: FieldSpec, spans: np.ndarray) -> list[tuple[Vector, ...]]:
+    """Sorted canonical bases of the row spaces of a stack of independent rows."""
+    R, rank = rref_batch(fld, spans)
+    if (rank != spans.shape[1]).any():
+        raise AssertionError("enumeration bug: a leaf chain of points is dependent")
+    return sorted(_bases(R))
+
+
+def _generator_spans(ps: PolarSpace, limit: int):
+    """(points, orth masks, spanning points of every generator) of ps."""
     expected = num_generators(ps.family, ps.d, ps.q)
     if expected > limit:
         raise ValueError(
             f"{ps.label} has {expected} generators, above the enumeration limit {limit}"
         )
     pts = enumerate_points(ps)
-    found = _orderly_subspaces(ps, pts, _orth_masks(ps, pts), ps.d)
-    found.sort()
-    if len(found) != expected:
+    orth = _orth_masks(ps, pts)
+    spans = _orderly_subspaces(ps, pts, orth, ps.d)
+    if len(spans) != expected:
         raise AssertionError(
-            f"enumeration bug: found {len(found)} generators of {ps.label}, expected {expected}"
+            f"enumeration bug: found {len(spans)} generators of {ps.label}, expected {expected}"
         )
-    return found
+    return pts, orth, spans
 
 
 def enumerate_subspaces_within(ps: PolarSpace, basis, k: int) -> list[tuple[Vector, ...]]:
     """All k-dimensional subspaces of the span of ``basis`` (canonical bases, sorted)."""
     pts = sorted(subspace_points(ps, tuple(basis)))
     full = (1 << len(pts)) - 1
-    return sorted(_orderly_subspaces(ps, pts, [full] * len(pts), k))
+    return _canonical_bases(ps.field, _orderly_subspaces(ps, pts, [full] * len(pts), k))
 
 
 @dataclass(eq=False)
@@ -682,8 +794,8 @@ class GeneratorCatalog:
 
 
 def enumerate_generators(ps: PolarSpace, limit: int = ENUM_LIMIT_DEFAULT) -> GeneratorCatalog:
-    bases = _enumerate_generator_bases(ps, limit)
-    return catalog_from_bases(ps, bases)
+    pts, orth, spans = _generator_spans(ps, limit)
+    return _catalog(ps, pts, orth, _canonical_bases(ps.field, spans))
 
 
 def catalog_from_bases(ps: PolarSpace, bases) -> GeneratorCatalog:
@@ -698,13 +810,16 @@ def catalog_from_bases(ps: PolarSpace, bases) -> GeneratorCatalog:
     not have [d]_q points.
     """
     pts = enumerate_points(ps)
+    return _catalog(ps, pts, _orth_masks(ps, pts), bases)
+
+
+def _catalog(ps: PolarSpace, pts, orth, bases) -> GeneratorCatalog:
     pt_index = {v: i for i, v in enumerate(pts)}
     npoints_expected = num_points(ps.family, ps.d, ps.q) if ps.d > 0 else 0
     if ps.d > 0 and len(pts) != npoints_expected:
         raise AssertionError(
             f"point count mismatch for {ps.label}: {len(pts)} vs {npoints_expected}"
         )
-    orth = _orth_masks(ps, pts)
     size = nbracket(ps.d, ps.q)
     masks = []
     for g, basis in enumerate(bases):
@@ -760,18 +875,6 @@ class QuotientGeometry:
             raise ValueError("vector is not in perp(L)")
         return coeffs[self.L.dim :]
 
-    def lift_vector(self, w: Vector) -> Vector:
-        fld = self.base.field
-        v = (0,) * self.base.nv
-        for c, row in zip(w, self.lift_rows):
-            if c:
-                v = vec_add(fld, v, vec_scale(fld, c, row))
-        return v
-
-    def lift_generator(self, g_quotient: Subspace) -> Subspace:
-        rows = list(self.L.basis) + [self.lift_vector(w) for w in g_quotient.basis]
-        return Subspace.from_vectors(self.base.field, rows)
-
 
 def quotient_geometry(L: Subspace, ps: PolarSpace) -> QuotientGeometry:
     if not is_totally_isotropic(L, ps):
@@ -812,17 +915,25 @@ def quotient_map(L: Subspace, g: Subspace, ps: PolarSpace) -> Subspace:
 
 
 def generators_through(S: Subspace, ps: PolarSpace, limit: int = ENUM_LIMIT_DEFAULT) -> list[Subspace]:
-    """All generators containing S, via enumeration of the quotient polar space."""
+    """All generators containing S, via enumeration of the quotient polar space.
+
+    The spanning points w of each quotient generator lift to w . lift_rows;
+    with S's rows prepended, one rref_batch gives the canonical bases of the
+    lifts.
+    """
     if not is_totally_isotropic(S, ps):
         raise ValueError("generators_through requires a totally isotropic subspace")
     if S.dim == ps.d:
         return [S]
     qg = quotient_geometry(S, ps)
-    out = []
-    for basis in _enumerate_generator_bases(qg.space, limit):
-        lifted = qg.lift_generator(Subspace(basis))
-        if lifted.dim != ps.d:
-            raise AssertionError("quotient lift produced a defective generator")
-        out.append(lifted)
-    out.sort(key=lambda s: s.basis)
-    return out
+    ar = _array_arithmetic(ps.field)
+    W = _generator_spans(qg.space, limit)[2]
+    M = np.zeros((len(W), ps.d, ps.nv), dtype=np.int32)
+    if S.dim:
+        M[:, : S.dim] = S.basis
+    for t, row in enumerate(qg.lift_rows):
+        M[:, S.dim :] = ar.add(M[:, S.dim :], ar.mul(W[:, :, t, None], np.array(row, dtype=np.int32)))
+    R, rank = rref_batch(ps.field, M)
+    if (rank != ps.d).any():
+        raise AssertionError("quotient lift produced a defective generator")
+    return [Subspace(b) for b in sorted(_bases(R))]

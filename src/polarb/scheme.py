@@ -47,27 +47,35 @@ class RelationData:
         return masks_to_bits(self.rows[i], self.n).astype(np.float64)
 
 
-def build_relations(cat: GeneratorCatalog) -> RelationData:
-    """Relation rows from the incidence product M M^T, in row blocks.
+def common_point_counts(cat: GeneratorCatalog):
+    """Row blocks of the incidence product M M^T, as int32 arrays in row order.
 
     M is the n x npts generator/point incidence matrix, so (M M^T)[x, y] is
     the number of common points of generators x and y, an integer at most
     npts.  float32 represents every such integer and partial sum exactly
-    below 2^24.  A count that is no [j]_q raises SchemeError.
+    below 2^24; at or above that the product is refused.
     """
-    n = cat.n
-    d = cat.space.d
-    npts = len(cat.points)
+    n, npts = cat.n, len(cat.points)
     if npts >= _FLOAT32_EXACT:
         raise ValueError(f"{npts} points is not below 2^24; float32 products would not be exact")
     M = masks_to_bits(cat.point_masks, npts).astype(np.float32)
+    step = max(1, BLOCK_ENTRIES // max(1, n))
+    for r in range(0, n, step):
+        yield (M[r : r + step] @ M.T).astype(np.int32)
+
+
+def build_relations(cat: GeneratorCatalog) -> RelationData:
+    """Relation rows from the common point counts; a count that is no [j]_q
+    raises SchemeError."""
+    n = cat.n
+    d = cat.space.d
+    npts = len(cat.points)
     codim_of = np.full(npts + 1, -1, dtype=np.int8)
     for count, j in cat._dim_of_count.items():
         codim_of[count] = d - j
     rows: list[list[int]] = [[] for _ in range(d + 1)]
-    step = max(1, BLOCK_ENTRIES // n)
-    for r in range(0, n, step):
-        codim = codim_of[(M[r : r + step] @ M.T).astype(np.int32)]
+    for counts in common_point_counts(cat):
+        codim = codim_of[counts]
         if (codim < 0).any():
             raise SchemeError("two generators share a number of points that is no [j]_q")
         for i in range(d + 1):

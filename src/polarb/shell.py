@@ -99,6 +99,8 @@ def cache_path(family: str, d: int, q: int) -> Path:
 
 
 def cache_write(cat: GeneratorCatalog, path=None, rel: RelationData | None = None) -> Path:
+    """Write the cache file atomically: a temporary file in the same directory,
+    then os.replace, so a failed write leaves any previous file intact."""
     ps = cat.space
     if path is None:
         path = cache_path(ps.family, ps.d, ps.q)
@@ -117,7 +119,13 @@ def cache_write(cat: GeneratorCatalog, path=None, rel: RelationData | None = Non
         for i in range(ps.d + 1):
             for row in rel.rows[i]:
                 out.append(row.to_bytes(nbytes, "little"))
-    path.write_bytes(b"".join(out))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(out))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

@@ -26,6 +26,24 @@ def graph_of(catalog, family, d, q):
     return _GRAPHS[key]
 
 
+def _reference_disjointness_rows(cat):
+    """The popcount loop: bit y of row x set iff generators x and y share no point."""
+    pm = cat.point_masks
+    return tuple(sum(1 << y for y in range(cat.n) if pm[x] & pm[y] == 0) for x in range(cat.n))
+
+
+@pytest.mark.parametrize(
+    "family,d,q",
+    [("W", 2, 3), ("Qparabolic", 2, 2), ("Hodd", 2, 4), ("Qplus", 3, 2), ("W", 3, 2), ("W", 1, 3), ("W", 0, 2)],
+)
+def test_cross_graph_rows_match_popcount_reference(catalog, family, d, q):
+    cat = catalog(family, d, q)
+    g = cross_graph(cat)
+    assert g.adj == _reference_disjointness_rows(cat)
+    assert g.nonn == tuple(((1 << cat.n) - 1) ^ row for row in g.adj)
+    assert all(type(row) is int for row in g.adj + g.nonn)
+
+
 def test_closure_of_empty_set(catalog):
     g = graph_of(catalog, "Hodd", 2, 4)
     cert = cross_closure((), g)

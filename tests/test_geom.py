@@ -1,10 +1,14 @@
 import random
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polarb import geom
 from polarb.extremal import enumerate_subspaces_within
+from polarb.ff import field_of_order
 from polarb.geom import (
     Subspace,
     bilinear,
@@ -20,8 +24,11 @@ from polarb.geom import (
     quotient_geometry,
     quotient_map,
     rref,
+    rref_batch,
     rref_insert,
     subspace_points,
+    vec_add,
+    vec_scale,
 )
 from polarb.qcount import num_generators, num_points
 
@@ -234,9 +241,16 @@ def test_rref_canonical():
 # ---------------------------------------------------------------------------
 
 
+def _reference_points(ps):
+    """The scalar scan of all q^nv vectors, keeping the singular ones with leading entry 1."""
+    return tuple(
+        v for v in product(range(ps.q), repeat=ps.nv) if next((c for c in v if c), None) == 1 and is_singular(v, ps)
+    )
+
+
 def _reference_generator_bases(ps):
     """Depth-first rref_insert over orthogonal points, deduplicated by a seen-set of bases."""
-    pts = enumerate_points(ps)
+    pts = _reference_points(ps)
     orth = [sum(1 << j for j, v in enumerate(pts) if bilinear(ps, u, v) == 0) for u in pts]
     found, seen = [], set()
 
@@ -283,8 +297,27 @@ def _reference_subspaces_within(ps, basis, k):
     return sorted(found)
 
 
+def _reference_generators_through(S, ps):
+    """Each quotient generator lifted row by row and reduced with S, one scalar rref per generator."""
+    if S.dim == ps.d:
+        return [S]
+    qg = quotient_geometry(S, ps)
+    fld = ps.field
+    out = []
+    for basis in _reference_generator_bases(qg.space):
+        lifted = []
+        for w in basis:
+            v = (0,) * ps.nv
+            for c, row in zip(w, qg.lift_rows):
+                v = vec_add(fld, v, vec_scale(fld, c, row))
+            lifted.append(v)
+        out.append(Subspace.from_vectors(fld, list(S.basis) + lifted))
+    return sorted(out, key=lambda g: g.basis)
+
+
 def _assert_matches_reference(family, d, q):
     ps = polar_space_make(family, d, q)
+    assert enumerate_points(ps) == _reference_points(ps)
     cat = enumerate_generators(ps)
     bases = [g.basis for g in cat.generators]
     assert bases == _reference_generator_bases(ps)
@@ -313,6 +346,19 @@ REFERENCE_SPACES = [
 @pytest.mark.parametrize("family,d,q", REFERENCE_SPACES)
 def test_enumeration_matches_seen_set_reference(family, d, q):
     _assert_matches_reference(family, d, q)
+
+
+@pytest.mark.parametrize("family,d,q", REFERENCE_SPACES)
+def test_generators_through_matches_per_generator_lift_reference(family, d, q):
+    ps = polar_space_make(family, d, q)
+    subspaces = [Subspace(())]
+    if d >= 1:
+        subspaces += [Subspace((p,)) for p in _reference_points(ps)]
+    if d >= 2:
+        g = enumerate_generators(ps).generators[-1]
+        subspaces += [Subspace(line) for line in enumerate_subspaces_within(ps, g.basis, 2)]
+    for S in subspaces:
+        assert generators_through(S, ps) == _reference_generators_through(S, ps)
 
 
 @pytest.mark.parametrize("family,d,q", [("W", 2, 3), ("Hodd", 2, 4), ("Qparabolic", 2, 2)])
@@ -354,3 +400,96 @@ def test_enumeration_matches_reference_on_drawn_spaces(space):
     family, d, q = space
     assume(num_generators(family, d, q) <= 300)
     _assert_matches_reference(family, d, q)
+
+
+# ---------------------------------------------------------------------------
+# The batched elimination against the scalar rref
+# ---------------------------------------------------------------------------
+
+_RREF_ORDERS = (2, 3, 4, 5, 7, 8, 9, 25, 27, 49)
+
+
+@st.composite
+def _matrix(draw, fld, r, c):
+    """An r x c matrix whose rows are random, zero, or combinations of earlier rows."""
+    entries = st.integers(0, fld.order - 1)
+    rows = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(("random", "zero", "combination")))
+        if kind == "random":
+            row = tuple(draw(st.lists(entries, min_size=c, max_size=c)))
+        elif kind == "zero" or not rows:
+            row = (0,) * c
+        else:
+            a, b = (draw(st.sampled_from(rows)) for _ in range(2))
+            row = vec_add(fld, vec_scale(fld, draw(entries), a), vec_scale(fld, draw(entries), b))
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def _stacks(draw):
+    fld = field_of_order(draw(st.sampled_from(_RREF_ORDERS)))
+    r, c = draw(st.integers(0, 8)), draw(st.integers(0, 9))
+    mats = draw(st.lists(_matrix(fld, r, c), max_size=6))
+    return fld, np.array(mats, dtype=np.int32).reshape(len(mats), r, c)
+
+
+def _assert_batch_matches_rref(fld, M):
+    R, rank = rref_batch(fld, M)
+    assert R.shape == M.shape and rank.shape == (len(M),)
+    for m, red, k in zip(M.tolist(), R.tolist(), rank.tolist()):
+        want = rref(fld, [tuple(row) for row in m])
+        assert tuple(map(tuple, red[:k])) == want
+        assert not any(map(any, red[k:]))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_stacks())
+def test_rref_batch_matches_rref(stack):
+    _assert_batch_matches_rref(*stack)
+
+
+def test_rref_batch_on_a_stack_of_several_blocks():
+    fld = field_of_order(4)
+    r, c = 8, 9
+    per_block = geom.BLOCK_ENTRIES // (r * c)
+    rng = np.random.default_rng(5)
+    M = rng.integers(0, 4, size=(2 * per_block + 7, r, c), dtype=np.int32)
+    M[::3, 5:] = M[::3, :3]  # rank-deficient matrices: repeated rows
+    M[::5, 2] = 0  # zero rows
+    _assert_batch_matches_rref(fld, M)
+
+
+def test_rref_batch_of_an_empty_stack():
+    R, rank = rref_batch(field_of_order(9), np.zeros((0, 3, 4), dtype=np.int32))
+    assert R.shape == (0, 3, 4) and rank.shape == (0,)
+
+
+@st.composite
+def _row_operations(draw):
+    """A matrix and the same matrix after random swaps, scalings by nonzero
+    elements and additions of multiples of one row to another."""
+    fld = field_of_order(draw(st.sampled_from(_RREF_ORDERS)))
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rows = draw(_matrix(fld, r, c))
+    moved = [tuple(row) for row in rows]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("swap", "scale", "add")))
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        if kind == "swap":
+            moved[i], moved[j] = moved[j], moved[i]
+        elif kind == "scale":
+            moved[i] = vec_scale(fld, draw(st.integers(1, fld.order - 1)), moved[i])
+        elif i != j:
+            moved[i] = vec_add(fld, moved[i], vec_scale(fld, draw(st.integers(0, fld.order - 1)), moved[j]))
+    return fld, rows, moved
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_row_operations())
+def test_rref_is_invariant_under_row_operations(case):
+    fld, rows, moved = case
+    assert rref(fld, rows) == rref(fld, moved)
+    R, rank = rref_batch(fld, np.array([rows, moved], dtype=np.int32))
+    assert np.array_equal(R[0], R[1]) and rank[0] == rank[1]

@@ -1,3 +1,4 @@
+import errno
 import json
 from fractions import Fraction
 from types import SimpleNamespace
@@ -120,6 +121,39 @@ def test_cache_rejects_a_point_set_of_the_wrong_size(catalog, tmp_path, monkeypa
     monkeypatch.setattr(geom, "_orth_masks", lambda ps, pts: [m | 1 for m in orth_masks(ps, pts)])
     with pytest.raises(CacheError, match="expected \\[2\\]_q = 4"):
         cache_read(path, descriptor(cat))
+
+
+def test_failed_cache_write_keeps_the_previous_file(catalog, tmp_path, monkeypatch):
+    folder = tmp_path / "plb"
+    path = cache_write(catalog("W", 2, 3), folder / "w23.plb")
+    before = path.read_bytes()
+    real_open = open
+
+    class HalfWriter:
+        """Writes half of what it is given, then fails as a full disk would."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shell, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            cache_write(catalog("Qparabolic", 2, 2), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in folder.iterdir()] == ["w23.plb"]
+    cache_write(catalog("Qparabolic", 2, 2), path)
+    assert path.read_bytes() != before
+    assert [p.name for p in folder.iterdir()] == ["w23.plb"]
 
 
 @pytest.mark.parametrize("with_relations", [False, True])
