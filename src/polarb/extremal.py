@@ -3,17 +3,20 @@ computational verifications of the classification statements.
 
 The disjointness graph is kept as packed bit rows.  A pair (Y, Z) with no
 edges between the sides is maximal exactly when Y and Z are fixed by the
-non-neighborhood closure Y = nonN(Z), Z = nonN(Y); the sweep enumerates, for
-every vertex y, all subsets of nonN(y) and closes them, which is exhaustive
-because any maximal pair with y in Y has Z inside nonN(y).
+non-neighborhood closure Y = nonN(Z), Z = nonN(Y).  Because "x meets y" is
+symmetric, these fixed points are the formal concepts of the context
+(generators, generators, meet), and Close-by-One (Kuznetsov 1993; the
+depth-first form of Ganter's NextClosure, 1984) lists every one of them
+exactly once without a seen-set.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain
+from operator import and_, or_
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from .geom import (
     GeneratorCatalog,
     Subspace,
     bit_indices,
-    bits_to_masks,
     enumerate_generators,
     enumerate_subspaces_within,
     generators_through,
@@ -32,7 +34,6 @@ from .geom import (
     rref_batch,
 )
 from .qcount import binom2, gaussian, nbracket, num_generators, num_points
-from .scheme import common_point_counts
 
 
 @dataclass(eq=False)
@@ -44,25 +45,26 @@ class CrossGraph:
     adj: tuple[int, ...]  # adj[x] = bitmask of generators disjoint from x
     nonn: tuple[int, ...]  # complement rows, vertex itself included
 
-    def nonn_of_set(self, mask: int) -> int:
-        out = (1 << self.n) - 1
-        m = mask
-        while m:
-            lsb = m & -m
-            m ^= lsb
-            out &= self.nonn[lsb.bit_length() - 1]
-        return out
+    def nonn_of(self, ids) -> int:
+        """nonN of the vertex set ``ids``: the vertices meeting all of them."""
+        return reduce(and_, map(self.nonn.__getitem__, ids), (1 << self.n) - 1)
+
+    @cached_property
+    def latins_greeks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """bipartition_latins_greeks of the catalog, computed on first use."""
+        return bipartition_latins_greeks(self.cat)
 
 
 def cross_graph(cat: GeneratorCatalog) -> CrossGraph:
-    """Disjoint generators share no point: adj is where the incidence product is 0."""
+    """nonn[x] is the OR, over the points p of x, of the generators through p."""
     n = cat.n
+    through = [0] * len(cat.points)
+    for x, pmask in enumerate(cat.point_masks):
+        for p in bit_indices(pmask):
+            through[p] |= 1 << x
+    nonn = tuple(reduce(or_, map(through.__getitem__, bit_indices(pmask)), 0) for pmask in cat.point_masks)
     full = (1 << n) - 1
-    adj: list[int] = []
-    for counts in common_point_counts(cat):
-        adj += bits_to_masks(counts == 0)
-    nonn = tuple(full ^ row for row in adj)
-    return CrossGraph(cat=cat, n=n, adj=tuple(adj), nonn=nonn)
+    return CrossGraph(cat=cat, n=n, adj=tuple(full ^ row for row in nonn), nonn=nonn)
 
 
 @dataclass(frozen=True)
@@ -80,36 +82,24 @@ class CrossPairCertificate:
         return len(self.y), len(self.z)
 
 
-def _mask(ids) -> int:
-    m = 0
-    for i in ids:
-        m |= 1 << i
-    return m
-
-
 def cross_closure(z, g: CrossGraph) -> CrossPairCertificate:
     """Close an arbitrary vertex set to a maximal pair (nonN(Z), nonN(nonN(Z)))."""
-    zmask = z if isinstance(z, int) else _mask(z)
-    ymask = g.nonn_of_set(zmask)
-    zmask2 = g.nonn_of_set(ymask)
-    return _certificate(g, ymask, zmask2)
+    ymask = g.nonn_of(bit_indices(z) if isinstance(z, int) else z)
+    yids = bit_indices(ymask)
+    zmask = g.nonn_of(yids)
+    return _certificate(g, ymask, zmask, yids)
 
 
-def _certificate(g: CrossGraph, ymask: int, zmask: int) -> CrossPairCertificate:
+def _certificate(g: CrossGraph, ymask: int, zmask: int, yids=None) -> CrossPairCertificate:
     # Fixed-point and no-edge checks; both hold by construction of the closure.
-    if g.nonn_of_set(zmask) != ymask or g.nonn_of_set(ymask) != zmask:
+    yids = bit_indices(ymask) if yids is None else yids
+    zids = bit_indices(zmask)
+    if g.nonn_of(zids) != ymask or g.nonn_of(yids) != zmask:
         raise AssertionError("closure did not reach a fixed point")
-    m = ymask
-    while m:
-        lsb = m & -m
-        m ^= lsb
-        if g.adj[lsb.bit_length() - 1] & zmask:
-            raise AssertionError("edge between the two sides")
-    if ymask.bit_count() < zmask.bit_count() or (
-        ymask.bit_count() == zmask.bit_count() and ymask > zmask
-    ):
-        ymask, zmask = zmask, ymask
-    yids, zids = bit_indices(ymask), bit_indices(zmask)
+    if reduce(or_, map(g.adj.__getitem__, yids), 0) & zmask:
+        raise AssertionError("edge between the two sides")
+    if len(yids) < len(zids) or (len(yids) == len(zids) and ymask > zmask):
+        yids, zids = zids, yids
     return CrossPairCertificate(
         y=yids,
         z=zids,
@@ -122,39 +112,39 @@ def _certificate(g: CrossGraph, ymask: int, zmask: int) -> CrossPairCertificate:
 def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossPairCertificate]:
     """All maximal cross-intersecting pairs up to swapping the two sides.
 
-    Sweeps, for every vertex y, all subsets of nonN(y); each subset Z0 yields
-    the candidate Y = nonN(Z0), and (Y, nonN(Y)) is maximal.  Any maximal
-    pair with nonempty Z arises this way from a vertex of Y, and the
-    (all, empty) pair comes from the empty subset.
+    Close-by-One lists the closed sets B = cl(B), cl(X) = nonN(nonN(X)); each
+    gives the maximal pair (nonN(B), B).  A node is (A, B, j0) with A = nonN(B)
+    and B = cl(B below j0); the root is (all, nonN(all), 0).  Its children add
+    a vertex j >= j0 outside B: A' = A & nonn[j], B' = nonN(A') = cl(B + j),
+    kept only when B' agrees with B below j.
+    Complete: a closed C other than the root's has a least j with
+    cl(C below j, plus j) = C.  P = cl(C below j) is closed, lacks j and agrees
+    with C below j; its own least index is below j, so by induction on |C| it
+    is a node with j0 <= j, and C is its kept child by j.
+    Unique: a kept child C by j of a node P forces P = cl(C below j), and j is
+    then C's least index, so every closed set has one parent and is listed once.
+    More than 2^limit closed sets raise ValueError.
     """
-    sizes = [row.bit_count() for row in g.nonn]
-    if sizes and min(sizes) > limit:
-        raise ValueError(
-            f"minimum closed non-neighborhood has {min(sizes)} vertices, above the sweep "
-            f"limit {limit}; use cross_closure on chosen seeds instead"
-        )
-    full = (1 << g.n) - 1
-    candidates = {full}
     nonn = g.nonn
-    for y in range(g.n):
-        elems = bit_indices(nonn[y])
-        rows = [nonn[e] for e in elems]
-        add = candidates.add
-
-        def sweep(i: int, inter: int) -> None:
-            if i == len(rows):
-                add(inter)
-                return
-            sweep(i + 1, inter)
-            sweep(i + 1, inter & rows[i])
-
-        sweep(0, full)
+    cap = 1 << limit
     pairs = {}
-    for ymask in candidates:
-        zmask = g.nonn_of_set(ymask)
-        key = (min(ymask, zmask), max(ymask, zmask))
+    full = (1 << g.n) - 1
+    stack = [(full, g.nonn_of(range(g.n)), 0)]
+    closed = 0
+    while stack:
+        a, b, j0 = stack.pop()
+        closed += 1
+        if closed > cap:
+            raise ValueError(f"more than 2^{limit} closed sets; raise the limit or close chosen seeds")
+        key = (a, b) if a < b else (b, a)
         if key not in pairs:
-            pairs[key] = _certificate(g, ymask, zmask)
+            pairs[key] = _certificate(g, b, a)
+        for j in bit_indices((full ^ b) >> j0 << j0):
+            a2 = a & nonn[j]
+            b2 = g.nonn_of(bit_indices(a2))
+            low = (1 << j) - 1
+            if b2 & low == b & low:
+                stack.append((a2, b2, j + 1))
     out = list(pairs.values())
     out.sort(key=lambda c: (-c.product, c.y, c.z))
     return out
@@ -175,8 +165,7 @@ def classify_pair(yids, zids, g: CrossGraph) -> str:
             common &= cat.point_masks[i]
         return "point-pencil-EKR" if common else "other"
     if family == "Qplus":
-        x1, x2 = bipartition_latins_greeks(cat)
-        if {tuple(sorted(yids)), tuple(sorted(zids))} == {x1, x2}:
+        if {tuple(sorted(yids)), tuple(sorted(zids))} == set(g.latins_greeks):
             return "latins-greeks"
     if nz == 2 and (g.adj[zids[0]] >> zids[1]) & 1:
         return "two-line-transversal"

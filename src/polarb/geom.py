@@ -481,7 +481,15 @@ BLOCK_ENTRIES = 1 << 15
 
 
 def bit_indices(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of mask, ascending."""
+    """Indices of the set bits of mask, ascending.
+
+    Dense masks (the closures of the extremal layer) are unpacked by numpy;
+    sparse ones (the orderly search) by the lowest-bit loop, which is faster
+    below about two dozen bits.
+    """
+    if mask.bit_count() >= 24:
+        raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+        return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
     out = []
     while mask:
         low = mask & -mask

@@ -539,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = p.add_subparsers(dest="what", required=True)
     pm = ssub.add_parser("max-pairs")
     add_space_args(pm)
-    pm.add_argument("--limit", type=int, default=22, help="max closed non-neighborhood size")
+    pm.add_argument("--limit", type=int, default=22, help="stop with exit 2 past 2^LIMIT closed sets")
     pm.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="run one named verification")

@@ -1,8 +1,14 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import polarb.extremal as extremal
+from polarb.checks import check_thm20
 from polarb.extremal import (
+    CrossGraph,
     bipartition_latins_greeks,
     cross_closure,
     cross_graph,
@@ -71,6 +77,21 @@ def test_closure_of_two_meeting_lines_is_a_pencil(catalog):
     assert cert.sizes == (3, 3)
 
 
+@pytest.mark.parametrize("tamper", ["adj", "nonn"])
+def test_certificate_rejects_an_inconsistent_graph(catalog, tamper):
+    g = graph_of(catalog, "Hodd", 2, 4)
+    full = (1 << g.n) - 1
+    seed = next(j for j in range(1, g.n) if g.nonn[0] >> j & 1)
+    if tamper == "adj":  # every pair marked disjoint: edges between the sides
+        bad = CrossGraph(cat=g.cat, n=g.n, adj=(full,) * g.n, nonn=g.nonn)
+        match = "edge"
+    else:  # vertex 0 meets only itself, but its neighbours still meet 0
+        bad = CrossGraph(cat=g.cat, n=g.n, adj=g.adj, nonn=(1,) + g.nonn[1:])
+        match = "fixed point"
+    with pytest.raises(AssertionError, match=match):
+        cross_closure((seed,), bad)
+
+
 def test_closure_idempotence(catalog):
     g = graph_of(catalog, "Hodd", 2, 4)
     for seed in [(0,), (0, 1), (3, 7, 11)]:
@@ -105,6 +126,108 @@ def test_sweep_limit_guard(catalog):
     g = graph_of(catalog, "Hodd", 2, 4)
     with pytest.raises(ValueError):
         enumerate_maximal_cross_pairs(g, limit=5)
+
+
+def test_limit_caps_the_closed_sets_at_two_to_the_limit(catalog):
+    # H(3,4) has 1253 closed sets: 2^10 = 1024 is passed, 2^11 = 2048 is not.
+    g = graph_of(catalog, "Hodd", 2, 4)
+    with pytest.raises(ValueError, match="2\\^10"):
+        enumerate_maximal_cross_pairs(g, limit=10)
+    certs = enumerate_maximal_cross_pairs(g, limit=11)
+    assert sum(1 if c.y == c.z else 2 for c in certs) == 1253
+
+
+def _reference_nonn(g, mask):
+    out = (1 << g.n) - 1
+    for i in range(g.n):
+        if mask >> i & 1:
+            out &= g.nonn[i]
+    return out
+
+
+def _reference_sweep_pairs(g):
+    """The subset sweep Close-by-One replaced: every subset of nonN(y), for every y, closed."""
+    full = (1 << g.n) - 1
+    candidates = {full}
+    for y in range(g.n):
+        rows = [g.nonn[e] for e in range(g.n) if g.nonn[y] >> e & 1]
+
+        def sweep(i, inter):
+            if i == len(rows):
+                candidates.add(inter)
+                return
+            sweep(i + 1, inter)
+            sweep(i + 1, inter & rows[i])
+
+        sweep(0, full)
+    return {frozenset((ymask, _reference_nonn(g, ymask))) for ymask in candidates}
+
+
+def _pair_set(certs):
+    return {frozenset((sum(1 << i for i in c.y), sum(1 << i for i in c.z))) for c in certs}
+
+
+@pytest.mark.parametrize(
+    "family,d,q",
+    [("W", 2, 3), ("Qplus", 2, 5), ("Qparabolic", 2, 3), ("Qminus", 2, 2), ("Hodd", 2, 4), ("Qparabolic", 2, 2), ("W", 2, 2)],
+)
+def test_close_by_one_matches_the_subset_sweep(catalog, family, d, q):
+    g = graph_of(catalog, family, d, q)
+    certs = enumerate_maximal_cross_pairs(g)
+    assert len(_pair_set(certs)) == len(certs)
+    assert _pair_set(certs) == _reference_sweep_pairs(g)
+
+
+@st.composite
+def _symmetric_graphs(draw):
+    n = draw(st.integers(1, 12))
+    meet = [[False] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x, n):
+            meet[x][y] = meet[y][x] = draw(st.booleans())
+    nonn = tuple(sum(1 << y for y in range(n) if meet[x][y]) for x in range(n))
+    full = (1 << n) - 1
+    cat = SimpleNamespace(space=SimpleNamespace(q=0, family=None), point_masks=(0,) * n)
+    return CrossGraph(cat=cat, n=n, adj=tuple(full ^ row for row in nonn), nonn=nonn)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_symmetric_graphs())
+def test_close_by_one_matches_brute_force_on_random_graphs(g):
+    brute = set()
+    for s in range(1 << g.n):
+        y = _reference_nonn(g, s)
+        brute.add(frozenset((y, _reference_nonn(g, y))))
+    certs = enumerate_maximal_cross_pairs(g)
+    assert len(_pair_set(certs)) == len(certs)
+    assert _pair_set(certs) == brute
+
+
+def test_latins_greeks_bipartition_is_computed_once_per_graph(catalog, monkeypatch):
+    calls = []
+    original = extremal.bipartition_latins_greeks
+
+    def counting(cat):
+        calls.append(cat)
+        return original(cat)
+
+    monkeypatch.setattr(extremal, "bipartition_latins_greeks", counting)
+    # Label counts of the uncached classification, which computed it per certificate.
+    expected = {
+        ("Qplus", 2, 5): {"latins-greeks": 1, "point-pencil-EKR": 36, "single-line-star": 12, "whole-vs-empty": 1},
+        ("Qplus", 3, 2): {
+            "other": 2092,
+            "point-pencil-EKR": 35,
+            "single-line-star": 30,
+            "two-line-transversal": 120,
+            "whole-vs-empty": 1,
+        },
+    }
+    for k, (space, labels) in enumerate(expected.items(), start=1):
+        g = cross_graph(catalog(*space))
+        certs = enumerate_maximal_cross_pairs(g)
+        assert len(calls) == k and calls[-1] is g.cat
+        assert Counter(c.label for c in certs) == labels
 
 
 def test_q42_and_w32_maximum_pairs(catalog):
@@ -196,6 +319,13 @@ def test_w3_triples_odd_and_even():
     rep2 = verify_w3_triples(2)  # q even: outside the statement, report only
     assert rep2["ok"]
     assert rep2["counts"] == {1: 60, 3: 20}
+
+
+def test_thm20_at_q3():
+    rep = check_thm20(3)
+    assert rep["status"] == "pass", rep["details"]
+    assert rep["details"][0] == "maximal pairs: 16269"
+    assert rep["exact"] == {"num": "31", "den": "1"}  # q^3 + q + 1
 
 
 def test_maximality_lemma_on_h34_certificates(catalog):

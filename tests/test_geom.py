@@ -493,3 +493,13 @@ def test_rref_is_invariant_under_row_operations(case):
     assert rref(fld, rows) == rref(fld, moved)
     R, rank = rref_batch(fld, np.array([rows, moved], dtype=np.int32))
     assert np.array_equal(R[0], R[1]) and rank[0] == rank[1]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(st.sets(st.integers(0, 2000), max_size=40), st.integers(0, (1 << 2000) - 1)))
+def test_bit_indices_on_sparse_and_dense_masks(drawn):
+    # Fewer than 24 set bits take the loop, the rest the numpy unpacking.
+    mask = sum(1 << b for b in drawn) if isinstance(drawn, set) else drawn
+    got = geom.bit_indices(mask)
+    assert got == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    assert all(type(i) is int for i in got)
