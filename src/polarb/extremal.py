@@ -23,7 +23,10 @@ import numpy as np
 from .geom import (
     BLOCK_ENTRIES,
     GeneratorCatalog,
+    PolarSpace,
     Subspace,
+    _array_arithmetic,
+    _bases,
     bit_indices,
     enumerate_generators,
     enumerate_subspaces_within,
@@ -358,26 +361,27 @@ def verify_w3_triples(q: int) -> dict:
 
 
 def verify_maximality_lemma(cat: GeneratorCatalog, pair: CrossPairCertificate) -> dict:
-    """Whenever y1, y2 in Y meet in dimension d-1, every z in Z meets y1 ∩ y2."""
-    ps = cat.space
+    """Whenever y1, y2 in Y meet in dimension d-1, every z in Z meets y1 ∩ y2.
+
+    y1 ∩ y2 is totally isotropic, so each of its points is a singular point
+    of the catalog and its point mask is pm[y1] & pm[y2]; z meets it exactly
+    when pm[z] & pm[y1] & pm[y2] is nonzero.
+    """
     if not pair.maximal:
         raise ValueError("the statement applies to maximal pairs only")
-    fld = ps.field
-    d = ps.d
+    d = cat.space.d
     pm = cat.point_masks
     dim_of = cat._dim_of_count
     tested = 0
     ok = True
     for i, y1 in enumerate(pair.y):
         for y2 in pair.y[i + 1 :]:
-            if dim_of[(pm[y1] & pm[y2]).bit_count()] != d - 1:
+            meet = pm[y1] & pm[y2]
+            if dim_of[meet.bit_count()] != d - 1:
                 continue
             tested += 1
-            meet = intersect_bases(fld, cat.generators[y1].basis, cat.generators[y2].basis)
-            smask = cat.mask_of_subspace(meet)
-            for z in pair.z:
-                if pm[z] & smask == 0:
-                    ok = False
+            if not all(pm[z] & meet for z in pair.z):
+                ok = False
     return {"ok": ok, "details": [f"(d-1)-meeting pairs tested: {tested}", f"all Z elements hit: {ok}"]}
 
 
@@ -386,19 +390,84 @@ def verify_maximality_lemma(cat: GeneratorCatalog, pair: CrossPairCertificate) -
 # ---------------------------------------------------------------------------
 
 
+def _dual_blocks(ar, Ainv: np.ndarray) -> np.ndarray:
+    """C = J sigma(A^-1)^T J for each matrix of a stack of inverses, J the reversal."""
+    return ar.conj[Ainv].transpose(0, 2, 1)[:, ::-1, ::-1]
+
+
+def _generators_through_subspaces(ps: PolarSpace, k: int) -> list[tuple[tuple, list[Subspace]]]:
+    """(S, generators_through(S)) for every k-subspace S of G = <e_0..e_(d-1)>,
+    S in enumerate_subspaces_within order, from one quotient enumeration.
+
+    Both Hermitian models have the antidiagonal Gram matrix J.  For A in
+    GL(d, q) let C = J sigma(A^-1)^T J and M = diag(A, C), with a 1 on the
+    middle coordinate of Heven.  Then sigma(C)^T = J A^-1 J, so the
+    off-diagonal blocks of M J sigma(M)^T are A J sigma(C)^T = J and its
+    conjugate transpose C J sigma(A)^T = J: M is an isometry.  The first k
+    rows of A are S's canonical basis (S lies in G, so they vanish past
+    column d) and the others are the unit vectors at S's non-pivot columns,
+    so A is invertible and S0 M = S for S0 = <e_0..e_(k-1)>.  An isometry
+    maps generators to generators and keeps containment, and so does M^-1;
+    hence X -> X M is a bijection from the generators through S0 onto those
+    through S.  Reducing each image by rref_batch and sorting per S gives
+    exactly generators_through(S).
+
+    The generators through S0 are enumerated once; A^-1 comes from one
+    rref_batch of [A | I], the images from _Gathers products, all in blocks
+    of BLOCK_ENTRIES.  Raises ValueError for a form other than the
+    antidiagonal Hermitian one, and AssertionError when A J sigma(C)^T != J
+    for some S, an image has rank below d, or an S gets a repeated image.
+    """
+    d, nv, fld = ps.d, ps.nv, ps.field
+    anti = tuple(tuple(int(j == nv - 1 - i) for j in range(nv)) for i in range(nv))
+    if not ps.is_hermitian or ps.gram != anti:
+        raise ValueError(f"{ps.label}: the isometries need the antidiagonal Hermitian form")
+    ar = _array_arithmetic(fld)
+    unit = anti[::-1]
+    eye = np.eye(d, dtype=np.int32)
+    subs = enumerate_subspaces_within(ps, unit[:d], k)
+    W = np.array([g.basis for g in generators_through(Subspace(unit[:k]), ps)], dtype=np.int32)
+    n = len(W)
+    out = []
+    step = max(1, BLOCK_ENTRIES // (n * d * nv))
+    for s in range(0, len(subs), step):
+        block = subs[s : s + step]
+        A = np.zeros((len(block), d, d), dtype=np.int32)
+        for i, sub in enumerate(block):
+            pivots = {next(c for c, x in enumerate(row) if x) for row in sub}
+            A[i] = [row[:d] for row in sub] + [eye[c] for c in range(d) if c not in pivots]
+        inv = rref_batch(fld, np.concatenate([A, np.broadcast_to(eye, A.shape)], axis=2))[0][:, :, d:]
+        C = _dual_blocks(ar, inv)
+        Y = ar.conj[C].transpose(0, 2, 1)[:, ::-1]  # J sigma(C)^T
+        P = 0
+        for t in range(d):
+            P = ar.add(P, ar.mul(A[:, :, t, None], Y[:, None, t, :]))
+        if (P != eye[::-1]).any():
+            raise AssertionError(f"{ps.label}: diag(A, C) is not an isometry for some {k}-subspace")
+        M = np.zeros((len(block), nv, nv), dtype=np.int32)
+        M[:, :d, :d] = A
+        M[:, d : nv - d, d : nv - d] = np.eye(nv - 2 * d, dtype=np.int32)
+        M[:, nv - d :, nv - d :] = C
+        img = 0
+        for t in range(nv):
+            img = ar.add(img, ar.mul(W[None, :, :, t, None], M[:, None, None, t, :]))
+        R, rank = rref_batch(fld, img.reshape(-1, d, nv))
+        if (rank != d).any():
+            raise AssertionError(f"{ps.label}: an image of a generator has rank below {d}")
+        bases = _bases(R)
+        for i, sub in enumerate(block):
+            gens = sorted(bases[i * n : (i + 1) * n])
+            if any(a == b for a, b in zip(gens, gens[1:])):
+                raise AssertionError(f"{ps.label}: two generators through S0 map to one through {sub}")
+            out.append((sub, [Subspace(g) for g in gens]))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _h7_data(q: int):
-    """Generators of H(7, q^2) through every >=2-dimensional subspace of one G."""
+    """Generators of H(7, q^2) through every >=2-dimensional subspace of G = <e_0..e_3>."""
     ps = polar_space_make("Hodd", 4, q * q)
-    G = Subspace(tuple(tuple(1 if t == i else 0 for t in range(8)) for i in range(4)))
-    if not (G.dim == 4):
-        raise AssertionError
-    through: dict[int, list[tuple]] = {2: [], 3: [], 4: []}
-    for k in (2, 3, 4):
-        for sub in enumerate_subspaces_within(ps, G.basis, k):
-            gens = generators_through(Subspace(sub), ps)
-            through[k].append((sub, gens))
-    return ps, G, through
+    return ps, {k: _generators_through_subspaces(ps, k) for k in (2, 3, 4)}
 
 
 def example_h7_sizes(q: int = 2) -> tuple[int, int]:
@@ -410,7 +479,7 @@ def example_h7_sizes(q: int = 2) -> tuple[int, int]:
     and converts to exact-intersection counts by Moebius inversion over the
     subspace lattice of G.
     """
-    ps, G, through = _h7_data(q)
+    _, through = _h7_data(q)
     qf = q * q
     c = {4: 1}
     for k in (2, 3):
@@ -437,7 +506,7 @@ def example_h7_cross_sample(q: int = 2, samples: int = 10_000, seed: int = 20260
     The pairs are drawn in blocks and each block is ranked by one rref_batch;
     a pair of full rank nv is disjoint.
     """
-    ps, G, through = _h7_data(q)
+    ps, through = _h7_data(q)
     rng = random.Random(seed)
     pool_y = through[2]
     pool_z = through[3]

@@ -782,15 +782,6 @@ class GeneratorCatalog:
     def n(self) -> int:
         return len(self.generators)
 
-    def mask_of_subspace(self, basis: tuple[Vector, ...]) -> int:
-        """Bitmask of catalog points lying in the span of ``basis``."""
-        mask = 0
-        for v in subspace_points(self.space, basis):
-            idx = self.point_index.get(v)
-            if idx is not None:
-                mask |= 1 << idx
-        return mask
-
     def mask_of_points_in_span(self, basis: tuple[Vector, ...]) -> int:
         """Bitmask of catalog points inside an arbitrary (not nec. t.i.) span."""
         fld = self.space.field

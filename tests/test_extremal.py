@@ -9,6 +9,7 @@ import polarb.extremal as extremal
 from polarb.checks import check_thm20
 from polarb.extremal import (
     CrossGraph,
+    CrossPairCertificate,
     bipartition_latins_greeks,
     cross_closure,
     cross_graph,
@@ -20,6 +21,16 @@ from polarb.extremal import (
     verify_prop10_counts,
     verify_w3_triples,
     verify_zgh,
+)
+from polarb.ff import field_of_order
+from polarb.geom import (
+    Subspace,
+    _space_from_forms,
+    enumerate_subspaces_within,
+    generators_through,
+    intersect_bases,
+    polar_space_make,
+    subspace_points,
 )
 
 _GRAPHS = {}
@@ -338,12 +349,93 @@ def test_maximality_lemma_on_h34_certificates(catalog):
 
 
 def test_maximality_lemma_rejects_non_maximal(catalog):
-    from polarb.extremal import CrossPairCertificate
-
     cat = catalog("Hodd", 2, 4)
     fake = CrossPairCertificate(y=(0,), z=(1,), product=1, maximal=False, label="other")
     with pytest.raises(ValueError):
         verify_maximality_lemma(cat, fake)
+
+
+def _reference_maximality_lemma(cat, pair):
+    """The scalar route: Zassenhaus intersection of y1 and y2, then the catalog points of its span."""
+    d = cat.space.d
+    pm = cat.point_masks
+    tested = 0
+    ok = True
+    for i, y1 in enumerate(pair.y):
+        for y2 in pair.y[i + 1 :]:
+            if cat._dim_of_count[(pm[y1] & pm[y2]).bit_count()] != d - 1:
+                continue
+            tested += 1
+            meet = intersect_bases(cat.space.field, cat.generators[y1].basis, cat.generators[y2].basis)
+            smask = 0
+            for v in subspace_points(cat.space, meet):
+                if v in cat.point_index:
+                    smask |= 1 << cat.point_index[v]
+            for z in pair.z:
+                if pm[z] & smask == 0:
+                    ok = False
+    return {"ok": ok, "details": [f"(d-1)-meeting pairs tested: {tested}", f"all Z elements hit: {ok}"]}
+
+
+@pytest.mark.parametrize("family,d,q", [("Hodd", 2, 4), ("W", 2, 3), ("Qparabolic", 2, 2)])
+def test_maximality_lemma_matches_intersection_reference(family, d, q, catalog):
+    g = graph_of(catalog, family, d, q)
+    for cert in enumerate_maximal_cross_pairs(g):
+        assert verify_maximality_lemma(g.cat, cert) == _reference_maximality_lemma(g.cat, cert)
+
+
+def test_maximality_lemma_reports_a_z_missing_a_meet(catalog):
+    # y1, y2 meet in a point p; z meets y1 elsewhere, so it misses y1 ∩ y2 but not y1.
+    cat = catalog("Hodd", 2, 4)
+    pm = cat.point_masks
+    y2 = next(x for x in range(1, cat.n) if pm[0] & pm[x])
+    z = next(x for x in range(cat.n) if pm[x] & pm[0] and not pm[x] & pm[0] & pm[y2])
+    doctored = CrossPairCertificate(y=(0, y2), z=(z,), product=2, maximal=True, label="other")
+    for route in (verify_maximality_lemma, _reference_maximality_lemma):
+        assert route(cat, doctored)["details"] == ["(d-1)-meeting pairs tested: 1", "all Z elements hit: False"]
+
+
+@pytest.mark.parametrize(
+    "family,d,q,ks",
+    [
+        ("Hodd", 4, 4, (2, 3, 4)),
+        ("Hodd", 2, 4, (0, 1, 2)),
+        ("Heven", 2, 4, (0, 1, 2)),
+        ("Hodd", 3, 4, (0, 1, 2, 3)),
+        ("Hodd", 2, 9, (0, 1, 2)),
+    ],
+)
+def test_generators_through_subspaces_match_generators_through(family, d, q, ks):
+    ps = polar_space_make(family, d, q)
+    G = tuple(tuple(int(t == i) for t in range(ps.nv)) for i in range(d))
+    for k in ks:
+        carried = extremal._generators_through_subspaces(ps, k)
+        assert [sub for sub, _ in carried] == enumerate_subspaces_within(ps, G, k)
+        for sub, gens in carried:
+            assert gens == generators_through(Subspace(sub), ps)
+
+
+def test_generators_through_subspaces_rejects_other_models():
+    with pytest.raises(ValueError, match="antidiagonal"):
+        extremal._generators_through_subspaces(polar_space_make("W", 2, 4), 1)
+    fld = field_of_order(4)
+    gram = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    paired = _space_from_forms("Hodd", 2, fld, gram, None)
+    with pytest.raises(ValueError, match="antidiagonal"):
+        extremal._generators_through_subspaces(paired, 1)
+
+
+@pytest.mark.parametrize(
+    "doctored",
+    [
+        lambda ar, inv: inv.transpose(0, 2, 1)[:, ::-1, ::-1],  # no sigma
+        lambda ar, inv: ar.conj[inv].transpose(0, 2, 1),  # no J
+    ],
+)
+def test_generators_through_subspaces_certifies_the_isometry(doctored, monkeypatch):
+    monkeypatch.setattr(extremal, "_dual_blocks", doctored)
+    with pytest.raises(AssertionError, match="not an isometry"):
+        extremal._generators_through_subspaces(polar_space_make("Hodd", 2, 4), 1)
 
 
 def test_example_h7_sizes_match_closed_polynomials():
