@@ -35,8 +35,10 @@ from .geom import (
     polar_space_make,
     rref,
     rref_batch,
+    span_lines,
 )
 from .qcount import binom2, gaussian, nbracket, num_generators, num_points
+from .scheme import common_point_counts
 
 
 @dataclass(eq=False)
@@ -183,26 +185,23 @@ def classify_pair(yids, zids, g: CrossGraph) -> str:
 
 
 def bipartition_latins_greeks(cat: GeneratorCatalog) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two codimension-parity classes of a hyperbolic quadric's generators."""
+    """The two codimension-parity classes of a hyperbolic quadric's generators:
+    x is in class codim(0, x) mod 2, and every pair's parity, read off blocks
+    of common_point_counts, must be the sum of its classes."""
     ps = cat.space
     if ps.family != "Qplus":
         raise ValueError("latins/greeks exist on hyperbolic quadrics only")
-    n = cat.n
-    pm = cat.point_masks
-    dim_of = cat._dim_of_count
-    d = ps.d
-
-    def codim(x: int, y: int) -> int:
-        return d - dim_of[(pm[x] & pm[y]).bit_count()]
-
-    cls = [codim(0, x) % 2 for x in range(n)]
-    for x in range(n):
-        for y in range(x + 1, n):
-            same = cls[x] == cls[y]
-            if (codim(x, y) % 2 == 0) != same:
-                raise ValueError("codimension parity is not a bipartition; geometry bug")
-    x1 = tuple(i for i in range(n) if cls[i] == 0)
-    x2 = tuple(i for i in range(n) if cls[i] == 1)
+    parity = np.full(len(cat.points) + 1, -1, dtype=np.int8)
+    for count, j in cat._dim_of_count.items():
+        parity[count] = (ps.d - j) % 2
+    cls, r = None, 0
+    for counts in common_point_counts(cat):
+        par = parity[counts]
+        cls = par[0] if cls is None else cls
+        if (par < 0).any() or (par != cls[r : r + len(par), None] ^ cls).any():
+            raise ValueError("codimension parity is not a bipartition; geometry bug")
+        r += len(par)
+    x1, x2 = (tuple(np.flatnonzero(cls == c).tolist()) for c in (0, 1))
     if len(x1) != len(x2):
         raise ValueError("parity classes have unequal sizes")
     return x1, x2
@@ -395,9 +394,10 @@ def _dual_blocks(ar, Ainv: np.ndarray) -> np.ndarray:
     return ar.conj[Ainv].transpose(0, 2, 1)[:, ::-1, ::-1]
 
 
-def _generators_through_subspaces(ps: PolarSpace, k: int) -> list[tuple[tuple, list[Subspace]]]:
+def _generators_through_subspaces(ps: PolarSpace, k: int, span=None) -> list[tuple[tuple, list[Subspace]]]:
     """(S, generators_through(S)) for every k-subspace S of G = <e_0..e_(d-1)>,
-    S in enumerate_subspaces_within order, from one quotient enumeration.
+    S in enumerate_subspaces_within order, from one quotient enumeration;
+    ``span`` is span_lines(ps, G), built here when not given.
 
     Both Hermitian models have the antidiagonal Gram matrix J.  For A in
     GL(d, q) let C = J sigma(A^-1)^T J and M = diag(A, C), with a 1 on the
@@ -425,7 +425,7 @@ def _generators_through_subspaces(ps: PolarSpace, k: int) -> list[tuple[tuple, l
     ar = _array_arithmetic(fld)
     unit = anti[::-1]
     eye = np.eye(d, dtype=np.int32)
-    subs = enumerate_subspaces_within(ps, unit[:d], k)
+    subs = enumerate_subspaces_within(ps, unit[:d], k, span)
     W = np.array([g.basis for g in generators_through(Subspace(unit[:k]), ps)], dtype=np.int32)
     n = len(W)
     out = []
@@ -467,7 +467,8 @@ def _generators_through_subspaces(ps: PolarSpace, k: int) -> list[tuple[tuple, l
 def _h7_data(q: int):
     """Generators of H(7, q^2) through every >=2-dimensional subspace of G = <e_0..e_3>."""
     ps = polar_space_make("Hodd", 4, q * q)
-    return ps, {k: _generators_through_subspaces(ps, k) for k in (2, 3, 4)}
+    span = span_lines(ps, [tuple(int(t == i) for t in range(ps.nv)) for i in range(4)])
+    return ps, {k: _generators_through_subspaces(ps, k, span) for k in (2, 3, 4)}
 
 
 def example_h7_sizes(q: int = 2) -> tuple[int, int]:

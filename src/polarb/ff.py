@@ -149,13 +149,6 @@ class FieldSpec:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("inverse of 0 in a finite field")
-            return 0 if e else 1
-        return self.exp[(self.log[a] * e) % (self.order - 1)]
-
     @property
     def has_conjugation(self) -> bool:
         return self.k % 2 == 0

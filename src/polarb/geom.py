@@ -686,7 +686,7 @@ def _line_table(ps: PolarSpace, pts, orth) -> list[list[int]]:
     return line
 
 
-def _orderly_subspaces(ps: PolarSpace, pts, orth, k: int) -> np.ndarray:
+def _orderly_subspaces(ps: PolarSpace, pts, orth, k: int, line=None) -> np.ndarray:
     """The k-dimensional subspaces spanned by k pairwise orthogonal points of
     ``pts``, each exactly once, as an (L, k, nv) stack of spanning points.
 
@@ -700,9 +700,11 @@ def _orderly_subspaces(ps: PolarSpace, pts, orth, k: int) -> np.ndarray:
     the greedy bases, b_1 the least point and b_(i+1) the least point outside
     span(b_1..b_i), so every subspace is reached once (orderly generation,
     R. C. Read 1978) and no seen-set is needed.  Each leaf chain gives its
-    k points; _canonical_bases reduces them all in one rref_batch.
+    k points; _canonical_bases reduces them all in one rref_batch.  ``line``
+    is _line_table(ps, pts, orth), built here when not given.
     """
-    line = _line_table(ps, pts, orth) if k > 1 else None
+    if line is None and k > 1:
+        line = _line_table(ps, pts, orth)
     leaves: list[tuple[int, ...]] = []
     stack = [((), 0, (), (1 << len(pts)) - 1)]  # chain, span, points of span, perp
     while stack:
@@ -754,11 +756,18 @@ def _generator_spans(ps: PolarSpace, limit: int):
     return pts, orth, spans
 
 
-def enumerate_subspaces_within(ps: PolarSpace, basis, k: int) -> list[tuple[Vector, ...]]:
-    """All k-dimensional subspaces of the span of ``basis`` (canonical bases, sorted)."""
+def span_lines(ps: PolarSpace, basis) -> tuple[list[Vector], list[list[int]]]:
+    """The sorted points of the span of ``basis`` and their line table."""
     pts = sorted(subspace_points(ps, tuple(basis)))
+    return pts, _line_table(ps, pts, [(1 << len(pts)) - 1] * len(pts))
+
+
+def enumerate_subspaces_within(ps: PolarSpace, basis, k: int, span=None) -> list[tuple[Vector, ...]]:
+    """All k-dimensional subspaces of the span of ``basis`` (canonical bases,
+    sorted); ``span`` is span_lines(ps, basis), built here when not given."""
+    pts, line = span or span_lines(ps, basis)
     full = (1 << len(pts)) - 1
-    return _canonical_bases(ps.field, _orderly_subspaces(ps, pts, [full] * len(pts), k))
+    return _canonical_bases(ps.field, _orderly_subspaces(ps, pts, [full] * len(pts), k, line))
 
 
 @dataclass(eq=False)

@@ -76,9 +76,6 @@ class HalfPower:
             raise ValueError(f"{self.base}^({self.dexp}/2) is not an integer")
         return self.sign * root**self.dexp
 
-    def abs_value(self) -> int:
-        return abs(self.value())
-
 
 def _qf_power(q: int, tau: int, ddexp: int) -> int:
     """q^(ddexp/2) exactly, where q is the field order and tau flags Hermitian."""

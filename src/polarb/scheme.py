@@ -4,13 +4,15 @@ Relations are stored as packed bit rows (Python ints), one row per generator
 per codimension class; codimension i is distance i in the distance-regular
 dual polar graph A_1.  One certificate of its three-term identity proves the
 scheme axioms; an exact recurrence checks the closed-form eigenmatrix, and
-the idempotent projections run in Fractions.
+the idempotent projections run in integers on one int8 codimension matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 import numpy as np
 
@@ -20,6 +22,8 @@ from .qcount import EigenData
 # Every integer of absolute value below 2^24 (2^53) is exact in float32 (float64).
 _FLOAT32_EXACT = 1 << 24
 _FLOAT64_EXACT = 1 << 53
+# Every integer of absolute value below 2^63 is an int64.
+_INT64_EXACT = 1 << 63
 
 
 class SchemeError(ValueError):
@@ -46,6 +50,29 @@ class RelationData:
         """A_i as a dense 0/1 float64 array."""
         return masks_to_bits(self.rows[i], self.n).astype(np.float64)
 
+    @cached_property
+    def codim(self) -> np.ndarray:
+        """The n x n int8 codimension matrix: C[x, y] = i when y is in rows[i][x].
+
+        Built once from the rows, in row blocks; raises SchemeError unless
+        every row is an n-bit mask and the rows partition every pair.
+        """
+        n = self.n
+        if any(len(rows) != n or max(rows) >> n for rows in self.rows):
+            raise SchemeError(f"relation rows are not {n} masks of {n} bits")
+        C = np.zeros((n, n), dtype=np.int8)
+        step = max(1, BLOCK_ENTRIES // n)
+        for r in range(0, n, step):
+            hits = 0
+            for i, rows in enumerate(self.rows):
+                bits = masks_to_bits(rows[r : r + step], n)
+                np.copyto(C[r : r + step], i, where=bits.view(bool))
+                hits = hits + bits
+            bad = np.flatnonzero((hits != 1).any(axis=1))
+            if bad.size:
+                raise SchemeError(f"relations do not partition the pairs at generator {r + bad[0]}")
+        return C
+
 
 def common_point_counts(cat: GeneratorCatalog):
     """Row blocks of the incidence product M M^T, as int32 arrays in row order.
@@ -65,8 +92,8 @@ def common_point_counts(cat: GeneratorCatalog):
 
 
 def build_relations(cat: GeneratorCatalog) -> RelationData:
-    """Relation rows from the common point counts; a count that is no [j]_q
-    raises SchemeError."""
+    """Relation rows codim == i from the common point counts, a partition by
+    construction; a count that is no [j]_q raises SchemeError."""
     n = cat.n
     d = cat.space.d
     npts = len(cat.points)
@@ -80,21 +107,12 @@ def build_relations(cat: GeneratorCatalog) -> RelationData:
             raise SchemeError("two generators share a number of points that is no [j]_q")
         for i in range(d + 1):
             rows[i] += bits_to_masks(codim == i)
-    full = (1 << n) - 1
     valencies = []
     for i in range(d + 1):
         deg = rows[i][0].bit_count()
         if any(r.bit_count() != deg for r in rows[i]):
             raise SchemeError(f"relation {i} is not regular")
         valencies.append(deg)
-    for x in range(n):
-        acc = 0
-        total = 0
-        for i in range(d + 1):
-            acc |= rows[i][x]
-            total += rows[i][x].bit_count()
-        if acc != full or total != n:
-            raise SchemeError(f"relations do not partition the pairs at generator {x}")
     if any(rows[0][x] != 1 << x for x in range(n)):
         raise SchemeError("A_0 is not the identity relation")
     return RelationData(cat=cat, rows=tuple(tuple(r) for r in rows), valencies=tuple(valencies))
@@ -199,64 +217,44 @@ def verify_spectrum(rel: RelationData, eig: EigenData) -> bool:
     return True
 
 
-def _apply_relation(rel: RelationData, i: int, v) -> list:
-    """A_i v for an exact (int/Fraction) vector v."""
-    out = []
-    rows = rel.rows[i]
-    for x in range(rel.n):
-        m = rows[x]
-        acc = 0
-        while m:
-            lsb = m & -m
-            m ^= lsb
-            acc += v[lsb.bit_length() - 1]
-        out.append(acc)
-    return out
-
-
 def eigenspace_support(v, rel: RelationData, eig: EigenData) -> frozenset[int]:
     """Indices j with E_j v != 0, via the exact expansion E_j = (1/n) sum_i Q[i][j] A_i.
 
-    Also checks sum_j E_j v = v, which must hold identically.
+    Integers only.  With den and D the least common denominators of v and Q,
+    w = den v and D Q are integer, and S = (D Q)^T [A_i w]_i has rows
+    S[j] = D den n E_j v: the support is the set of nonzero rows of S.  Also
+    checks sum_j S[j] = D n w (sum_j E_j v = v), which must hold identically.
+    The images A_i w are read off rel.codim in row blocks of BLOCK_ENTRIES.
+
+    Entrywise sum_i |A_i w| <= n max|w|, so every entry and partial sum is at
+    most max|w| n (d+1) max(D, max|D Q|) in absolute value; below 2^63 the
+    arithmetic runs in int64, at or above it on Python ints (object dtype).
     """
-    n = rel.n
+    n, d = rel.n, rel.d
     if len(v) != n:
         raise ValueError(f"vector length {len(v)} != {n}")
-    d = rel.d
-    images = [_apply_relation(rel, i, v) for i in range(d + 1)]
-    support = set()
-    total = [Fraction(0)] * n
-    for j in range(d + 1):
-        proj = [Fraction(0)] * n
-        for i in range(d + 1):
-            qij = eig.Q[i][j]
-            if qij:
-                for x in range(n):
-                    if images[i][x]:
-                        proj[x] += qij * images[i][x]
-        if any(proj):
-            support.add(j)
-        for x in range(n):
-            total[x] += proj[x]
-    for x in range(n):
-        if total[x] != n * Fraction(v[x]):
-            raise SchemeError("sum of idempotent projections does not reproduce the vector")
-    return frozenset(support)
+    v = [Fraction(x) for x in v]
+    # Lists, not generators: CPython parks each resized argument tuple on its free list.
+    den = lcm(*[x.denominator for x in v])
+    w = [x.numerator * (den // x.denominator) for x in v]
+    D = lcm(*[Fraction(x).denominator for row in eig.Q for x in row])
+    DQ = [[int(x * D) for x in row] for row in eig.Q]
+    top = max(D, *(abs(x) for row in DQ for x in row))
+    dtype = np.int64 if max(1, *map(abs, w)) * n * (d + 1) * top < _INT64_EXACT else object
+    W = np.array(w, dtype=dtype)
+    C = rel.codim
+    ids = np.arange(d + 1, dtype=np.int8)[:, None, None]
+    images = np.empty((d + 1, n), dtype=dtype)
+    step = max(1, BLOCK_ENTRIES // (n * (d + 1)))
+    for r in range(0, n, step):
+        images[:, r : r + step] = np.where(C[None, r : r + step] == ids, W, 0).sum(axis=2)
+    S = np.array(DQ, dtype=dtype).T @ images
+    if (S.sum(axis=0) != W * (D * n)).any():
+        raise SchemeError("sum of idempotent projections does not reproduce the vector")
+    return frozenset(np.flatnonzero((S != 0).any(axis=1)).tolist())
 
 
 def idempotent(rel: RelationData, eig: EigenData, j: int):
-    """E_j as a dense matrix of Fractions (desk-scale instances only)."""
-    n = rel.n
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(rel.d + 1):
-        qij = Fraction(eig.Q[i][j], n)
-        if not qij:
-            continue
-        rows = rel.rows[i]
-        for x in range(n):
-            m = rows[x]
-            while m:
-                lsb = m & -m
-                m ^= lsb
-                out[x][lsb.bit_length() - 1] += qij
-    return out
+    """E_j[x][y] = Q[C[x, y]][j] / n as a dense matrix of Fractions (desk scale only)."""
+    col = [Fraction(eig.Q[i][j], rel.n) for i in range(rel.d + 1)]
+    return [[col[i] for i in row] for row in rel.codim.tolist()]

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from types import SimpleNamespace
 
@@ -276,6 +277,53 @@ def test_bipartition_q72(catalog):
 def test_bipartition_needs_qplus(catalog):
     with pytest.raises(ValueError):
         bipartition_latins_greeks(catalog("W", 2, 2))
+
+
+def _reference_bipartition(cat):
+    """Codimension-parity classes by one popcount per pair of generators."""
+    n, d, pm, dim_of = cat.n, cat.space.d, cat.point_masks, cat._dim_of_count
+
+    def codim(x, y):
+        return d - dim_of[(pm[x] & pm[y]).bit_count()]
+
+    cls = [codim(0, x) % 2 for x in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            if (codim(x, y) % 2 == 0) != (cls[x] == cls[y]):
+                raise ValueError("codimension parity is not a bipartition; geometry bug")
+    x1 = tuple(i for i in range(n) if cls[i] == 0)
+    x2 = tuple(i for i in range(n) if cls[i] == 1)
+    if len(x1) != len(x2):
+        raise ValueError("parity classes have unequal sizes")
+    return x1, x2
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_bipartition_matches_pairwise_reference(catalog, d):
+    cat = catalog("Qplus", d, 2)
+    assert bipartition_latins_greeks(cat) == _reference_bipartition(cat)
+
+
+@pytest.mark.parametrize(
+    "swap, message",
+    [
+        (lambda pm, x1, x2: pm[x2[0]], "unequal sizes"),  # a latin takes a greek's points
+        (lambda pm, x1, x2: pm[x1[1]] ^ pm[x1[1]] & pm[x2[0]], "not a bipartition"),  # drops a point
+        (lambda pm, x1, x2: 0, "not a bipartition"),  # disjoint from every generator
+    ],
+    ids=["other-class", "dropped-point", "empty"],
+)
+@pytest.mark.parametrize("d", [2, 3])
+def test_bipartition_rejects_a_swapped_point_mask(catalog, d, swap, message):
+    cat = catalog("Qplus", d, 2)
+    x1, x2 = bipartition_latins_greeks(cat)
+    pm = list(cat.point_masks)
+    pm[x1[1]] = swap(pm, x1, x2)
+    bad = dataclasses.replace(cat, point_masks=tuple(pm))
+    with pytest.raises(ValueError, match=message):
+        bipartition_latins_greeks(bad)
+    with pytest.raises((ValueError, KeyError)):
+        _reference_bipartition(bad)
 
 
 def _grid(catalog):

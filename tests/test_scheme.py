@@ -1,8 +1,12 @@
 import dataclasses
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarb import scheme
 from polarb.qcount import eigen_data
@@ -249,8 +253,188 @@ def test_support_of_point_pencil_q42(relations):
     assert eigenspace_support(pencil, rel, eig) == {0, 1}
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_support_of_rational_latins_greeks_combination(relations, d):
+    # 1/2 on X1 and -1/4 on X2 is (1/8) 1 + (3/8)(chi_X1 - chi_X2): in V_0 + V_d.
+    from polarb.extremal import bipartition_latins_greeks
+
+    rel, eig = relations("Qplus", d, 2), eigen_data("Qplus", d, 2)
+    inside = set(bipartition_latins_greeks(rel.cat)[0])
+    v = [Fraction(1, 2) if x in inside else Fraction(-1, 4) for x in range(rel.n)]
+    assert eigenspace_support(v, rel, eig) == {0, d}
+
+
+def test_support_of_rational_pencil_on_background(relations):
+    rel, eig = relations("Qparabolic", 2, 2), eigen_data("Qparabolic", 2, 2)
+    v = [Fraction(1, 2) if m & 1 else Fraction(1, 3) for m in rel.cat.point_masks]
+    assert eigenspace_support(v, rel, eig) == {0, 1}
+
+
 def test_support_handles_rational_vectors(relations):
     rel = relations("Qparabolic", 2, 2)
     eig = eigen_data("Qparabolic", 2, 2)
     v = [Fraction(1, 3)] * rel.n
     assert eigenspace_support(v, rel, eig) == {0}
+
+
+def _reference_apply_relation(rel, i, v):
+    """A_i v by a walk over the set bits of each relation row."""
+    out = []
+    for x in range(rel.n):
+        m = rel.rows[i][x]
+        acc = 0
+        while m:
+            lsb = m & -m
+            m ^= lsb
+            acc += v[lsb.bit_length() - 1]
+        out.append(acc)
+    return out
+
+
+def _reference_eigenspace_support(v, rel, eig):
+    """The Fraction route: E_j v = (1/n) sum_i Q[i][j] A_i v, entry by entry."""
+    n, d = rel.n, rel.d
+    images = [_reference_apply_relation(rel, i, v) for i in range(d + 1)]
+    support = set()
+    total = [Fraction(0)] * n
+    for j in range(d + 1):
+        proj = [Fraction(0)] * n
+        for i in range(d + 1):
+            qij = eig.Q[i][j]
+            if qij:
+                for x in range(n):
+                    if images[i][x]:
+                        proj[x] += qij * images[i][x]
+        if any(proj):
+            support.add(j)
+        for x in range(n):
+            total[x] += proj[x]
+    for x in range(n):
+        if total[x] != n * Fraction(v[x]):
+            raise SchemeError("sum of idempotent projections does not reproduce the vector")
+    return frozenset(support)
+
+
+def _reference_idempotent(rel, eig, j):
+    """E_j by a walk over the set bits of every relation row."""
+    n = rel.n
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(rel.d + 1):
+        for x in range(n):
+            m = rel.rows[i][x]
+            while m:
+                lsb = m & -m
+                m ^= lsb
+                out[x][lsb.bit_length() - 1] += Fraction(eig.Q[i][j], n)
+    return out
+
+
+_SUPPORT_SPACES = [("W", 2, 3), ("Qparabolic", 2, 2), ("Hodd", 2, 4), ("Qplus", 3, 2), ("Qplus", 4, 2)]
+
+
+def _vector(rel, kind, seed):
+    """A {-1, 0, 1} vector, a dense Fraction vector, a scaled point pencil on
+    a Fraction background, or a vector with entries of absolute value at
+    least 2^62, drawn from ``seed``."""
+    rng = random.Random(seed)
+    n, pm = rel.n, rel.cat.point_masks
+    if kind == "ternary":
+        return [rng.choice((-1, 0, 1)) for _ in range(n)]
+    if kind == "fractions":
+        return [Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(n)]
+    if kind == "pencil":
+        p = rng.randrange(len(rel.cat.points))
+        c = Fraction(rng.randint(1, 50), rng.randint(1, 9))
+        rest = rng.choice((0, Fraction(1, 7), Fraction(c.numerator, c.denominator + 1)))
+        return [c if pm[x] >> p & 1 else rest for x in range(n)]
+    return [rng.choice((1, -1, 0)) * rng.randint(2**62, 2**70) for _ in range(n)]
+
+
+@pytest.mark.parametrize("space", _SUPPORT_SPACES)
+def test_support_kernel_matches_fraction_reference(relations, space):
+    rel, eig = relations(*space), eigen_data(*space)
+
+    @settings(max_examples=8 if rel.n > 100 else 40, deadline=None, database=None)
+    @given(st.sampled_from(("ternary", "fractions", "pencil", "huge")), st.integers(0, 2**32))
+    def check(kind, seed):
+        v = _vector(rel, kind, seed)
+        assert eigenspace_support(v, rel, eig) == _reference_eigenspace_support(v, rel, eig)
+
+    check()
+
+
+@pytest.mark.parametrize("space", [("W", 2, 3), ("Qplus", 4, 2)])
+@pytest.mark.parametrize("e", [61, 62, 63, 90])
+def test_support_of_large_constant_vectors(relations, space, e):
+    # A constant vector lies in V_0.  D n 2^e is a multiple of 2^64 for e >= 62
+    # on both spaces: int64 arithmetic would wrap E_0 v to zero.
+    rel, eig = relations(*space), eigen_data(*space)
+    for c in (2**e, -(2**e) + 1):
+        assert eigenspace_support([c] * rel.n, rel, eig) == {0}
+
+
+def test_support_runs_on_python_ints_above_the_bound(relations, monkeypatch):
+    rel, eig = relations("Qplus", 3, 2), eigen_data("Qplus", 3, 2)
+    v = [(-1) ** x * (x % 4) for x in range(rel.n)]
+    want = eigenspace_support(v, rel, eig)
+    monkeypatch.setattr(scheme, "_INT64_EXACT", 0)
+    assert eigenspace_support(v, rel, eig) == want == _reference_eigenspace_support(v, rel, eig)
+
+
+def test_doctored_q_entry_breaks_the_identity_check(relations):
+    rel, eig = relations("Qparabolic", 2, 2), eigen_data("Qparabolic", 2, 2)
+    Q = [list(row) for row in eig.Q]
+    Q[1][1] += 1
+    wrong = dataclasses.replace(eig, Q=tuple(tuple(row) for row in Q))
+    v = [1] + [0] * (rel.n - 1)
+    with pytest.raises(SchemeError, match="sum of idempotent projections"):
+        eigenspace_support(v, rel, wrong)
+    with pytest.raises(SchemeError, match="sum of idempotent projections"):
+        _reference_eigenspace_support(v, rel, wrong)
+
+
+def test_codim_matrix_reads_the_rows(relations):
+    rel = relations("Qplus", 3, 2)
+    C = rel.codim
+    assert C.dtype == np.int8 and C.shape == (rel.n, rel.n)
+    assert C is rel.codim
+    for i, rows in enumerate(rel.rows):
+        for x in range(rel.n):
+            assert rows[x] == sum(1 << int(y) for y in np.flatnonzero(C[x] == i))
+
+
+def test_codim_rejects_overlapping_rows(relations):
+    rel = relations("W", 2, 3)
+    rows = [list(r) for r in rel.rows]
+    rows[2][5] |= rows[1][5] & -rows[1][5]  # one pair in both R_1 and R_2
+    bad = RelationData(cat=rel.cat, rows=tuple(map(tuple, rows)), valencies=rel.valencies)
+    with pytest.raises(SchemeError, match="partition the pairs at generator 5"):
+        bad.codim
+
+
+def test_codim_rejects_an_uncovered_pair(relations):
+    rel = relations("W", 2, 3)
+    rows = [list(r) for r in rel.rows]
+    x = rel.n - 1
+    rows[2][x] &= rows[2][x] - 1  # drop one pair from R_2 and put it nowhere
+    bad = RelationData(cat=rel.cat, rows=tuple(map(tuple, rows)), valencies=rel.valencies)
+    with pytest.raises(SchemeError, match=f"partition the pairs at generator {x}"):
+        bad.codim
+    with pytest.raises(SchemeError):
+        eigenspace_support([1] * rel.n, bad, eigen_data("W", 2, 3))
+
+
+def test_codim_rejects_bits_past_n(relations):
+    rel = relations("W", 2, 3)
+    rows = [list(r) for r in rel.rows]
+    rows[1][0] |= 1 << rel.n
+    bad = RelationData(cat=rel.cat, rows=tuple(map(tuple, rows)), valencies=rel.valencies)
+    with pytest.raises(SchemeError, match="masks of"):
+        bad.codim
+
+
+@pytest.mark.parametrize("space", [("Hodd", 2, 4), ("Qparabolic", 2, 2)])
+def test_idempotent_matches_bit_walk_reference(relations, space):
+    rel, eig = relations(*space), eigen_data(*space)
+    for j in range(rel.d + 1):
+        assert idempotent(rel, eig, j) == _reference_idempotent(rel, eig, j)
