@@ -7,7 +7,9 @@ non-neighborhood closure Y = nonN(Z), Z = nonN(Y).  Because "x meets y" is
 symmetric, these fixed points are the formal concepts of the context
 (generators, generators, meet), and Close-by-One (Kuznetsov 1993; the
 depth-first form of Ganter's NextClosure, 1984) lists every one of them
-exactly once without a seen-set.
+exactly once without a seen-set.  Its FCbO refinement (Outrata and
+Vychodil 2012) skips, without computing it, every child closure that a
+failed closure of an ancestor already shows to fail the canonicity test.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .geom import (
     span_lines,
 )
 from .qcount import binom2, gaussian, nbracket, num_generators, num_points
-from .scheme import common_point_counts
+from .scheme import SchemeError, common_point_counts
 
 
 @dataclass(eq=False)
@@ -58,6 +60,18 @@ class CrossGraph:
     def latins_greeks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """bipartition_latins_greeks of the catalog, computed on first use."""
         return bipartition_latins_greeks(self.cat)
+
+    @cached_property
+    def adj_is_complement(self) -> bool:
+        """adj[x] == full ^ nonn[x] for every x, checked once per graph.
+
+        Then no fixed point Z = nonN(Y) has an edge between its sides: z in Z
+        lies in nonn[y], hence not in adj[y], for every y in Y.
+        """
+        full = (1 << self.n) - 1
+        return len(self.adj) == len(self.nonn) == self.n and all(
+            a == full ^ row for a, row in zip(self.adj, self.nonn)
+        )
 
 
 def cross_graph(cat: GeneratorCatalog) -> CrossGraph:
@@ -91,18 +105,20 @@ def cross_closure(z, g: CrossGraph) -> CrossPairCertificate:
     """Close an arbitrary vertex set to a maximal pair (nonN(Z), nonN(nonN(Z)))."""
     ymask = g.nonn_of(bit_indices(z) if isinstance(z, int) else z)
     yids = bit_indices(ymask)
-    zmask = g.nonn_of(yids)
-    return _certificate(g, ymask, zmask, yids)
+    return _certificate(g, ymask, yids, g.nonn_of(yids))
 
 
-def _certificate(g: CrossGraph, ymask: int, zmask: int, yids=None) -> CrossPairCertificate:
-    # Fixed-point and no-edge checks; both hold by construction of the closure.
-    yids = bit_indices(ymask) if yids is None else yids
+def _certificate(g: CrossGraph, ymask: int, yids, zmask: int) -> CrossPairCertificate:
+    """Certificate of the pair (Y, Z) for a Z = nonN(Y) the caller computed.
+
+    Checks the other fixed-point equation, nonN(Z) = Y, then the graph's
+    once-per-graph complement check, which rules out an edge between the sides.
+    """
     zids = bit_indices(zmask)
-    if g.nonn_of(zids) != ymask or g.nonn_of(yids) != zmask:
+    if g.nonn_of(zids) != ymask:
         raise AssertionError("closure did not reach a fixed point")
-    if reduce(or_, map(g.adj.__getitem__, yids), 0) & zmask:
-        raise AssertionError("edge between the two sides")
+    if not g.adj_is_complement:
+        raise AssertionError("adj is not the complement of nonn: an edge may join the two sides")
     if len(yids) < len(zids) or (len(yids) == len(zids) and ymask > zmask):
         yids, zids = zids, yids
     return CrossPairCertificate(
@@ -128,28 +144,53 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
     is a node with j0 <= j, and C is its kept child by j.
     Unique: a kept child C by j of a node P forces P = cl(C below j), and j is
     then C's least index, so every closed set has one parent and is listed once.
+
+    FCbO pruning (Outrata and Vychodil 2012): every node carries failed[j], the
+    last closure cl(B0 + j) on its path that failed the test, B0 the B of the
+    node that computed it (0 where none failed).  Every node below that node
+    has B containing B0, so cl(B + j) contains cl(B0 + j); when failed[j] holds
+    a vertex below j outside B, so does cl(B + j), and the child by j would be
+    dropped.  It is skipped without its closure.  A node generates all its
+    children before any is pushed, and they share its updated failed tuple:
+    a failure at this node holds for every node under it.  Only dropped
+    children are skipped and the stack order is Close-by-One's, so the closed
+    sets, the order they are popped in and so the 2^limit count are the same.
     More than 2^limit closed sets raise ValueError.
     """
     nonn = g.nonn
+    nonn_of = g.nonn_of
     cap = 1 << limit
     pairs = {}
     full = (1 << g.n) - 1
-    stack = [(full, g.nonn_of(range(g.n)), 0)]
+    ids = tuple(range(g.n))
+    stack = [(full, ids, nonn_of(ids), 0, (0,) * g.n)]
     closed = 0
     while stack:
-        a, b, j0 = stack.pop()
+        a, aids, b, j0, failed = stack.pop()
         closed += 1
         if closed > cap:
             raise ValueError(f"more than 2^{limit} closed sets; raise the limit or close chosen seeds")
         key = (a, b) if a < b else (b, a)
         if key not in pairs:
-            pairs[key] = _certificate(g, b, a)
+            pairs[key] = _certificate(g, a, aids, b)
+        children = []
+        fresh = None
         for j in bit_indices((full ^ b) >> j0 << j0):
-            a2 = a & nonn[j]
-            b2 = g.nonn_of(bit_indices(a2))
             low = (1 << j) - 1
-            if b2 & low == b & low:
-                stack.append((a2, b2, j + 1))
+            if failed[j] & low & ~b:
+                continue
+            a2 = a & nonn[j]
+            a2ids = bit_indices(a2)
+            b2 = nonn_of(a2ids)
+            if (b2 ^ b) & low:
+                if fresh is None:
+                    fresh = list(failed)
+                fresh[j] = b2
+            else:
+                children.append((a2, a2ids, b2, j + 1))
+        if fresh is not None:
+            failed = tuple(fresh)
+        stack.extend((a2, a2ids, b2, j1, failed) for a2, a2ids, b2, j1 in children)
     out = list(pairs.values())
     out.sort(key=lambda c: (-c.product, c.y, c.z))
     return out
@@ -187,7 +228,8 @@ def classify_pair(yids, zids, g: CrossGraph) -> str:
 def bipartition_latins_greeks(cat: GeneratorCatalog) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two codimension-parity classes of a hyperbolic quadric's generators:
     x is in class codim(0, x) mod 2, and every pair's parity, read off blocks
-    of common_point_counts, must be the sum of its classes."""
+    of common_point_counts, must be the sum of its classes.  A geometry that
+    breaks either invariant raises SchemeError (a failed verification)."""
     ps = cat.space
     if ps.family != "Qplus":
         raise ValueError("latins/greeks exist on hyperbolic quadrics only")
@@ -199,11 +241,11 @@ def bipartition_latins_greeks(cat: GeneratorCatalog) -> tuple[tuple[int, ...], t
         par = parity[counts]
         cls = par[0] if cls is None else cls
         if (par < 0).any() or (par != cls[r : r + len(par), None] ^ cls).any():
-            raise ValueError("codimension parity is not a bipartition; geometry bug")
+            raise SchemeError("codimension parity is not a bipartition; geometry bug")
         r += len(par)
     x1, x2 = (tuple(np.flatnonzero(cls == c).tolist()) for c in (0, 1))
     if len(x1) != len(x2):
-        raise ValueError("parity classes have unequal sizes")
+        raise SchemeError("parity classes have unequal sizes")
     return x1, x2
 
 

@@ -45,8 +45,9 @@ _FAMILY_FROM_CODE = {v: k for k, v in _FAMILY_CODE.items()}
 _HEADER = struct.Struct("<BHHHQB")
 
 
-class CacheError(ValueError):
-    """Corrupt, truncated or mismatching cache file."""
+class CacheError(Exception):
+    """Corrupt, truncated or mismatching cache file.  Not a ValueError, so a
+    file that escapes load_catalog's fallback can never pass for a usage error."""
 
 
 # ---------------------------------------------------------------------------

@@ -179,10 +179,10 @@ def _pair_set(certs):
     return {frozenset((sum(1 << i for i in c.y), sum(1 << i for i in c.z))) for c in certs}
 
 
-@pytest.mark.parametrize(
-    "family,d,q",
-    [("W", 2, 3), ("Qplus", 2, 5), ("Qparabolic", 2, 3), ("Qminus", 2, 2), ("Hodd", 2, 4), ("Qparabolic", 2, 2), ("W", 2, 2)],
-)
+_RANK2 = [("W", 2, 3), ("Qplus", 2, 5), ("Qparabolic", 2, 3), ("Qminus", 2, 2), ("Hodd", 2, 4), ("Qparabolic", 2, 2), ("W", 2, 2)]
+
+
+@pytest.mark.parametrize("family,d,q", _RANK2)
 def test_close_by_one_matches_the_subset_sweep(catalog, family, d, q):
     g = graph_of(catalog, family, d, q)
     certs = enumerate_maximal_cross_pairs(g)
@@ -213,6 +213,122 @@ def test_close_by_one_matches_brute_force_on_random_graphs(g):
     certs = enumerate_maximal_cross_pairs(g)
     assert len(_pair_set(certs)) == len(certs)
     assert _pair_set(certs) == brute
+
+
+def _reference_certificate(g, ymask, zmask, yids=None):
+    """The per-closure certificate before the lean one: nonN of both sides, then adj OR-ed over Y."""
+    yids = extremal.bit_indices(ymask) if yids is None else yids
+    zids = extremal.bit_indices(zmask)
+    if g.nonn_of(zids) != ymask or g.nonn_of(yids) != zmask:
+        raise AssertionError("closure did not reach a fixed point")
+    adj_y = 0
+    for y in yids:
+        adj_y |= g.adj[y]
+    if adj_y & zmask:
+        raise AssertionError("edge between the two sides")
+    if len(yids) < len(zids) or (len(yids) == len(zids) and ymask > zmask):
+        yids, zids = zids, yids
+    return CrossPairCertificate(
+        y=yids, z=zids, product=len(yids) * len(zids), maximal=True, label=extremal.classify_pair(yids, zids, g)
+    )
+
+
+def _reference_cross_closure(z, g):
+    ymask = g.nonn_of(z)
+    yids = extremal.bit_indices(ymask)
+    return _reference_certificate(g, ymask, g.nonn_of(yids), yids)
+
+
+def _reference_close_by_one(g):
+    """Plain Close-by-One: every child closure computed.  Returns (certificates, closed sets in pop order)."""
+    full = (1 << g.n) - 1
+    pairs = {}
+    closed = []
+    stack = [(full, g.nonn_of(range(g.n)), 0)]
+    while stack:
+        a, b, j0 = stack.pop()
+        closed.append(b)
+        key = (a, b) if a < b else (b, a)
+        if key not in pairs:
+            pairs[key] = _reference_certificate(g, b, a)
+        for j in extremal.bit_indices((full ^ b) >> j0 << j0):
+            a2 = a & g.nonn[j]
+            b2 = g.nonn_of(extremal.bit_indices(a2))
+            low = (1 << j) - 1
+            if b2 & low == b & low:
+                stack.append((a2, b2, j + 1))
+    return sorted(pairs.values(), key=lambda c: (-c.product, c.y, c.z)), closed
+
+
+def _closed_sets(certs):
+    return {sum(1 << i for i in side) for c in certs for side in (c.y, c.z)}
+
+
+@pytest.mark.parametrize("family,d,q", _RANK2)
+def test_fcbo_matches_plain_close_by_one(catalog, family, d, q):
+    g = graph_of(catalog, family, d, q)
+    certs = enumerate_maximal_cross_pairs(g)
+    reference, closed = _reference_close_by_one(g)
+    assert certs == reference
+    assert _closed_sets(certs) == set(closed)
+    for seed in [(0,), (0, g.n - 1), tuple(range(0, g.n, 7))]:
+        assert cross_closure(seed, g) == _reference_cross_closure(seed, g)
+
+
+def _counting_nonn_of(monkeypatch):
+    calls = []
+    original = CrossGraph.nonn_of
+
+    def counting(self, ids):
+        calls.append(1)
+        return original(self, ids)
+
+    monkeypatch.setattr(CrossGraph, "nonn_of", counting)
+    return calls
+
+
+@pytest.mark.parametrize("family,d,q", [("W", 2, 3), ("Hodd", 2, 4)])
+def test_fcbo_computes_fewer_closures_than_close_by_one(catalog, monkeypatch, family, d, q):
+    g = graph_of(catalog, family, d, q)
+    calls = _counting_nonn_of(monkeypatch)
+    certs = enumerate_maximal_cross_pairs(g)
+    fcbo = len(calls)
+    calls.clear()
+    _, closed = _reference_close_by_one(g)
+    assert fcbo < len(calls)
+    # Child closures alone, without the root's and the certificates' reductions.
+    assert fcbo - 1 - len(certs) < len(calls) - 1 - 2 * len(certs)
+    assert len(closed) == len(set(closed)) == sum(1 if c.y == c.z else 2 for c in certs)
+    assert _closed_sets(certs) == set(closed)
+
+
+def test_cross_closure_makes_three_reductions(catalog, monkeypatch):
+    g = graph_of(catalog, "Hodd", 2, 4)
+    calls = _counting_nonn_of(monkeypatch)
+    for seed in [(0,), (0, 1), (3, 7, 11)]:
+        calls.clear()
+        cross_closure(seed, g)
+        assert len(calls) == 3  # nonN(seed) = Y, nonN(Y) = Z, and the check nonN(Z) = Y
+
+
+def test_certificate_checks_adj_rows_no_closure_touches(catalog):
+    g = graph_of(catalog, "Hodd", 2, 4)
+    far = next(x for x in range(g.n) if g.adj[0] >> x & 1)  # outside Y = nonN(0) and Z = {0}
+    adj = list(g.adj)
+    adj[far] ^= 1 << far  # far disjoint from itself
+    bad = CrossGraph(cat=g.cat, n=g.n, adj=tuple(adj), nonn=g.nonn)
+    _reference_cross_closure((0,), bad)  # the per-closure OR over Y never reads row far
+    with pytest.raises(AssertionError, match="edge"):
+        cross_closure((0,), bad)
+
+
+def test_close_by_one_rejects_a_doctored_nonn(catalog):
+    g = graph_of(catalog, "Hodd", 2, 4)
+    nonn = (1,) + g.nonn[1:]  # vertex 0 meets only itself, but its neighbours still meet 0
+    full = (1 << g.n) - 1
+    bad = CrossGraph(cat=g.cat, n=g.n, adj=tuple(full ^ row for row in nonn), nonn=nonn)
+    with pytest.raises(AssertionError, match="fixed point"):
+        enumerate_maximal_cross_pairs(bad)
 
 
 def test_latins_greeks_bipartition_is_computed_once_per_graph(catalog, monkeypatch):

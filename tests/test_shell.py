@@ -3,9 +3,10 @@ import json
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from polarb import checks, geom, shell
+from polarb import checks, extremal, geom, shell
 from polarb.scheme import SchemeError, build_relations
 from polarb.shell import CacheError, cache_read, cache_write, main
 
@@ -184,6 +185,18 @@ def test_cli_flipped_cache_bit_is_rejected_and_reenumerated(capsys):
     assert str(path) in flipped.err and "basis 37 is not canonical" in flipped.err
 
 
+def test_cache_error_is_not_a_usage_error(capsys):
+    assert not issubclass(CacheError, ValueError)
+    assert main(["enum", "W", "2", "2"]) == 0
+    capsys.readouterr()
+    path = shell.cache_path("W", 2, 2)
+    path.write_bytes(path.read_bytes()[:-1])
+    assert main(["search", "max-pairs", "W", "2", "2", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["max_product"] == 9
+    assert str(path) in captured.err and "truncated generator payload" in captured.err
+
+
 def test_cli_info(capsys):
     assert main(["info", "W", "2", "3"]) == 0
     out = capsys.readouterr().out
@@ -246,6 +259,16 @@ def test_cli_search_max_pairs(capsys):
     assert payload["maximal_pairs"] == 649
     fams = payload["families"]
     assert fams["single-line-star"] == {"count": 27, "products": [11]}
+
+
+def test_cli_search_geometry_bug_exits_1(capsys, monkeypatch):
+    def no_count_of_a_subspace(cat):
+        yield np.full((cat.n, cat.n), len(cat.points))
+
+    monkeypatch.setattr(extremal, "common_point_counts", no_count_of_a_subspace)
+    assert main(["search", "max-pairs", "Qplus", "2", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "verification failed" in err and "not a bipartition; geometry bug" in err
 
 
 def test_cli_verify_pass_and_fail_exit_codes(capsys):
