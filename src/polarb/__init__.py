@@ -22,7 +22,6 @@ from .geom import (
 )
 from .qcount import (
     EigenData,
-    HalfPower,
     disjointness_eigenvalue,
     eigen_data,
     eigenvalue_P_entry,

@@ -155,8 +155,10 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
     a failure at this node holds for every node under it.  Only dropped
     children are skipped and the stack order is Close-by-One's, so the closed
     sets, the order they are popped in and so the 2^limit count are the same.
-    More than 2^limit closed sets raise ValueError.
+    More than 2^limit closed sets, or a negative limit, raise ValueError.
     """
+    if limit < 0:
+        raise ValueError(f"limit {limit} is negative; the search stops past 2^limit closed sets")
     nonn = g.nonn
     nonn_of = g.nonn_of
     cap = 1 << limit

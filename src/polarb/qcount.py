@@ -2,9 +2,9 @@
 
 Everything here is exact: integers for Gaussian binomials, counts and
 eigenvalues, `fractions.Fraction` for the dual eigenmatrix Q.  Half-integer
-exponents (the Hermitian type parameter) are handled by the HalfPower type,
-which stores doubled exponents over the base b = sqrt(q) so that every
-spectral value in scope materializes to an integer.
+exponents (the Hermitian type parameter) are passed doubled to _qf_power,
+which evaluates them over the base sqrt(q), so every spectral value in scope
+is an integer.
 
 Conventions:
   * q is always the order of the ground field (a square for Hermitian
@@ -54,29 +54,6 @@ def nbracket(n: int, q: int) -> int:
     return gaussian(n, 1, q)
 
 
-@dataclass(frozen=True)
-class HalfPower:
-    """Exact value sign * base^(dexp/2) with a doubled integer exponent.
-
-    Every eigenvalue of the disjointness relation has this shape; for
-    Hermitian families the base is sqrt(q), so odd dexp still materializes.
-    """
-
-    sign: int
-    base: int
-    dexp: int
-
-    def value(self) -> int:
-        if self.sign == 0:
-            return 0
-        if self.dexp % 2 == 0:
-            return self.sign * self.base ** (self.dexp // 2)
-        root = isqrt(self.base)
-        if root * root != self.base:
-            raise ValueError(f"{self.base}^({self.dexp}/2) is not an integer")
-        return self.sign * root**self.dexp
-
-
 def _qf_power(q: int, tau: int, ddexp: int) -> int:
     """q^(ddexp/2) exactly, where q is the field order and tau flags Hermitian."""
     if ddexp % 2 == 0:
@@ -109,28 +86,12 @@ def generators_on_point(family: str, d: int, q: int) -> int:
     return num_generators(family, d - 1, q)
 
 
-def disjointness_eigenvalue(d: int, tau: int, r: int, q: int) -> HalfPower:
-    """Eigenvalue of the disjointness matrix A_d on W_r.
-
-    (-1)^r * q^(C(d-r,2) + C(r,2) + e(d-r)) over the base b (= sqrt(q) for
-    Hermitian families, else q).
-    """
+def disjointness_eigenvalue(d: int, tau: int, r: int, q: int) -> int:
+    """Eigenvalue (-1)^r q^(C(d-r,2) + C(r,2) + e(d-r)) of the disjointness matrix A_d on W_r."""
     if not 0 <= r <= d:
         raise ValueError(f"eigenspace index {r} outside [0, {d}]")
-    b = _exp_base(tau, q)
-    ddexp = 2 * binom2(d - r) + 2 * binom2(r) + tau * (d - r)
-    if tau % 2 == 1:
-        ddexp *= 2  # value is q^(x/2) = b^x, so double again over base b
-    return HalfPower(-1 if r % 2 else 1, b, ddexp)
-
-
-def _exp_base(tau: int, q: int) -> int:
-    if tau % 2 == 1:
-        b = isqrt(q)
-        if b * b != q:
-            raise ValueError(f"Hermitian families need a square field order, got {q}")
-        return b
-    return q
+    value = _qf_power(q, tau, 2 * binom2(d - r) + 2 * binom2(r) + tau * (d - r))
+    return -value if r % 2 else value
 
 
 def eigenvalue_P_entry(d: int, tau: int, i: int, j: int, q: int) -> int:
@@ -286,7 +247,6 @@ __all__ = [
     "binom2",
     "gaussian",
     "nbracket",
-    "HalfPower",
     "num_generators",
     "num_points",
     "generators_on_point",

@@ -1,22 +1,22 @@
 """The empirical association scheme of a generator catalog.
 
-Relations are stored as packed bit rows (Python ints), one row per generator
-per codimension class; codimension i is distance i in the distance-regular
-dual polar graph A_1.  One certificate of its three-term identity proves the
-scheme axioms; an exact recurrence checks the closed-form eigenmatrix, and
-the idempotent projections run in integers on one int8 codimension matrix.
+Relations are stored as one n x n int8 codimension matrix C: C[x, y] = i
+when generators x and y meet in codimension i, so R_i = {C == i} and the
+relations partition the pairs by construction.  Codimension i is distance i
+in the distance-regular dual polar graph A_1.  One certificate of its
+three-term identity proves the scheme axioms; an exact recurrence checks the
+closed-form eigenmatrix, and the idempotent projections run in integers on C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 import numpy as np
 
-from .geom import BLOCK_ENTRIES, GeneratorCatalog, bits_to_masks, masks_to_bits
+from .geom import BLOCK_ENTRIES, GeneratorCatalog, masks_to_bits
 from .qcount import EigenData
 
 # Every integer of absolute value below 2^24 (2^53) is exact in float32 (float64).
@@ -32,10 +32,10 @@ class SchemeError(ValueError):
 
 @dataclass(eq=False)
 class RelationData:
-    """Adjacency bit-matrices A_0..A_d of one catalog plus their valencies."""
+    """The codimension matrix of one catalog plus the valencies of its relations."""
 
     cat: GeneratorCatalog
-    rows: tuple[tuple[int, ...], ...]  # rows[i][x] = bitmask of {y : codim(x,y) = i}
+    codim: np.ndarray  # n x n int8, codim[x, y] = i when (x, y) is in R_i
     valencies: tuple[int, ...]
 
     @property
@@ -45,33 +45,6 @@ class RelationData:
     @property
     def d(self) -> int:
         return self.cat.space.d
-
-    def matrix(self, i: int) -> np.ndarray:
-        """A_i as a dense 0/1 float64 array."""
-        return masks_to_bits(self.rows[i], self.n).astype(np.float64)
-
-    @cached_property
-    def codim(self) -> np.ndarray:
-        """The n x n int8 codimension matrix: C[x, y] = i when y is in rows[i][x].
-
-        Built once from the rows, in row blocks; raises SchemeError unless
-        every row is an n-bit mask and the rows partition every pair.
-        """
-        n = self.n
-        if any(len(rows) != n or max(rows) >> n for rows in self.rows):
-            raise SchemeError(f"relation rows are not {n} masks of {n} bits")
-        C = np.zeros((n, n), dtype=np.int8)
-        step = max(1, BLOCK_ENTRIES // n)
-        for r in range(0, n, step):
-            hits = 0
-            for i, rows in enumerate(self.rows):
-                bits = masks_to_bits(rows[r : r + step], n)
-                np.copyto(C[r : r + step], i, where=bits.view(bool))
-                hits = hits + bits
-            bad = np.flatnonzero((hits != 1).any(axis=1))
-            if bad.size:
-                raise SchemeError(f"relations do not partition the pairs at generator {r + bad[0]}")
-        return C
 
 
 def common_point_counts(cat: GeneratorCatalog):
@@ -92,30 +65,43 @@ def common_point_counts(cat: GeneratorCatalog):
 
 
 def build_relations(cat: GeneratorCatalog) -> RelationData:
-    """Relation rows codim == i from the common point counts, a partition by
-    construction; a count that is no [j]_q raises SchemeError."""
+    """The codimension matrix C, block by block from the common point counts.
+
+    A count that is no [j]_q, a relation that is not regular or an A_0 that
+    is not the identity raises SchemeError.
+    """
     n = cat.n
     d = cat.space.d
     npts = len(cat.points)
     codim_of = np.full(npts + 1, -1, dtype=np.int8)
     for count, j in cat._dim_of_count.items():
         codim_of[count] = d - j
-    rows: list[list[int]] = [[] for _ in range(d + 1)]
+    C = np.empty((n, n), dtype=np.int8)
+    degrees = np.empty((d + 1, n), dtype=np.int64)  # degrees[i, x] = |R_i(x)|
+    r = 0
     for counts in common_point_counts(cat):
-        codim = codim_of[counts]
-        if (codim < 0).any():
+        block = C[r : r + len(counts)]
+        np.take(codim_of, counts, out=block)
+        if (block < 0).any():
             raise SchemeError("two generators share a number of points that is no [j]_q")
         for i in range(d + 1):
-            rows[i] += bits_to_masks(codim == i)
-    valencies = []
+            degrees[i, r : r + len(block)] = (block == i).sum(axis=1)
+        r += len(block)
     for i in range(d + 1):
-        deg = rows[i][0].bit_count()
-        if any(r.bit_count() != deg for r in rows[i]):
+        if (degrees[i] != degrees[i, 0]).any():
             raise SchemeError(f"relation {i} is not regular")
-        valencies.append(deg)
-    if any(rows[0][x] != 1 << x for x in range(n)):
+    if degrees[0, 0] != 1 or np.diagonal(C).any():
         raise SchemeError("A_0 is not the identity relation")
-    return RelationData(cat=cat, rows=tuple(tuple(r) for r in rows), valencies=tuple(valencies))
+    return RelationData(cat=cat, codim=C, valencies=tuple(degrees[:, 0].tolist()))
+
+
+def _witnesses(rel: RelationData) -> list[int]:
+    """For each relation i, the first y with C[0, y] = i."""
+    row = rel.codim[0]
+    firsts = [np.flatnonzero(row == i) for i in range(rel.d + 1)]
+    if not all(f.size for f in firsts):
+        raise SchemeError("a relation is empty")
+    return [int(f[0]) for f in firsts]
 
 
 def _intersection_array(rel: RelationData) -> list[tuple[int, int, int]]:
@@ -129,8 +115,9 @@ def _intersection_array(rel: RelationData) -> list[tuple[int, int, int]]:
 
     The coefficients are read off one pair of each relation.
 
-    Why this is a proof: build_relations checks that A_0 = I and that the A_i
-    are 0/1 matrices with disjoint supports summing to J.  Induction on the
+    Why this is a proof: the A_i = (C == i) are 0/1 matrices with disjoint
+    supports summing to J by construction of C, whose entries are the
+    codimensions 0..d, and build_relations checks that A_0 = I.  Induction on the
     identity gives A_i = v_i(A_1) with deg v_i = i, and A_1 A_d lies in
     span(A_0..A_d).  That span is therefore the algebra generated by the
     symmetric A_1: commutative and closed under products, so every A_i A_j is
@@ -146,10 +133,9 @@ def _intersection_array(rel: RelationData) -> list[tuple[int, int, int]]:
         return [(0, 0, 1)]
     if n >= _FLOAT64_EXACT:
         raise ValueError(f"n = {n} is not below 2^53; float64 products would not be exact")
-    if not all(row[0] for row in rel.rows):
-        raise SchemeError("a relation is empty")
-    witness = [(row[0] & -row[0]).bit_length() - 1 for row in rel.rows]
-    A1 = rel.matrix(1)
+    witness = _witnesses(rel)
+    C = rel.codim
+    A1 = (C == 1).astype(np.float64)
     if not np.array_equal(A1, A1.T):
         raise SchemeError("A_1 is not symmetric")
     window = {0: np.eye(n), 1: A1}  # A_(i-1), A_i, A_(i+1)
@@ -157,7 +143,7 @@ def _intersection_array(rel: RelationData) -> list[tuple[int, int, int]]:
     for i in range(d + 1):
         window.pop(i - 2, None)
         if i < d and i + 1 not in window:
-            window[i + 1] = rel.matrix(i + 1)
+            window[i + 1] = (C == i + 1).astype(np.float64)
         M = A1 @ window[i]
         coef = {j: int(M[0, witness[j]]) for j in (i - 1, i, i + 1) if j in window}
         for j, x in coef.items():
@@ -177,13 +163,14 @@ def check_intersection_numbers(rel: RelationData):
     """The intersection numbers p[i][j][k] of the certified scheme.
 
     Once _intersection_array has certified homogeneity, p^k_ij is read off
-    one pair (0, y) of R_k as |R_i(0) & R_j(y)|.  Raises SchemeError when the
-    certificate fails.
+    one pair (0, y) of R_k as the number of z with C[0, z] = i and
+    C[y, z] = j.  Raises SchemeError when the certificate fails.
     """
     _intersection_array(rel)
-    rows, r = rel.rows, range(rel.d + 1)
-    ys = [(row[0] & -row[0]).bit_length() - 1 for row in rows]
-    return [[[(rows[i][0] & rows[j][y]).bit_count() for y in ys] for j in r] for i in r]
+    C, m = rel.codim, rel.d + 1
+    row = C[0].astype(np.intp) * m
+    p = [np.bincount(row + C[y], minlength=m * m).reshape(m, m) for y in _witnesses(rel)]
+    return np.stack(p, axis=2).tolist()
 
 
 def verify_spectrum(rel: RelationData, eig: EigenData) -> bool:

@@ -17,6 +17,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .checks import CHECKS, run_check
 from .extremal import cross_graph, enumerate_maximal_cross_pairs
 from .families import TAU, normalize_family, space_label
@@ -116,10 +118,8 @@ def cache_write(cat: GeneratorCatalog, path=None, rel: RelationData | None = Non
     for g in cat.generators:
         out.append(_encode_basis(ps, g.basis))
     if rel is not None:
-        nbytes = (cat.n + 7) // 8
         for i in range(ps.d + 1):
-            for row in rel.rows[i]:
-                out.append(row.to_bytes(nbytes, "little"))
+            out.append(np.packbits(rel.codim == i, axis=1, bitorder="little").tobytes())
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -131,11 +131,12 @@ def cache_write(cat: GeneratorCatalog, path=None, rel: RelationData | None = Non
 
 
 def cache_read(path, expected: tuple[str, int, int, int]):
-    """Read a cache file; ``expected`` is (family, d, p, k).
+    """Read a cache file's catalog; ``expected`` is (family, d, p, k).
 
-    Returns (catalog, relations-or-None).  Refuses descriptor mismatches,
-    truncated payloads and trailing bytes, and every generator list that
-    enumeration could not have written: a basis whose bytes are not its
+    A relation section (flag byte 1) is length-checked and skipped: no
+    command reads it.  Refuses descriptor mismatches, a flag byte other than
+    0 or 1, truncated payloads and trailing bytes, and every generator list
+    that enumeration could not have written: a basis whose bytes are not its
     encoding, that is not canonical reduced row-echelon form of dimension d,
     whose rows are not pairwise orthogonal singular points or whose point
     set is not [d]_q points, and bases that are not strictly increasing.
@@ -154,6 +155,8 @@ def cache_read(path, expected: tuple[str, int, int, int]):
         raise CacheError(
             f"{path}: descriptor {(family, d, p, k)} does not match expected {expected}"
         )
+    if has_rel not in (0, 1):
+        raise CacheError(f"{path}: relation flag {has_rel} is neither 0 nor 1")
     ps = polar_space_make(family, d, p**k)
     if count != num_generators(family, d, ps.q):
         raise CacheError(f"{path}: generator count {count} contradicts the closed formula")
@@ -172,29 +175,17 @@ def cache_read(path, expected: tuple[str, int, int, int]):
         if bases and basis <= bases[-1]:
             raise CacheError(f"{path}: bases are not strictly increasing at basis {i}")
         bases.append(basis)
-    off = need
     try:
         cat = catalog_from_bases(ps, bases)
     except ValueError as exc:
         raise CacheError(f"{path}: {exc}") from exc
-    rel = None
     if has_rel:
-        nbytes = (count + 7) // 8
-        need = off + (d + 1) * count * nbytes
+        need += (d + 1) * count * ((count + 7) // 8)
         if len(blob) < need:
             raise CacheError(f"{path}: truncated relation section")
-        rows = []
-        for i in range(d + 1):
-            rel_rows = []
-            for x in range(count):
-                start = off + (i * count + x) * nbytes
-                rel_rows.append(int.from_bytes(blob[start : start + nbytes], "little"))
-            rows.append(tuple(rel_rows))
-        valencies = tuple(rows[i][0].bit_count() for i in range(d + 1))
-        rel = RelationData(cat=cat, rows=tuple(rows), valencies=valencies)
     if len(blob) != need:
         raise CacheError(f"{path}: {len(blob) - need} trailing bytes")
-    return cat, rel
+    return cat
 
 
 def load_catalog(family: str, d: int, q: int, limit: int = ENUM_LIMIT_DEFAULT, use_cache: bool = True):
@@ -206,8 +197,7 @@ def load_catalog(family: str, d: int, q: int, limit: int = ENUM_LIMIT_DEFAULT, u
     path = cache_path(family, d, q)
     if use_cache and path.exists():
         try:
-            cat, _ = cache_read(path, (family, d, ps.field.p, ps.field.k))
-            return cat
+            return cache_read(path, (family, d, ps.field.p, ps.field.k))
         except CacheError as exc:
             print(f"warning: ignoring cache file {exc}; enumerating instead", file=sys.stderr)
     return enumerate_generators(ps, limit)
@@ -258,7 +248,7 @@ def cmd_info(args) -> int:
     d, q = args.d, args.q
     rep = classical_bound(family, d, q)
     tau = TAU[family]
-    spectrum = [disjointness_eigenvalue(d, tau, r, q).value() for r in range(d + 1)]
+    spectrum = [disjointness_eigenvalue(d, tau, r, q) for r in range(d + 1)]
     payload = {
         "space": {"family": family, "d": d, "q": q, "label": space_label(family, d, q)},
         "generators": num_generators(family, d, q),

@@ -106,7 +106,7 @@ def hoffman_cross_bound(eigs, n: int, label: str = "") -> BoundReport:
 def classical_bound(family: str, d: int, q: int) -> BoundReport:
     """Per-family bound from the plain disjointness spectrum of one space."""
     tau = TAU[family]
-    spectrum = [(r, disjointness_eigenvalue(d, tau, r, q).value()) for r in range(d + 1)]
+    spectrum = [(r, disjointness_eigenvalue(d, tau, r, q)) for r in range(d + 1)]
     n = num_generators(family, d, q)
     rep = hoffman_cross_bound(spectrum, n, label=space_label(family, d, q))
     fam = FAMILY_SUPPORT.get(family)

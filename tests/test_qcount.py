@@ -5,7 +5,7 @@ import pytest
 
 from polarb.families import TAU
 from polarb.qcount import (
-    HalfPower,
+    _qf_power,
     disjointness_eigenvalue,
     eigen_data,
     eigenvalue_P_entry,
@@ -111,20 +111,19 @@ def test_num_points():
 
 
 def test_disjointness_eigenvalues():
-    assert disjointness_eigenvalue(4, 0, 0, 2).value() == 64
-    assert disjointness_eigenvalue(4, 0, 4, 2).value() == 64
-    hp = disjointness_eigenvalue(2, 1, 1, 4)
-    assert isinstance(hp, HalfPower)
-    assert (hp.sign, hp.base) == (-1, 2)
-    assert hp.value() == -2
+    assert disjointness_eigenvalue(4, 0, 0, 2) == 64
+    assert disjointness_eigenvalue(4, 0, 4, 2) == 64
+    assert disjointness_eigenvalue(2, 1, 1, 4) == -2  # -(4^(1/2)) in H(3,4)
 
 
 def test_halfpower_materialization():
-    assert HalfPower(1, 2, 6).value() == 8
-    assert HalfPower(-1, 4, 3).value() == -8  # odd dexp over a square base
-    assert HalfPower(0, 5, 3).value() == 0
-    with pytest.raises(ValueError):
-        HalfPower(1, 2, 3).value()
+    assert _qf_power(2, 0, 6) == 8
+    assert _qf_power(4, 1, 3) == 8  # a half-integer exponent over a square base
+    assert _qf_power(9, 1, 0) == 1
+    with pytest.raises(ValueError, match="square field order"):
+        _qf_power(2, 1, 3)
+    with pytest.raises(ValueError, match="outside a Hermitian family"):
+        _qf_power(4, 2, 3)
 
 
 def test_p_entries_match_lemma9_closed_forms_at_rank2():
@@ -160,23 +159,19 @@ def test_vanhove_matches_disjointness_row():
         tau = TAU[family]
         for d in range(1, 6):
             for r in range(d + 1):
-                assert eigenvalue_P_entry(d, tau, d, r, q) == disjointness_eigenvalue(
-                    d, tau, r, q
-                ).value()
+                assert eigenvalue_P_entry(d, tau, d, r, q) == disjointness_eigenvalue(d, tau, r, q)
     for family, q in [("Hodd", 4), ("Heven", 4), ("Hodd", 9)]:
         tau = TAU[family]
         for d in range(1, 5):
             for r in range(d + 1):
-                assert eigenvalue_P_entry(d, tau, d, r, q) == disjointness_eigenvalue(
-                    d, tau, r, q
-                ).value()
+                assert eigenvalue_P_entry(d, tau, d, r, q) == disjointness_eigenvalue(d, tau, r, q)
 
 
 def test_qplus_extreme_eigenvalues_equal_absolute():
     for d in range(2, 6):
         for q in (2, 3):
-            k = disjointness_eigenvalue(d, 0, 0, q).value()
-            top = disjointness_eigenvalue(d, 0, d, q).value()
+            k = disjointness_eigenvalue(d, 0, 0, q)
+            top = disjointness_eigenvalue(d, 0, d, q)
             assert abs(top) == abs(k)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarb import scheme
+from polarb.geom import bits_to_masks
 from polarb.qcount import eigen_data
 from polarb.scheme import (
     RelationData,
@@ -32,21 +33,27 @@ def test_valencies_q42(relations):
     assert rel.valencies == (1, 6, 8)
 
 
+def _rows(rel):
+    """The relation rows of rel.codim as bitmasks: rows[i][x] = {y : C[x, y] = i}."""
+    return tuple(tuple(bits_to_masks(rel.codim == i)) for i in range(rel.d + 1))
+
+
 def test_relations_partition_and_symmetry(relations):
     rel = relations("W", 2, 3)
     n = rel.n
+    rows = _rows(rel)
     full = (1 << n) - 1
     for x in range(n):
         acc = 0
         for i in range(rel.d + 1):
-            assert acc & rel.rows[i][x] == 0  # pairwise disjoint
-            acc |= rel.rows[i][x]
+            assert acc & rows[i][x] == 0  # pairwise disjoint
+            acc |= rows[i][x]
         assert acc == full
     for i in range(rel.d + 1):
         for x in range(n):
             for y in range(n):
-                assert (rel.rows[i][x] >> y) & 1 == (rel.rows[i][y] >> x) & 1
-    assert all(rel.rows[0][x] == 1 << x for x in range(n))
+                assert (rows[i][x] >> y) & 1 == (rows[i][y] >> x) & 1
+    assert all(rows[0][x] == 1 << x for x in range(n))
 
 
 def _reference_relation_rows(cat):
@@ -80,8 +87,9 @@ def _reference_relation_rows(cat):
 )
 def test_relation_rows_match_popcount_reference(relations, space):
     rel = relations(*space)
-    assert rel.rows == _reference_relation_rows(rel.cat)
-    assert rel.valencies == tuple(row[0].bit_count() for row in rel.rows)
+    rows = _rows(rel)
+    assert rows == _reference_relation_rows(rel.cat)
+    assert rel.valencies == tuple(row[0].bit_count() for row in rows)
 
 
 def test_unknown_intersection_size_is_a_scheme_error(catalog):
@@ -112,7 +120,7 @@ def test_intersection_numbers_w33(relations):
 def _reference_intersection_numbers(rel):
     """Exhaustive count of p[i][j][k] over every pair; raises on inhomogeneity."""
     d = rel.d
-    rows = rel.rows
+    rows = _rows(rel)
     p = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     for x in range(rel.n):
         for i in range(d + 1):
@@ -141,14 +149,10 @@ def test_intersection_numbers_match_exhaustive_count(relations, space):
 def _moved_pair(rel, src, dst):
     """A copy of rel with one pair {x, y} of R_src moved to R_dst, symmetrically."""
     x = rel.n - 1
-    y = rel.rows[src][x].bit_length() - 1
-    pair = (1 << x) | (1 << y)
-    rows = [list(r) for r in rel.rows]
-    for z in (x, y):
-        other = pair ^ (1 << z)
-        rows[src][z] ^= other
-        rows[dst][z] |= other
-    return RelationData(cat=rel.cat, rows=tuple(tuple(r) for r in rows), valencies=rel.valencies)
+    y = np.flatnonzero(rel.codim[x] == src)[-1]
+    C = rel.codim.copy()
+    C[x, y] = C[y, x] = dst
+    return RelationData(cat=rel.cat, codim=C, valencies=rel.valencies)
 
 
 @pytest.mark.parametrize(
@@ -168,8 +172,8 @@ def test_disconnected_relation_is_rejected():
     # Two disjoint edges as R_1 and the other four pairs as R_2: every
     # identity A_1 A_i holds, but c_2 = 0, so R_2 is not at distance 2.
     cat = SimpleNamespace(n=4, space=SimpleNamespace(d=2))
-    rows = ((1, 2, 4, 8), (2, 1, 8, 4), (12, 12, 3, 3))
-    rel = RelationData(cat=cat, rows=rows, valencies=(1, 1, 2))
+    C = np.array([[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]], dtype=np.int8)
+    rel = RelationData(cat=cat, codim=C, valencies=(1, 1, 2))
     eig = dataclasses.replace(eigen_data("Qparabolic", 2, 2), n=4)
     with pytest.raises(SchemeError, match="c_2 = 0"):
         verify_spectrum(rel, eig)
@@ -279,9 +283,10 @@ def test_support_handles_rational_vectors(relations):
 
 def _reference_apply_relation(rel, i, v):
     """A_i v by a walk over the set bits of each relation row."""
+    rows = _rows(rel)[i]
     out = []
     for x in range(rel.n):
-        m = rel.rows[i][x]
+        m = rows[x]
         acc = 0
         while m:
             lsb = m & -m
@@ -318,10 +323,11 @@ def _reference_eigenspace_support(v, rel, eig):
 def _reference_idempotent(rel, eig, j):
     """E_j by a walk over the set bits of every relation row."""
     n = rel.n
+    rows = _rows(rel)
     out = [[Fraction(0)] * n for _ in range(n)]
     for i in range(rel.d + 1):
         for x in range(n):
-            m = rel.rows[i][x]
+            m = rows[i][x]
             while m:
                 lsb = m & -m
                 m ^= lsb
@@ -394,43 +400,37 @@ def test_doctored_q_entry_breaks_the_identity_check(relations):
 
 
 def test_codim_matrix_reads_the_rows(relations):
+    # Row by row, C's classes are the popcount reference's relation rows.
     rel = relations("Qplus", 3, 2)
     C = rel.codim
     assert C.dtype == np.int8 and C.shape == (rel.n, rel.n)
-    assert C is rel.codim
-    for i, rows in enumerate(rel.rows):
+    assert (C == C.T).all() and C.min() == 0 and C.max() == rel.d
+    for i, rows in enumerate(_reference_relation_rows(rel.cat)):
         for x in range(rel.n):
             assert rows[x] == sum(1 << int(y) for y in np.flatnonzero(C[x] == i))
 
 
-def test_codim_rejects_overlapping_rows(relations):
-    rel = relations("W", 2, 3)
-    rows = [list(r) for r in rel.rows]
-    rows[2][5] |= rows[1][5] & -rows[1][5]  # one pair in both R_1 and R_2
-    bad = RelationData(cat=rel.cat, rows=tuple(map(tuple, rows)), valencies=rel.valencies)
-    with pytest.raises(SchemeError, match="partition the pairs at generator 5"):
-        bad.codim
+def _doctored_counts(monkeypatch, edit):
+    """Make build_relations read ``edit`` of the full common point count matrix."""
+    counts = scheme.common_point_counts
+    monkeypatch.setattr(scheme, "common_point_counts", lambda cat: [edit(np.vstack(list(counts(cat))))])
 
 
-def test_codim_rejects_an_uncovered_pair(relations):
-    rel = relations("W", 2, 3)
-    rows = [list(r) for r in rel.rows]
-    x = rel.n - 1
-    rows[2][x] &= rows[2][x] - 1  # drop one pair from R_2 and put it nowhere
-    bad = RelationData(cat=rel.cat, rows=tuple(map(tuple, rows)), valencies=rel.valencies)
-    with pytest.raises(SchemeError, match=f"partition the pairs at generator {x}"):
-        bad.codim
-    with pytest.raises(SchemeError):
-        eigenspace_support([1] * rel.n, bad, eigen_data("W", 2, 3))
+def test_build_relations_rejects_an_irregular_relation(catalog, monkeypatch):
+    def edit(M):
+        M[0, np.flatnonzero(M[0] == 1)[0]] = 0  # line 0 no longer meets one line in a point
+        return M
+
+    _doctored_counts(monkeypatch, edit)
+    with pytest.raises(SchemeError, match="relation 1 is not regular"):
+        build_relations(catalog("W", 2, 3))
 
 
-def test_codim_rejects_bits_past_n(relations):
-    rel = relations("W", 2, 3)
-    rows = [list(r) for r in rel.rows]
-    rows[1][0] |= 1 << rel.n
-    bad = RelationData(cat=rel.cat, rows=tuple(map(tuple, rows)), valencies=rel.valencies)
-    with pytest.raises(SchemeError, match="masks of"):
-        bad.codim
+def test_build_relations_rejects_a_non_identity_a0(catalog, monkeypatch):
+    # Rolling the rows keeps every row's class sizes but moves the diagonal.
+    _doctored_counts(monkeypatch, lambda M: np.roll(M, 1, axis=0))
+    with pytest.raises(SchemeError, match="A_0 is not the identity"):
+        build_relations(catalog("W", 2, 3))
 
 
 @pytest.mark.parametrize("space", [("Hodd", 2, 4), ("Qparabolic", 2, 2)])

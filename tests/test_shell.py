@@ -27,22 +27,54 @@ def test_cache_round_trip_is_byte_identical(catalog, tmp_path):
     p1 = tmp_path / "a.plb"
     p2 = tmp_path / "b.plb"
     cache_write(cat, p1)
-    read, rel = cache_read(p1, descriptor(cat))
-    assert rel is None
+    read = cache_read(p1, descriptor(cat))
     assert [g.basis for g in read.generators] == [g.basis for g in cat.generators]
     cache_write(read, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _reference_relation_section(cat):
+    """Relation rows by one popcount per pair of point masks, each row an
+    n-bit little-endian integer, relation by relation."""
+    n, d, masks = cat.n, cat.space.d, cat.point_masks
+    rows = [[0] * n for _ in range(d + 1)]
+    for x in range(n):
+        for y in range(n):
+            rows[d - cat._dim_of_count[(masks[x] & masks[y]).bit_count()]][x] |= 1 << y
+    return b"".join(row.to_bytes((n + 7) // 8, "little") for rel_rows in rows for row in rel_rows)
+
+
 def test_cache_relation_section(catalog, tmp_path):
+    header = len(shell.MAGIC) + shell._HEADER.size
+    for space in (("Qparabolic", 2, 2), ("W", 2, 3), ("Qplus", 3, 2)):  # n = 15, 40, 135
+        cat = catalog(*space)
+        plain = cache_write(cat, tmp_path / "plain.plb").read_bytes()
+        path = cache_write(cat, tmp_path / "with-rel.plb", rel=build_relations(cat))
+        blob = path.read_bytes()
+        assert blob[len(plain) :] == _reference_relation_section(cat)
+        assert blob[: header - 1] == plain[: header - 1] and blob[header - 1] == 1
+        assert blob[header : len(plain)] == plain[header:]
+        read = cache_read(path, descriptor(cat))
+        assert [g.basis for g in read.generators] == [g.basis for g in cat.generators]
+
+
+@pytest.mark.parametrize("flag", [2, 255])
+def test_cache_rejects_a_relation_flag_other_than_0_or_1(catalog, tmp_path, flag):
     cat = catalog("Qparabolic", 2, 2)
-    rel = build_relations(cat)
-    path = tmp_path / "with-rel.plb"
-    cache_write(cat, path, rel=rel)
-    read, rel2 = cache_read(path, descriptor(cat))
-    assert rel2 is not None
-    assert rel2.rows == rel.rows
-    assert rel2.valencies == rel.valencies
+    path = cache_write(cat, tmp_path / "q42.plb", rel=build_relations(cat))
+    blob = bytearray(path.read_bytes())
+    blob[len(shell.MAGIC) + shell._HEADER.size - 1] = flag
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CacheError, match=f"relation flag {flag} is neither 0 nor 1"):
+        cache_read(path, descriptor(cat))
+
+
+def test_cache_rejects_a_truncated_relation_section(catalog, tmp_path):
+    cat = catalog("Qparabolic", 2, 2)
+    path = cache_write(cat, tmp_path / "q42.plb", rel=build_relations(cat))
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(CacheError, match="truncated relation section"):
+        cache_read(path, descriptor(cat))
 
 
 def test_cache_rejects_descriptor_mismatch(catalog, tmp_path):
@@ -259,6 +291,13 @@ def test_cli_search_max_pairs(capsys):
     assert payload["maximal_pairs"] == 649
     fams = payload["families"]
     assert fams["single-line-star"] == {"count": 27, "products": [11]}
+
+
+def test_cli_search_negative_limit_is_a_usage_error(capsys):
+    assert main(["search", "max-pairs", "W", "2", "2", "--limit", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: limit -1 is negative; the search stops past 2^limit closed sets\n"
 
 
 def test_cli_search_geometry_bug_exits_1(capsys, monkeypatch):
