@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import cached_property
+from math import isqrt, lcm
 
 from .families import TAU
 
@@ -159,6 +160,13 @@ class EigenData:
     Q: tuple[tuple[Fraction, ...], ...]
     multiplicities: tuple[int, ...]
     valencies: tuple[int, ...]
+
+    @cached_property
+    def scaled_Q(self) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+        """(D, D Q, max(D, max |D Q|)) with D the least common denominator of Q."""
+        D = lcm(*[x.denominator for row in self.Q for x in row])
+        DQ = tuple(tuple(int(x * D) for x in row) for row in self.Q)
+        return D, DQ, max(D, *(abs(x) for row in DQ for x in row))
 
 
 def eigen_data(family: str, d: int, q: int) -> EigenData:

@@ -4,8 +4,11 @@ Relations are stored as one n x n int8 codimension matrix C: C[x, y] = i
 when generators x and y meet in codimension i, so R_i = {C == i} and the
 relations partition the pairs by construction.  Codimension i is distance i
 in the distance-regular dual polar graph A_1.  One certificate of its
-three-term identity proves the scheme axioms; an exact recurrence checks the
-closed-form eigenmatrix, and the idempotent projections run in integers on C.
+three-term identity proves the scheme axioms: a single integer pass over
+packed neighbour histograms, no float and no BLAS.  An exact recurrence
+checks the closed-form eigenmatrix, and the idempotent projections run in
+integers on C.  Floats appear only in the common point counts, behind the
+static 2^24 bound that makes them exact.
 """
 
 from __future__ import annotations
@@ -19,11 +22,14 @@ import numpy as np
 from .geom import BLOCK_ENTRIES, GeneratorCatalog, masks_to_bits
 from .qcount import EigenData
 
-# Every integer of absolute value below 2^24 (2^53) is exact in float32 (float64).
+# Every integer of absolute value below 2^24 is exact in float32.
 _FLOAT32_EXACT = 1 << 24
-_FLOAT64_EXACT = 1 << 53
 # Every integer of absolute value below 2^63 is an int64.
 _INT64_EXACT = 1 << 63
+# Bytes of the numpy temporaries of one block in this module's row-blocked loops:
+# the float32 common point counts with their int32 copy, or the certificate's
+# gathered neighbour rows.
+_BLOCK_BYTES = 1 << 19
 
 
 class SchemeError(ValueError):
@@ -59,7 +65,7 @@ def common_point_counts(cat: GeneratorCatalog):
     if npts >= _FLOAT32_EXACT:
         raise ValueError(f"{npts} points is not below 2^24; float32 products would not be exact")
     M = masks_to_bits(cat.point_masks, npts).astype(np.float32)
-    step = max(1, BLOCK_ENTRIES // max(1, n))
+    step = max(1, _BLOCK_BYTES // (8 * max(1, n)))
     for r in range(0, n, step):
         yield (M[r : r + step] @ M.T).astype(np.int32)
 
@@ -81,7 +87,7 @@ def build_relations(cat: GeneratorCatalog) -> RelationData:
     r = 0
     for counts in common_point_counts(cat):
         block = C[r : r + len(counts)]
-        np.take(codim_of, counts, out=block)
+        block[...] = codim_of[counts]  # take() would copy counts to intp first
         if (block < 0).any():
             raise SchemeError("two generators share a number of points that is no [j]_q")
         for i in range(d + 1):
@@ -108,54 +114,73 @@ def _intersection_array(rel: RelationData) -> list[tuple[int, int, int]]:
     """Certify that R_0..R_d are the distance classes of the graph A_1.
 
     Returns [(b_(i-1), a_i, c_(i+1)) for i = 0..d], with b_(-1) := 0 and
-    c_(d+1) := 1, after checking that A_1 is symmetric, that c_1..c_d > 0 and
-    that on every entry
+    c_(d+1) := 1, after checking that A_1 is symmetric and regular, that
+    c_1..c_d > 0 and that on every entry
 
         A_1 A_i = b_(i-1) A_(i-1) + a_i A_i + c_(i+1) A_(i+1)    (i = 0..d).
 
-    The coefficients are read off one pair of each relation.
-
     Why this is a proof: the A_i = (C == i) are 0/1 matrices with disjoint
-    supports summing to J by construction of C, whose entries are the
-    codimensions 0..d, and build_relations checks that A_0 = I.  Induction on the
-    identity gives A_i = v_i(A_1) with deg v_i = i, and A_1 A_d lies in
-    span(A_0..A_d).  That span is therefore the algebra generated by the
-    symmetric A_1: commutative and closed under products, so every A_i A_j is
+    supports summing to J, as C's entries are the codimensions 0..d, and
+    build_relations checks that A_0 = I.  Induction on the identity gives
+    A_i = v_i(A_1) with deg v_i = i, and A_1 A_d lies in span(A_0..A_d).
+    That span is therefore the algebra generated by the symmetric A_1:
+    commutative and closed under products, so every A_i A_j is
     sum_k p^k_ij A_k with constant p^k_ij: the relations form a symmetric
     association scheme, and any one pair of R_k shows every p^k_ij.
 
-    The products run in float64 BLAS.  Every entry and partial sum of A_1 A_i
-    counts common neighbours, an integer at most n; below 2^53 float64
-    represents all of them, so the arithmetic is exact.
+    All d+1 identities are checked in one integer pass.  With N the n x k_1
+    neighbour table of A_1, bits = k_1.bit_length() and P[z, y] =
+    2^(bits C[z, y]), the packed histogram H[x, y] = sum over z in N(x) of
+    P[z, y] has digit i (base 2^bits) equal to (A_1 A_i)[x, y], the number
+    of neighbours z of x with C[z, y] = i.  That count is at most
+    k_1 < 2^bits, so no digit carries into the next and every partial sum
+    of H stays below 2^((d+1) bits): int32 holds it when (d+1) bits <= 31
+    and int64 when it is <= 63; past that the certificate is refused.  H == EXP[C] with EXP[j] = H[0, w_j]
+    for a witness pair (0, w_j) of R_j states A_1 A_i = sum_j
+    digit_i(EXP[j]) A_j for every i at once, and the digits must then be
+    tridiagonal in (i, j).
     """
     d, n = rel.d, rel.n
     if d == 0:
         return [(0, 0, 1)]
-    if n >= _FLOAT64_EXACT:
-        raise ValueError(f"n = {n} is not below 2^53; float64 products would not be exact")
-    witness = _witnesses(rel)
     C = rel.codim
-    A1 = (C == 1).astype(np.float64)
-    if not np.array_equal(A1, A1.T):
+    if C.min() < 0 or C.max() > d:
+        raise SchemeError(f"a codimension lies outside 0..{d}")
+    A1 = C == 1
+    degree = np.count_nonzero(A1, axis=1)
+    if (degree != degree[0]).any():
+        raise SchemeError("relation 1 is not regular")
+    k = int(degree[0])
+    N = np.nonzero(A1)[1].reshape(n, k)  # row-major, so row x holds the neighbours of x
+    del A1  # n^2 bytes, freed before P is built
+    if (C[N, np.arange(n)[:, None]] != 1).any():
         raise SchemeError("A_1 is not symmetric")
-    window = {0: np.eye(n), 1: A1}  # A_(i-1), A_i, A_(i+1)
+    bits = k.bit_length()
+    if (d + 1) * bits > 63:
+        raise ValueError(f"{d + 1} digits of {bits} bits do not fit in int64")
+    dtype = np.int32 if (d + 1) * bits <= 31 else np.int64
+    P = (1 << (bits * np.arange(d + 1))).astype(dtype)[C]  # take() would copy C to intp first
+    witness = _witnesses(rel)
+    EXP = P[N[0]].sum(axis=0, dtype=dtype)[witness]
+    step = max(1, _BLOCK_BYTES // (P.itemsize * k * n))
+    for r in range(0, n, step):
+        H = P[N[r : r + step]].sum(axis=1, dtype=dtype)
+        if (H != EXP[C[r : r + step]]).any():
+            raise SchemeError(
+                "some A_1 A_i is not constant on a relation: the relations are not an association scheme"
+            )
+    mask = (1 << bits) - 1
+    digit = [[int(e) >> (bits * i) & mask for e in EXP] for i in range(d + 1)]  # digit[i][j] = p^j_1i
     array = []
     for i in range(d + 1):
-        window.pop(i - 2, None)
-        if i < d and i + 1 not in window:
-            window[i + 1] = (C == i + 1).astype(np.float64)
-        M = A1 @ window[i]
-        coef = {j: int(M[0, witness[j]]) for j in (i - 1, i, i + 1) if j in window}
-        for j, x in coef.items():
-            M -= x * window[j]
-        if M.any():
+        if any(digit[i][j] for j in range(d + 1) if abs(i - j) > 1):
             raise SchemeError(
                 f"A_1 A_{i} is not a combination of A_{i - 1}, A_{i}, A_{i + 1}: "
                 "the relations are not the distance classes of A_1"
             )
-        if coef.get(i + 1) == 0:
+        if i < d and digit[i][i + 1] == 0:
             raise SchemeError(f"c_{i + 1} = 0: relation {i + 1} is not at distance {i + 1}")
-        array.append((coef.get(i - 1, 0), coef[i], coef.get(i + 1, 1)))
+        array.append((digit[i][i - 1] if i else 0, digit[i][i], digit[i][i + 1] if i < d else 1))
     return array
 
 
@@ -211,7 +236,8 @@ def eigenspace_support(v, rel: RelationData, eig: EigenData) -> frozenset[int]:
     w = den v and D Q are integer, and S = (D Q)^T [A_i w]_i has rows
     S[j] = D den n E_j v: the support is the set of nonzero rows of S.  Also
     checks sum_j S[j] = D n w (sum_j E_j v = v), which must hold identically.
-    The images A_i w are read off rel.codim in row blocks of BLOCK_ENTRIES.
+    D and D Q come from eig.scaled_Q, computed once per EigenData.  The
+    images A_i w are read off rel.codim in row blocks of BLOCK_ENTRIES.
 
     Entrywise sum_i |A_i w| <= n max|w|, so every entry and partial sum is at
     most max|w| n (d+1) max(D, max|D Q|) in absolute value; below 2^63 the
@@ -220,13 +246,11 @@ def eigenspace_support(v, rel: RelationData, eig: EigenData) -> frozenset[int]:
     n, d = rel.n, rel.d
     if len(v) != n:
         raise ValueError(f"vector length {len(v)} != {n}")
-    v = [Fraction(x) for x in v]
+    v = [x if type(x) in (int, Fraction) else Fraction(x) for x in v]
     # Lists, not generators: CPython parks each resized argument tuple on its free list.
     den = lcm(*[x.denominator for x in v])
     w = [x.numerator * (den // x.denominator) for x in v]
-    D = lcm(*[Fraction(x).denominator for row in eig.Q for x in row])
-    DQ = [[int(x * D) for x in row] for row in eig.Q]
-    top = max(D, *(abs(x) for row in DQ for x in row))
+    D, DQ, top = eig.scaled_Q
     dtype = np.int64 if max(1, *map(abs, w)) * n * (d + 1) * top < _INT64_EXACT else object
     W = np.array(w, dtype=dtype)
     C = rel.codim

@@ -15,6 +15,7 @@ import os
 import struct
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .geom import (
     catalog_from_bases,
     enumerate_generators,
     polar_space_make,
-    rref,
+    rref_batch,
 )
 from .qcount import (
     disjointness_eigenvalue,
@@ -62,35 +63,45 @@ def _payload_width(ps: PolarSpace) -> int:
     return max(1, ((ps.field.p**digits - 1).bit_length() + 7) // 8)
 
 
-def _encode_basis(ps: PolarSpace, basis) -> bytes:
-    p, k = ps.field.p, ps.field.k
-    value = 0
-    mult = 1
-    for row in basis:
-        for code in row:
-            for _ in range(k):
-                value += (code % p) * mult
-                code //= p
-                mult *= p
-    return value.to_bytes(_payload_width(ps), "little")
+def _pack_bases(ps: PolarSpace, codes: np.ndarray) -> bytes:
+    """The payloads of a (count, d nv) array of field codes, row by row.
+
+    Payload b is sum_c codes[b, c] q^c, that is the base-p digits of every
+    code of the basis, row-major and lowest first, in _payload_width
+    little-endian bytes.  Payloads of at most 8 bytes are built in uint64,
+    wider ones on Python ints (object dtype).
+    """
+    width = _payload_width(ps)
+    dtype = np.uint64 if width <= 8 else object
+    values = np.zeros(len(codes), dtype=dtype)
+    for col in codes.T[::-1].astype(dtype):
+        values = values * ps.q + col
+    if dtype is object:
+        return b"".join(int(v).to_bytes(width, "little") for v in values)
+    return values.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
 
 
-def _decode_basis(ps: PolarSpace, blob: bytes):
-    p, k = ps.field.p, ps.field.k
-    value = int.from_bytes(blob, "little")
-    rows = []
-    for _ in range(ps.d):
-        row = []
-        for _ in range(ps.nv):
-            code = 0
-            mult = 1
-            for _ in range(k):
-                code += (value % p) * mult
-                value //= p
-                mult *= p
-            row.append(code)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _unpack_bases(ps: PolarSpace, raw: bytes, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of _pack_bases on the first ``count`` payloads of raw.
+
+    Returns the (count, d nv) int32 codes and a boolean per payload that is
+    True when a nonzero quotient is left after the last digit: the payload
+    has digits beyond its d x nv entries.  Every payload of at most 8 bytes
+    is below 2^64, so uint64 unpacks it exactly; wider ones are Python ints.
+    """
+    width = _payload_width(ps)
+    if width <= 8:
+        padded = np.zeros((count, 8), dtype=np.uint8)
+        padded[:, :width] = np.frombuffer(raw, dtype=np.uint8, count=count * width).reshape(count, width)
+        values = padded.view("<u8")[:, 0]
+    else:
+        blobs = [raw[i : i + width] for i in range(0, count * width, width)]
+        values = np.array([int.from_bytes(b, "little") for b in blobs], dtype=object)
+    codes = np.empty((count, ps.d * ps.nv), dtype=np.int32)
+    for c in range(codes.shape[1]):
+        codes[:, c] = values % ps.q
+        values //= ps.q
+    return codes, values != 0
 
 
 def cache_dir() -> Path:
@@ -115,8 +126,8 @@ def cache_write(cat: GeneratorCatalog, path=None, rel: RelationData | None = Non
             _FAMILY_CODE[ps.family], ps.d, ps.field.p, ps.field.k, cat.n, 1 if rel else 0
         )
     )
-    for g in cat.generators:
-        out.append(_encode_basis(ps, g.basis))
+    codes = np.array([g.basis for g in cat.generators], dtype=np.int64).reshape(cat.n, ps.d * ps.nv)
+    out.append(_pack_bases(ps, codes))
     if rel is not None:
         for i in range(ps.d + 1):
             out.append(np.packbits(rel.codim == i, axis=1, bitorder="little").tobytes())
@@ -137,9 +148,16 @@ def cache_read(path, expected: tuple[str, int, int, int]):
     command reads it.  Refuses descriptor mismatches, a flag byte other than
     0 or 1, truncated payloads and trailing bytes, and every generator list
     that enumeration could not have written: a basis whose bytes are not its
-    encoding, that is not canonical reduced row-echelon form of dimension d,
-    whose rows are not pairwise orthogonal singular points or whose point
-    set is not [d]_q points, and bases that are not strictly increasing.
+    encoding (digits beyond its d x nv entries), that is not canonical
+    reduced row-echelon form of dimension d, whose rows are not pairwise
+    orthogonal singular points or whose point set is not [d]_q points, and
+    bases that are not strictly increasing.  The first offending basis is
+    named.
+
+    All bases are checked together: one base-q digit unpack of the payload
+    array (_unpack_bases), one rref_batch whose forms and ranks must equal
+    the bases and d, and one comparison of each pair of consecutive bases at
+    the first column where they differ.
     """
     blob = Path(path).read_bytes()
     if blob[: len(MAGIC)] != MAGIC:
@@ -160,21 +178,28 @@ def cache_read(path, expected: tuple[str, int, int, int]):
     ps = polar_space_make(family, d, p**k)
     if count != num_generators(family, d, ps.q):
         raise CacheError(f"{path}: generator count {count} contradicts the closed formula")
-    width = _payload_width(ps)
-    need = off + count * width
+    need = off + count * _payload_width(ps)
     if len(blob) < need:
         raise CacheError(f"{path}: truncated generator payload")
-    bases = []
-    for i in range(count):
-        chunk = blob[off + i * width : off + (i + 1) * width]
-        basis = _decode_basis(ps, chunk)
-        if _encode_basis(ps, basis) != chunk:
+    codes, beyond = _unpack_bases(ps, memoryview(blob)[off:need], count)
+    stack = codes.reshape(count, d, ps.nv)
+    R, rank = rref_batch(ps.field, stack)
+    canonical = (rank == d) & (R == stack).all(axis=(1, 2))
+    increasing = np.ones(count, dtype=bool)
+    if count > 1:  # basis i is above basis i - 1 where the first column they differ in is larger
+        later, earlier = codes[1:], codes[:-1]
+        differ = later != earlier
+        rows, first = np.arange(count - 1), differ.argmax(axis=1)
+        increasing[1:] = differ[rows, first] & (later[rows, first] > earlier[rows, first])
+    bad = np.flatnonzero(beyond | ~canonical | ~increasing)
+    if bad.size:
+        i = int(bad[0])
+        if beyond[i]:
             raise CacheError(f"{path}: basis {i} has digits beyond its {d} x {ps.nv} entries")
-        if rref(ps.field, basis) != basis:
+        if not canonical[i]:
             raise CacheError(f"{path}: basis {i} is not canonical reduced row-echelon form of dimension {d}")
-        if bases and basis <= bases[-1]:
-            raise CacheError(f"{path}: bases are not strictly increasing at basis {i}")
-        bases.append(basis)
+        raise CacheError(f"{path}: bases are not strictly increasing at basis {i}")
+    bases = [tuple(map(tuple, m)) for m in stack.tolist()]
     try:
         cat = catalog_from_bases(ps, bases)
     except ValueError as exc:
@@ -481,7 +506,9 @@ def cmd_summary(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="polarb",
         description="Exact computations on finite classical polar spaces: catalogs, "

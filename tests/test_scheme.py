@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarb import scheme
+from polarb.checks import ACCEPTANCE_INSTANCES
 from polarb.geom import bits_to_masks
 from polarb.qcount import eigen_data
 from polarb.scheme import (
@@ -166,6 +167,63 @@ def test_moved_pair_breaks_the_certificate(relations, space, src, dst):
         check_intersection_numbers(bad)
     with pytest.raises(SchemeError):
         verify_spectrum(bad, eigen_data(*space))
+
+
+def _reference_intersection_array(rel):
+    """The intersection array by dense float64 products A_1 A_i, each compared
+    with the combination of A_(i-1), A_i, A_(i+1) read off the witnesses.
+    Every entry and partial sum is an integer at most n < 2^53, so exact."""
+    d, n = rel.d, rel.n
+    if d == 0:
+        return [(0, 0, 1)]
+    witness = scheme._witnesses(rel)
+    C = rel.codim
+    A1 = (C == 1).astype(np.float64)
+    assert np.array_equal(A1, A1.T)
+    window = {0: np.eye(n), 1: A1}  # A_(i-1), A_i, A_(i+1)
+    array = []
+    for i in range(d + 1):
+        window.pop(i - 2, None)
+        if i < d and i + 1 not in window:
+            window[i + 1] = (C == i + 1).astype(np.float64)
+        M = A1 @ window[i]
+        coef = {j: int(M[0, witness[j]]) for j in (i - 1, i, i + 1) if j in window}
+        for j, x in coef.items():
+            M -= x * window[j]
+        assert not M.any() and coef.get(i + 1) != 0
+        array.append((coef.get(i - 1, 0), coef[i], coef.get(i + 1, 1)))
+    return array
+
+
+@pytest.mark.parametrize("space", ACCEPTANCE_INSTANCES + (("Qminus", 3, 2),))
+def test_packed_certificate_matches_float64_reference(relations, space):
+    rel = relations(*space)
+    assert scheme._intersection_array(rel) == _reference_intersection_array(rel)
+
+
+def test_irregular_a1_row_is_a_scheme_error(relations):
+    # Moving one pair of R_1 to R_2 leaves two rows of A_1 one neighbour short.
+    bad = _moved_pair(relations("W", 2, 3), 1, 2)
+    with pytest.raises(SchemeError, match="relation 1 is not regular"):
+        scheme._intersection_array(bad)
+
+
+@pytest.mark.parametrize("value", [-1, 3])
+def test_codimension_outside_0_to_d_is_a_scheme_error(relations, value):
+    # A negative entry would otherwise index the digit table from its end.
+    rel = relations("W", 2, 3)
+    C = rel.codim.copy()
+    C[0, 1] = C[1, 0] = value
+    with pytest.raises(SchemeError, match="outside 0..2"):
+        scheme._intersection_array(RelationData(cat=rel.cat, codim=C, valencies=rel.valencies))
+
+
+def test_digit_gate_refuses_more_than_63_bits():
+    # One edge as R_1 (k_1 = 1, one bit per digit) and d = 63: 64 digits.
+    cat = SimpleNamespace(n=2, space=SimpleNamespace(d=63))
+    rel = RelationData(cat=cat, codim=np.array([[0, 1], [1, 0]], dtype=np.int8), valencies=(1, 1) + (0,) * 62)
+    with pytest.raises(ValueError, match="do not fit in int64"):
+        scheme._intersection_array(rel)
 
 
 def test_disconnected_relation_is_rejected():

@@ -100,11 +100,54 @@ def test_cache_rejects_corruption(catalog, tmp_path):
         cache_read(bad, descriptor(cat))
 
 
+def _reference_payload(ps, basis):
+    """One basis as the cache stores it, digit by digit: the base-p digits
+    of its codes, row-major and lowest first, as a little-endian integer."""
+    p, k = ps.field.p, ps.field.k
+    value, mult = 0, 1
+    for row in basis:
+        for code in row:
+            for _ in range(k):
+                value += (code % p) * mult
+                code //= p
+                mult *= p
+    return value.to_bytes(shell._payload_width(ps), "little")
+
+
 def _write_bases(cat, bases, path):
     """A cache file holding ``bases`` in place of the catalog's generators."""
     ps = cat.space
     header = shell._HEADER.pack(shell._FAMILY_CODE[ps.family], ps.d, ps.field.p, ps.field.k, len(bases), 0)
-    path.write_bytes(shell.MAGIC + header + b"".join(shell._encode_basis(ps, b) for b in bases))
+    path.write_bytes(shell.MAGIC + header + b"".join(_reference_payload(ps, b) for b in bases))
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        ("Qplus", 3, 2),
+        ("Qplus", 6, 2),  # 72 bits: 9 bytes, no spare bit
+        ("W", 2, 3),
+        ("Qparabolic", 4, 3),  # 36 base-3 digits fill 8 bytes
+        ("Heven", 2, 4),
+        ("W", 2, 7),
+        ("Hodd", 2, 9),
+        ("Hodd", 4, 9),  # 32 base-9 digits: 13 bytes, Python ints
+    ],
+)
+def test_payload_codec_round_trip(space):
+    ps = geom.polar_space_make(*space)
+    width, digits = shell._payload_width(ps), ps.d * ps.nv
+    rng = np.random.default_rng(len(repr(space)) * ps.q)
+    codes = rng.integers(0, ps.q, size=(40, digits))
+    codes[0], codes[1] = 0, ps.q - 1
+    raw = shell._pack_bases(ps, codes)
+    assert raw == b"".join(_reference_payload(ps, row.reshape(ps.d, ps.nv).tolist()) for row in codes)
+    back, beyond = shell._unpack_bases(ps, raw, len(codes))
+    assert back.tolist() == codes.tolist() and not beyond.any()
+    if 256**width > ps.q**digits:  # a payload of all ones lies past the last digit
+        flipped = b"\xff" * width + raw[width:]
+        _, beyond = shell._unpack_bases(ps, flipped, len(codes))
+        assert beyond.tolist() == [True] + [False] * (len(codes) - 1)
 
 
 def _swap_first_two(bases):
@@ -366,3 +409,28 @@ def test_cli_verify_json_schema(capsys):
     assert payload["check_id"] == "thm16"
     assert payload["status"] == "pass"
     assert isinstance(payload["details"], list)
+
+
+def test_memoized_parser_behaves_like_a_fresh_one(capsys, monkeypatch):
+    # --json on then off, --limit given then left at its default, across subcommands.
+    argvs = [
+        ["enum", "W", "2", "2", "--limit", "100", "--json"],
+        ["scheme", "W", "2", "2", "--check", "--json"],
+        ["scheme", "W", "2", "2"],
+        ["search", "max-pairs", "W", "2", "2", "--limit", "3", "--json"],
+        ["search", "max-pairs", "W", "2", "2"],
+        ["info", "W", "2", "3", "--json"],
+        ["summary", "--q", "3"],
+        ["summary"],
+    ]
+    assert shell.build_parser() is shell.build_parser()
+    fresh = shell.build_parser.__wrapped__
+    for argv in argvs:
+        assert vars(shell.build_parser().parse_args(argv)) == vars(fresh().parse_args(argv))
+    memoized = []
+    for argv in argvs:
+        memoized.append((main(argv), capsys.readouterr()))
+    monkeypatch.setattr(shell, "build_parser", fresh)
+    for argv, want in zip(argvs, memoized):
+        assert (main(argv), capsys.readouterr()) == want
+    assert memoized[3][0] == 2 and memoized[4][0] == 0
