@@ -162,11 +162,10 @@ class EigenData:
     valencies: tuple[int, ...]
 
     @cached_property
-    def scaled_Q(self) -> tuple[int, tuple[tuple[int, ...], ...], int]:
-        """(D, D Q, max(D, max |D Q|)) with D the least common denominator of Q."""
+    def scaled_Q(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, D Q) with D the least common denominator of Q."""
         D = lcm(*[x.denominator for row in self.Q for x in row])
-        DQ = tuple(tuple(int(x * D) for x in row) for row in self.Q)
-        return D, DQ, max(D, *(abs(x) for row in DQ for x in row))
+        return D, tuple(tuple(int(x * D) for x in row) for row in self.Q)
 
 
 def eigen_data(family: str, d: int, q: int) -> EigenData:

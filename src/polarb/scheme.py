@@ -28,7 +28,8 @@ _FLOAT32_EXACT = 1 << 24
 _INT64_EXACT = 1 << 63
 # Bytes of the numpy temporaries of one block in this module's row-blocked loops:
 # the float32 common point counts with their int32 copy, or the certificate's
-# gathered neighbour rows.
+# gathered neighbour rows.  A block holds at least one row, so a certificate
+# block is the larger of this and one row's k_1 x n digits.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -250,7 +251,8 @@ def eigenspace_support(v, rel: RelationData, eig: EigenData) -> frozenset[int]:
     # Lists, not generators: CPython parks each resized argument tuple on its free list.
     den = lcm(*[x.denominator for x in v])
     w = [x.numerator * (den // x.denominator) for x in v]
-    D, DQ, top = eig.scaled_Q
+    D, DQ = eig.scaled_Q
+    top = max(D, *[abs(x) for row in DQ for x in row])
     dtype = np.int64 if max(1, *map(abs, w)) * n * (d + 1) * top < _INT64_EXACT else object
     W = np.array(w, dtype=dtype)
     C = rel.codim

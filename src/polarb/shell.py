@@ -27,6 +27,7 @@ from .geom import (
     ENUM_LIMIT_DEFAULT,
     GeneratorCatalog,
     PolarSpace,
+    _bases,
     catalog_from_bases,
     enumerate_generators,
     polar_space_make,
@@ -68,17 +69,13 @@ def _pack_bases(ps: PolarSpace, codes: np.ndarray) -> bytes:
 
     Payload b is sum_c codes[b, c] q^c, that is the base-p digits of every
     code of the basis, row-major and lowest first, in _payload_width
-    little-endian bytes.  Payloads of at most 8 bytes are built in uint64,
-    wider ones on Python ints (object dtype).
+    little-endian bytes, built on Python ints (object dtype).
     """
     width = _payload_width(ps)
-    dtype = np.uint64 if width <= 8 else object
-    values = np.zeros(len(codes), dtype=dtype)
-    for col in codes.T[::-1].astype(dtype):
+    values = np.zeros(len(codes), dtype=object)
+    for col in codes.T[::-1].astype(object):
         values = values * ps.q + col
-    if dtype is object:
-        return b"".join(int(v).to_bytes(width, "little") for v in values)
-    return values.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
+    return b"".join(int(v).to_bytes(width, "little") for v in values)
 
 
 def _unpack_bases(ps: PolarSpace, raw: bytes, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,17 +83,11 @@ def _unpack_bases(ps: PolarSpace, raw: bytes, count: int) -> tuple[np.ndarray, n
 
     Returns the (count, d nv) int32 codes and a boolean per payload that is
     True when a nonzero quotient is left after the last digit: the payload
-    has digits beyond its d x nv entries.  Every payload of at most 8 bytes
-    is below 2^64, so uint64 unpacks it exactly; wider ones are Python ints.
+    has digits beyond its d x nv entries.
     """
     width = _payload_width(ps)
-    if width <= 8:
-        padded = np.zeros((count, 8), dtype=np.uint8)
-        padded[:, :width] = np.frombuffer(raw, dtype=np.uint8, count=count * width).reshape(count, width)
-        values = padded.view("<u8")[:, 0]
-    else:
-        blobs = [raw[i : i + width] for i in range(0, count * width, width)]
-        values = np.array([int.from_bytes(b, "little") for b in blobs], dtype=object)
+    starts = range(0, count * width, width)
+    values = np.array([int.from_bytes(raw[i : i + width], "little") for i in starts], dtype=object)
     codes = np.empty((count, ps.d * ps.nv), dtype=np.int32)
     for c in range(codes.shape[1]):
         codes[:, c] = values % ps.q
@@ -199,9 +190,8 @@ def cache_read(path, expected: tuple[str, int, int, int]):
         if not canonical[i]:
             raise CacheError(f"{path}: basis {i} is not canonical reduced row-echelon form of dimension {d}")
         raise CacheError(f"{path}: bases are not strictly increasing at basis {i}")
-    bases = [tuple(map(tuple, m)) for m in stack.tolist()]
     try:
-        cat = catalog_from_bases(ps, bases)
+        cat = catalog_from_bases(ps, _bases(stack))
     except ValueError as exc:
         raise CacheError(f"{path}: {exc}") from exc
     if has_rel:

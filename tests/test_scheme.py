@@ -218,6 +218,16 @@ def test_codimension_outside_0_to_d_is_a_scheme_error(relations, value):
         scheme._intersection_array(RelationData(cat=rel.cat, codim=C, valencies=rel.valencies))
 
 
+def test_asymmetric_a1_is_a_scheme_error():
+    # A_1 is the directed 3-cycle 0 -> 1 -> 2 -> 0: regular, with C in 0..2
+    # and A_0 = I, but C[1, 0] = 2, so 1 is not a neighbour of its neighbour 0.
+    cat = SimpleNamespace(n=3, space=SimpleNamespace(d=2))
+    C = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]], dtype=np.int8)
+    rel = RelationData(cat=cat, codim=C, valencies=(1, 1, 1))
+    with pytest.raises(SchemeError, match="A_1 is not symmetric"):
+        scheme._intersection_array(rel)
+
+
 def test_digit_gate_refuses_more_than_63_bits():
     # One edge as R_1 (k_1 = 1, one bit per digit) and d = 63: 64 digits.
     cat = SimpleNamespace(n=2, space=SimpleNamespace(d=63))

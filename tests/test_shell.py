@@ -131,7 +131,7 @@ def _write_bases(cat, bases, path):
         ("Heven", 2, 4),
         ("W", 2, 7),
         ("Hodd", 2, 9),
-        ("Hodd", 4, 9),  # 32 base-9 digits: 13 bytes, Python ints
+        ("Hodd", 4, 9),  # 32 base-9 digits: 13 bytes, past 2^64
     ],
 )
 def test_payload_codec_round_trip(space):
