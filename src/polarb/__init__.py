@@ -11,14 +11,12 @@ from .geom import (
     GeneratorCatalog,
     PolarSpace,
     Subspace,
-    codim_intersection,
     enumerate_generators,
     generators_through,
     is_singular,
     is_totally_isotropic,
     perp,
     polar_space_make,
-    quotient_map,
 )
 from .qcount import (
     EigenData,
@@ -36,7 +34,6 @@ from .scheme import RelationData, build_relations, check_intersection_numbers, e
 from .specbound import (
     BoundReport,
     classical_bound,
-    hermitian_cross_bound,
     hermitian_cross_report,
     hermitian_ekr_bound,
     hermitian_params,

@@ -1,8 +1,9 @@
 """Maximal cross-intersecting pairs by complete bit-vector search, plus the
 computational verifications of the classification statements.
 
-The disjointness graph is kept as packed bit rows.  A pair (Y, Z) with no
-edges between the sides is maximal exactly when Y and Z are fixed by the
+The graph is kept as packed bit rows of one relation, "x meets y"; two
+generators are disjoint exactly when they do not meet.  A pair (Y, Z) with
+every y meeting every z is maximal exactly when Y and Z are fixed by the
 non-neighborhood closure Y = nonN(Z), Z = nonN(Y).  Because "x meets y" is
 symmetric, these fixed points are the formal concepts of the context
 (generators, generators, meet), and Close-by-One (Kuznetsov 1993; the
@@ -34,6 +35,7 @@ from .geom import (
     enumerate_subspaces_within,
     generators_through,
     intersect_bases,
+    perp,
     polar_space_make,
     rref,
     rref_batch,
@@ -45,12 +47,12 @@ from .scheme import SchemeError, common_point_counts
 
 @dataclass(eq=False)
 class CrossGraph:
-    """Disjointness graph of a catalog with closed non-neighborhood rows."""
+    """Disjointness graph of a catalog, held as its closed non-neighborhood
+    rows: x and y are disjoint exactly when bit y of nonn[x] is clear."""
 
     cat: GeneratorCatalog
     n: int
-    adj: tuple[int, ...]  # adj[x] = bitmask of generators disjoint from x
-    nonn: tuple[int, ...]  # complement rows, vertex itself included
+    nonn: tuple[int, ...]  # nonn[x] = bitmask of generators meeting x, x included
 
     def nonn_of(self, ids) -> int:
         """nonN of the vertex set ``ids``: the vertices meeting all of them."""
@@ -61,18 +63,6 @@ class CrossGraph:
         """bipartition_latins_greeks of the catalog, computed on first use."""
         return bipartition_latins_greeks(self.cat)
 
-    @cached_property
-    def adj_is_complement(self) -> bool:
-        """adj[x] == full ^ nonn[x] for every x, checked once per graph.
-
-        Then no fixed point Z = nonN(Y) has an edge between its sides: z in Z
-        lies in nonn[y], hence not in adj[y], for every y in Y.
-        """
-        full = (1 << self.n) - 1
-        return len(self.adj) == len(self.nonn) == self.n and all(
-            a == full ^ row for a, row in zip(self.adj, self.nonn)
-        )
-
 
 def cross_graph(cat: GeneratorCatalog) -> CrossGraph:
     """nonn[x] is the OR, over the points p of x, of the generators through p."""
@@ -82,8 +72,7 @@ def cross_graph(cat: GeneratorCatalog) -> CrossGraph:
         for p in bit_indices(pmask):
             through[p] |= 1 << x
     nonn = tuple(reduce(or_, map(through.__getitem__, bit_indices(pmask)), 0) for pmask in cat.point_masks)
-    full = (1 << n) - 1
-    return CrossGraph(cat=cat, n=n, adj=tuple(full ^ row for row in nonn), nonn=nonn)
+    return CrossGraph(cat=cat, n=n, nonn=nonn)
 
 
 @dataclass(frozen=True)
@@ -111,14 +100,12 @@ def cross_closure(z, g: CrossGraph) -> CrossPairCertificate:
 def _certificate(g: CrossGraph, ymask: int, yids, zmask: int) -> CrossPairCertificate:
     """Certificate of the pair (Y, Z) for a Z = nonN(Y) the caller computed.
 
-    Checks the other fixed-point equation, nonN(Z) = Y, then the graph's
-    once-per-graph complement check, which rules out an edge between the sides.
+    Checks the other fixed-point equation, nonN(Z) = Y.  Disjointness is the
+    complement of nonn, so every z in Z = nonN(Y) meets every y in Y.
     """
     zids = bit_indices(zmask)
     if g.nonn_of(zids) != ymask:
         raise AssertionError("closure did not reach a fixed point")
-    if not g.adj_is_complement:
-        raise AssertionError("adj is not the complement of nonn: an edge may join the two sides")
     if len(yids) < len(zids) or (len(yids) == len(zids) and ymask > zmask):
         yids, zids = zids, yids
     return CrossPairCertificate(
@@ -201,7 +188,7 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
 def classify_pair(yids, zids, g: CrossGraph) -> str:
     """Best-effort family label; reporting only, set identities carry the proofs."""
     cat = g.cat
-    family = cat.space.q and cat.space.family
+    family = cat.space.family
     ny, nz = len(yids), len(zids)
     if nz == 0:
         return "whole-vs-empty"
@@ -215,10 +202,11 @@ def classify_pair(yids, zids, g: CrossGraph) -> str:
     if family == "Qplus":
         if {tuple(sorted(yids)), tuple(sorted(zids))} == set(g.latins_greeks):
             return "latins-greeks"
-    if nz == 2 and (g.adj[zids[0]] >> zids[1]) & 1:
+    nonn = g.nonn
+    if nz == 2 and not nonn[zids[0]] >> zids[1] & 1:
         return "two-line-transversal"
-    y_disjoint = all((g.adj[a] >> b) & 1 for i, a in enumerate(yids) for b in yids[i + 1 :])
-    z_disjoint = all((g.adj[a] >> b) & 1 for i, a in enumerate(zids) for b in zids[i + 1 :])
+    y_disjoint = not any(nonn[a] >> b & 1 for i, a in enumerate(yids) for b in yids[i + 1 :])
+    z_disjoint = not any(nonn[a] >> b & 1 for i, a in enumerate(zids) for b in zids[i + 1 :])
     if y_disjoint and z_disjoint and ny == nz:
         if family in ("Qparabolic", "W"):
             return "hyperbolic-subgeometry"
@@ -316,8 +304,6 @@ def verify_zgh(cat: GeneratorCatalog, pair: CrossPairCertificate, gidx: int, hid
     z_meet = [z for z in pair.z if dim_of[(pm[gidx] & pm[z]).bit_count()] == d - 1]
     details = [f"elements of Z meeting G in dim {d - 1}: {len(z_meet)} (expected {expected})"]
     ok = len(z_meet) == expected
-    from .geom import perp
-
     built = set()
     single_points = True
     for pi in enumerate_subspaces_within(ps, G.basis, d - 1):
@@ -376,21 +362,22 @@ def verify_w3_triples(q: int) -> dict:
     ps = polar_space_make("W", 2, q)
     cat = enumerate_generators(ps)
     g = cross_graph(cat)
-    n = g.n
+    n, nonn = g.n, g.nonn
+    full = (1 << n) - 1
     counts: dict[int, int] = {}
     for a in range(n):
-        rest_a = g.adj[a] >> (a + 1) << (a + 1)
+        rest_a = (full ^ nonn[a]) >> (a + 1) << (a + 1)
         ma = rest_a
         while ma:
             lsb = ma & -ma
             ma ^= lsb
             b = lsb.bit_length() - 1
-            mb = (g.adj[b] & rest_a) >> (b + 1) << (b + 1)
+            mb = rest_a & ~nonn[b] >> (b + 1) << (b + 1)
             while mb:
                 lsb2 = mb & -mb
                 mb ^= lsb2
                 c = lsb2.bit_length() - 1
-                t = (g.nonn[a] & g.nonn[b] & g.nonn[c]).bit_count()
+                t = (nonn[a] & nonn[b] & nonn[c]).bit_count()
                 counts[t] = counts.get(t, 0) + 1
     triples = sum(counts.values())
     details = [f"disjoint triples: {triples}", f"transversal counts: {dict(sorted(counts.items()))}"]

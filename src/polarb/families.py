@@ -45,10 +45,6 @@ def normalize_family(name: str) -> str:
     return _ALIASES[key]
 
 
-def is_hermitian(family: str) -> bool:
-    return family in HERMITIAN
-
-
 def ambient_dim(family: str, d: int) -> int:
     """Vector space dimension of the ambient space for rank d."""
     if family in ("Qplus", "W", "Hodd"):

@@ -146,9 +146,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of 0 in a finite field")
         return self.exp[(-self.log[a]) % (self.order - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     @property
     def has_conjugation(self) -> bool:
         return self.k % 2 == 0

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .families import HERMITIAN, ORTHOGONAL, TAU, ambient_dim
+from .families import HERMITIAN, ORTHOGONAL, TAU, ambient_dim, space_label
 from .ff import FieldSpec, field_make, field_of_order
 from .qcount import nbracket, num_generators, num_points
 
@@ -112,16 +112,6 @@ def rref_insert(fld: FieldSpec, basis: tuple[Vector, ...], v: Vector):
     return tuple(tuple(row) for row in new_rows)
 
 
-def in_span(fld: FieldSpec, basis: tuple[Vector, ...], v: Vector) -> bool:
-    vv = list(v)
-    for row in basis:
-        p = next(i for i, x in enumerate(row) if x)
-        if vv[p]:
-            coef = vv[p]
-            vv = [fld.sub(x, fld.mul(coef, y)) for x, y in zip(vv, row)]
-    return not any(vv)
-
-
 def nullspace(fld: FieldSpec, rows, ncols: int) -> tuple[Vector, ...]:
     """Canonical basis of {v : sum_t row[t]*v[t] = 0 for every row}."""
     R = rref(fld, rows) if rows else ()
@@ -135,26 +125,6 @@ def nullspace(fld: FieldSpec, rows, ncols: int) -> tuple[Vector, ...]:
             v[p] = fld.neg(row[f])
         basis.append(tuple(v))
     return rref(fld, basis)
-
-
-def solve_in_rows(fld: FieldSpec, rows: tuple[Vector, ...], target: Vector):
-    """Coefficients a with sum a_i rows_i = target, or None if inconsistent."""
-    m = len(rows)
-    if m == 0:
-        return () if not any(target) else None
-    n = len(target)
-    aug = [[rows[i][c] for i in range(m)] + [target[c]] for c in range(n)]
-    red = rref(fld, aug)
-    coeffs = [0] * m
-    for row in red:
-        p = next(i for i, x in enumerate(row) if x)
-        if p == m:
-            return None
-        coeffs[p] = row[m]
-        if any(row[i] for i in range(p + 1, m)):
-            # rows dependent; generic solve below is not needed at our call sites
-            raise ValueError("solve_in_rows requires independent rows")
-    return tuple(coeffs)
 
 
 def intersect_bases(fld: FieldSpec, A: tuple[Vector, ...], B: tuple[Vector, ...]) -> tuple[Vector, ...]:
@@ -219,8 +189,6 @@ class PolarSpace:
 
     @property
     def label(self) -> str:
-        from .families import space_label
-
         return space_label(self.family, self.d, self.q)
 
 
@@ -781,7 +749,6 @@ class GeneratorCatalog:
 
     space: PolarSpace
     generators: tuple[Subspace, ...]
-    index: dict
     points: tuple[Vector, ...]
     point_index: dict
     point_masks: tuple[int, ...]
@@ -792,13 +759,15 @@ class GeneratorCatalog:
         return len(self.generators)
 
     def mask_of_points_in_span(self, basis: tuple[Vector, ...]) -> int:
-        """Bitmask of catalog points inside an arbitrary (not nec. t.i.) span."""
-        fld = self.space.field
-        mask = 0
-        for j, v in enumerate(self.points):
-            if in_span(fld, basis, v):
-                mask |= 1 << j
-        return mask
+        """Bitmask of the catalog points in the span of the independent rows
+        ``basis``, which need not be totally isotropic: one rref_batch of
+        every [basis; point], of rank len(basis) exactly when the point lies
+        in the span."""
+        ps, k = self.space, len(basis)
+        pts = _point_array(ps, self.points)
+        rows = np.broadcast_to(np.array(basis, dtype=np.int32).reshape(k, ps.nv), (len(pts), k, ps.nv))
+        _, rank = rref_batch(ps.field, np.concatenate([rows, pts[:, None]], axis=1))
+        return bits_to_masks([rank == k])[0]
 
 
 def enumerate_generators(ps: PolarSpace, limit: int = ENUM_LIMIT_DEFAULT) -> GeneratorCatalog:
@@ -847,18 +816,11 @@ def _catalog(ps: PolarSpace, pts, orth, bases) -> GeneratorCatalog:
     return GeneratorCatalog(
         space=ps,
         generators=gens,
-        index={g.basis: i for i, g in enumerate(gens)},
         points=pts,
         point_index=pt_index,
         point_masks=tuple(masks),
         _dim_of_count=dim_of_count,
     )
-
-
-def codim_intersection(i: int, j: int, cat: GeneratorCatalog) -> int:
-    """d - dim(g_i ∩ g_j), read off the shared point count."""
-    common = (cat.point_masks[i] & cat.point_masks[j]).bit_count()
-    return cat.space.d - cat._dim_of_count[common]
 
 
 # ---------------------------------------------------------------------------
@@ -868,20 +830,10 @@ def codim_intersection(i: int, j: int, cat: GeneratorCatalog) -> int:
 
 @dataclass(eq=False)
 class QuotientGeometry:
-    """The polar space perp(L)/L with explicit project/lift maps."""
+    """The polar space perp(L)/L with its lift map."""
 
-    base: PolarSpace
-    L: Subspace
     lift_rows: tuple[Vector, ...]  # complement of L inside perp(L)
     space: PolarSpace
-
-    def project_vector(self, v: Vector) -> Vector:
-        """Coordinates of v + L over the complement basis (v must lie in perp(L))."""
-        rows = self.L.basis + self.lift_rows
-        coeffs = solve_in_rows(self.base.field, rows, v)
-        if coeffs is None:
-            raise ValueError("vector is not in perp(L)")
-        return coeffs[self.L.dim :]
 
 
 def quotient_geometry(L: Subspace, ps: PolarSpace) -> QuotientGeometry:
@@ -909,17 +861,7 @@ def quotient_geometry(L: Subspace, ps: PolarSpace) -> QuotientGeometry:
             for j in range(i + 1, m):
                 quad_q[i][j] = gram_q[i][j]
     qs = _space_from_forms(ps.family, ps.d - L.dim, fld, gram_q, quad_q)
-    return QuotientGeometry(base=ps, L=L, lift_rows=comp_t, space=qs)
-
-
-def quotient_map(L: Subspace, g: Subspace, ps: PolarSpace) -> Subspace:
-    """Image of g in perp(L)/L, i.e. ((g ∩ perp(L)) + L)/L in complement coordinates."""
-    if L.dim >= ps.d and L.basis == g.basis:
-        return Subspace(())
-    qg = quotient_geometry(L, ps)
-    W = intersect_bases(ps.field, g.basis, perp(L, ps).basis)
-    rows = [qg.project_vector(w) for w in W]
-    return Subspace.from_vectors(ps.field, rows)
+    return QuotientGeometry(lift_rows=comp_t, space=qs)
 
 
 def generators_through(S: Subspace, ps: PolarSpace, limit: int = ENUM_LIMIT_DEFAULT) -> list[Subspace]:

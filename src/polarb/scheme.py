@@ -265,9 +265,3 @@ def eigenspace_support(v, rel: RelationData, eig: EigenData) -> frozenset[int]:
     if (S.sum(axis=0) != W * (D * n)).any():
         raise SchemeError("sum of idempotent projections does not reproduce the vector")
     return frozenset(np.flatnonzero((S != 0).any(axis=1)).tolist())
-
-
-def idempotent(rel: RelationData, eig: EigenData, j: int):
-    """E_j[x][y] = Q[C[x, y]][j] / n as a dense matrix of Fractions (desk scale only)."""
-    col = [Fraction(eig.Q[i][j], rel.n) for i in range(rel.d + 1)]
-    return [[col[i] for i in row] for row in rel.codim.tolist()]

@@ -203,14 +203,14 @@ def cache_read(path, expected: tuple[str, int, int, int]):
     return cat
 
 
-def load_catalog(family: str, d: int, q: int, limit: int = ENUM_LIMIT_DEFAULT, use_cache: bool = True):
+def load_catalog(family: str, d: int, q: int, limit: int = ENUM_LIMIT_DEFAULT):
     """Catalog from the cache when a valid file exists, else fresh enumeration.
 
     A rejected cache file is named on stderr with the reason; stdout is not touched.
     """
     ps = polar_space_make(family, d, q)
     path = cache_path(family, d, q)
-    if use_cache and path.exists():
+    if path.exists():
         try:
             return cache_read(path, (family, d, ps.field.p, ps.field.k))
         except CacheError as exc:

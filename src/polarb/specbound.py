@@ -21,6 +21,7 @@ from .ff import field_of_order
 from .qcount import (
     EigenData,
     disjointness_eigenvalue,
+    eigen_data,
     nbracket,
     num_generators,
 )
@@ -44,8 +45,6 @@ class BoundReport:
     lambda_plus: Fraction
     lambda_minus: Fraction
     lambda_b: Fraction
-    plus_indices: tuple[int, ...]
-    minus_indices: tuple[int, ...]
     bound: Fraction
     case: str  # equality case tag: "a", "b" or "c"
     degenerate: bool  # k itself attained outside the all-ones eigenspace
@@ -94,8 +93,6 @@ def hoffman_cross_bound(eigs, n: int, label: str = "") -> BoundReport:
         lambda_plus=lam_plus,
         lambda_minus=lam_minus,
         lambda_b=lam_b,
-        plus_indices=plus_idx,
-        minus_indices=minus_idx,
         bound=bound,
         case=case,
         degenerate=lam_plus == k,
@@ -185,10 +182,6 @@ class WeightedMatrixSpec:
     forced to 0 by Q[0][1] = f1); ``eigenvalues[r]`` the eigenvalue on W_r.
     """
 
-    coeff_disjoint: Fraction
-    coeff_e1: Fraction
-    coeff_j: Fraction
-    coeff_i: Fraction
     entries: tuple[Fraction, ...]
     eigenvalues: tuple[Fraction, ...]
 
@@ -228,30 +221,7 @@ def hermitian_weighted_matrix(params: HermitianParams, eig: EigenData) -> Weight
     )
     if eigenvalues != params.weighted_eigenvalues:
         raise ValueError("weighted spectrum disagrees with the closed forms")
-    return WeightedMatrixSpec(
-        coeff_disjoint=Fraction(1),
-        coeff_e1=-alpha,
-        coeff_j=alpha * f1 * c / n,
-        coeff_i=alpha * f1 * (1 - c) / n,
-        entries=tuple(entries),
-        eigenvalues=eigenvalues,
-    )
-
-
-def hermitian_cross_bound(d: int, q: int) -> Fraction:
-    """Upper bound on sqrt(|Y||Z|) in H(2d-1, q^2): |lambda_b| n / (k + |lambda_b|).
-
-    At d = 2 the even-d alpha forces the weighted matrix to vanish identically
-    (k = lambda_b = 0), leaving the bound formula indeterminate; that case
-    raises, and hermitian_cross_report records it as invalid instead.
-    """
-    p = hermitian_params(d, q)
-    den = p.k + abs(p.lambda_b)
-    if den == 0:
-        raise ValueError(
-            f"weighted matrix for d={d}, q={q} is identically zero; bound undefined"
-        )
-    return abs(p.lambda_b) * p.n / den
+    return WeightedMatrixSpec(entries=tuple(entries), eigenvalues=eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -268,8 +238,12 @@ class HermitianCrossReport:
 
 
 def hermitian_cross_report(d: int, q: int, eig: EigenData | None = None) -> HermitianCrossReport:
-    from .qcount import eigen_data
+    """The weighted bound sqrt(|Y||Z|) <= |lambda_b| n / (k + |lambda_b|) in
+    H(2d-1, q^2), with its weighted matrix and validity conditions.
 
+    At d = 2 the even-d alpha makes the weighted matrix vanish identically
+    (k = lambda_b = 0): the bound is None and the report is not valid.
+    """
     params = hermitian_params(d, q)
     if eig is None:
         eig = eigen_data("Hodd", d, q * q)
@@ -309,7 +283,6 @@ __all__ = [
     "hermitian_params",
     "WeightedMatrixSpec",
     "hermitian_weighted_matrix",
-    "hermitian_cross_bound",
     "HermitianCrossReport",
     "hermitian_cross_report",
     "hermitian_ekr_bound",

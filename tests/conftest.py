@@ -1,23 +1,15 @@
 import pytest
 
-from polarb.geom import enumerate_generators, polar_space_make
+from polarb.checks import _catalog
 from polarb.scheme import build_relations
 
-_CATALOGS = {}
 _RELATIONS = {}
 
 
 @pytest.fixture(scope="session")
 def catalog():
-    """Memoized catalog factory shared by the whole session."""
-
-    def get(family, d, q):
-        key = (family, d, q)
-        if key not in _CATALOGS:
-            _CATALOGS[key] = enumerate_generators(polar_space_make(family, d, q))
-        return _CATALOGS[key]
-
-    return get
+    """Memoized catalog factory, the same memo the named checks use."""
+    return _catalog
 
 
 @pytest.fixture(scope="session")

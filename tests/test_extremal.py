@@ -57,9 +57,8 @@ def _reference_disjointness_rows(cat):
 def test_cross_graph_rows_match_popcount_reference(catalog, family, d, q):
     cat = catalog(family, d, q)
     g = cross_graph(cat)
-    assert g.adj == _reference_disjointness_rows(cat)
-    assert g.nonn == tuple(((1 << cat.n) - 1) ^ row for row in g.adj)
-    assert all(type(row) is int for row in g.adj + g.nonn)
+    assert tuple(((1 << cat.n) - 1) ^ row for row in g.nonn) == _reference_disjointness_rows(cat)
+    assert all(type(row) is int for row in g.nonn)
 
 
 def test_closure_of_empty_set(catalog):
@@ -81,7 +80,7 @@ def test_closure_of_single_line(catalog):
 def test_closure_of_two_meeting_lines_is_a_pencil(catalog):
     g = graph_of(catalog, "Hodd", 2, 4)
     a, b = next(
-        (x, y) for x in range(g.n) for y in range(x + 1, g.n) if not (g.adj[x] >> y) & 1
+        (x, y) for x in range(g.n) for y in range(x + 1, g.n) if (g.nonn[x] >> y) & 1
     )
     cert = cross_closure((a, b), g)
     assert cert.y == cert.z
@@ -89,18 +88,13 @@ def test_closure_of_two_meeting_lines_is_a_pencil(catalog):
     assert cert.sizes == (3, 3)
 
 
-@pytest.mark.parametrize("tamper", ["adj", "nonn"])
+@pytest.mark.parametrize("tamper", ["nonn"])
 def test_certificate_rejects_an_inconsistent_graph(catalog, tamper):
     g = graph_of(catalog, "Hodd", 2, 4)
-    full = (1 << g.n) - 1
     seed = next(j for j in range(1, g.n) if g.nonn[0] >> j & 1)
-    if tamper == "adj":  # every pair marked disjoint: edges between the sides
-        bad = CrossGraph(cat=g.cat, n=g.n, adj=(full,) * g.n, nonn=g.nonn)
-        match = "edge"
-    else:  # vertex 0 meets only itself, but its neighbours still meet 0
-        bad = CrossGraph(cat=g.cat, n=g.n, adj=g.adj, nonn=(1,) + g.nonn[1:])
-        match = "fixed point"
-    with pytest.raises(AssertionError, match=match):
+    # vertex 0 meets only itself, but its neighbours still meet 0
+    bad = CrossGraph(cat=g.cat, n=g.n, nonn=(1,) + g.nonn[1:])
+    with pytest.raises(AssertionError, match="fixed point"):
         cross_closure((seed,), bad)
 
 
@@ -198,9 +192,8 @@ def _symmetric_graphs(draw):
         for y in range(x, n):
             meet[x][y] = meet[y][x] = draw(st.booleans())
     nonn = tuple(sum(1 << y for y in range(n) if meet[x][y]) for x in range(n))
-    full = (1 << n) - 1
     cat = SimpleNamespace(space=SimpleNamespace(q=0, family=None), point_masks=(0,) * n)
-    return CrossGraph(cat=cat, n=n, adj=tuple(full ^ row for row in nonn), nonn=nonn)
+    return CrossGraph(cat=cat, n=n, nonn=nonn)
 
 
 @settings(max_examples=120, deadline=None, database=None)
@@ -216,14 +209,16 @@ def test_close_by_one_matches_brute_force_on_random_graphs(g):
 
 
 def _reference_certificate(g, ymask, zmask, yids=None):
-    """The per-closure certificate before the lean one: nonN of both sides, then adj OR-ed over Y."""
+    """The per-closure certificate before the lean one: nonN of both sides, then
+    the disjointness rows full ^ nonn OR-ed over Y."""
     yids = extremal.bit_indices(ymask) if yids is None else yids
     zids = extremal.bit_indices(zmask)
     if g.nonn_of(zids) != ymask or g.nonn_of(yids) != zmask:
         raise AssertionError("closure did not reach a fixed point")
+    full = (1 << g.n) - 1
     adj_y = 0
     for y in yids:
-        adj_y |= g.adj[y]
+        adj_y |= full ^ g.nonn[y]
     if adj_y & zmask:
         raise AssertionError("edge between the two sides")
     if len(yids) < len(zids) or (len(yids) == len(zids) and ymask > zmask):
@@ -311,22 +306,10 @@ def test_cross_closure_makes_three_reductions(catalog, monkeypatch):
         assert len(calls) == 3  # nonN(seed) = Y, nonN(Y) = Z, and the check nonN(Z) = Y
 
 
-def test_certificate_checks_adj_rows_no_closure_touches(catalog):
-    g = graph_of(catalog, "Hodd", 2, 4)
-    far = next(x for x in range(g.n) if g.adj[0] >> x & 1)  # outside Y = nonN(0) and Z = {0}
-    adj = list(g.adj)
-    adj[far] ^= 1 << far  # far disjoint from itself
-    bad = CrossGraph(cat=g.cat, n=g.n, adj=tuple(adj), nonn=g.nonn)
-    _reference_cross_closure((0,), bad)  # the per-closure OR over Y never reads row far
-    with pytest.raises(AssertionError, match="edge"):
-        cross_closure((0,), bad)
-
-
 def test_close_by_one_rejects_a_doctored_nonn(catalog):
     g = graph_of(catalog, "Hodd", 2, 4)
     nonn = (1,) + g.nonn[1:]  # vertex 0 meets only itself, but its neighbours still meet 0
-    full = (1 << g.n) - 1
-    bad = CrossGraph(cat=g.cat, n=g.n, adj=tuple(full ^ row for row in nonn), nonn=nonn)
+    bad = CrossGraph(cat=g.cat, n=g.n, nonn=nonn)
     with pytest.raises(AssertionError, match="fixed point"):
         enumerate_maximal_cross_pairs(bad)
 
@@ -386,8 +369,8 @@ def test_bipartition_q72(catalog):
     g = graph_of(catalog, "Qplus", 4, 2)
     # d even: no disjoint pairs across the classes, some inside each class
     x2mask = sum(1 << b for b in x2)
-    assert all((g.adj[a] & x2mask) == 0 for a in x1)
-    assert any((g.adj[a] >> b) & 1 for a in x1 for b in x1 if b > a)
+    assert all(g.nonn[a] & x2mask == x2mask for a in x1)
+    assert any(not g.nonn[a] >> b & 1 for a in x1 for b in x1 if b > a)
 
 
 def test_bipartition_needs_qplus(catalog):

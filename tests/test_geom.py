@@ -12,7 +12,6 @@ from polarb.ff import field_of_order
 from polarb.geom import (
     Subspace,
     bilinear,
-    codim_intersection,
     enumerate_generators,
     enumerate_points,
     generators_through,
@@ -22,7 +21,6 @@ from polarb.geom import (
     perp,
     polar_space_make,
     quotient_geometry,
-    quotient_map,
     rref,
     rref_batch,
     rref_insert,
@@ -112,11 +110,17 @@ def test_enumeration_limit():
         enumerate_generators(polar_space_make("W", 2, 3), limit=10)
 
 
+def _codim_intersection(i, j, cat):
+    """d - dim(g_i ∩ g_j), read off the shared point count."""
+    common = (cat.point_masks[i] & cat.point_masks[j]).bit_count()
+    return cat.space.d - cat._dim_of_count[common]
+
+
 def test_codim_identity_and_distribution(catalog):
     cat = catalog("Hodd", 2, 4)
     n = cat.n
-    assert all(codim_intersection(i, i, cat) == 0 for i in range(n))
-    per_line = [sum(1 for j in range(n) if codim_intersection(0, j, cat) == c) for c in range(3)]
+    assert all(_codim_intersection(i, i, cat) == 0 for i in range(n))
+    per_line = [sum(1 for j in range(n) if _codim_intersection(0, j, cat) == c) for c in range(3)]
     assert per_line == [1, 10, 16]  # self, meeting lines, disjoint lines
 
 
@@ -127,7 +131,7 @@ def test_codim_parity_constant_on_bipartition(catalog):
     x1, x2 = bipartition_latins_greeks(cat)
     for x in x1[:10]:
         for y in x2[:10]:
-            assert codim_intersection(x, y, cat) % 2 == 1
+            assert _codim_intersection(x, y, cat) % 2 == 1
 
 
 def test_perp_basics():
@@ -148,11 +152,39 @@ def test_perp_point_trace_on_disjoint_generators(catalog):
     cat = catalog("Qparabolic", 2, 2)
     ps = cat.space
     G = cat.generators[0]
-    hidx = next(j for j in range(cat.n) if codim_intersection(0, j, cat) == 2)
+    hidx = next(j for j in range(cat.n) if _codim_intersection(0, j, cat) == 2)
     H = cat.generators[hidx]
     for p in subspace_points(ps, G.basis):
         trace = intersect_bases(ps.field, perp(Subspace((p,)), ps).basis, H.basis)
         assert len(trace) == 1
+
+
+def _reference_in_span(fld, basis, v):
+    """Reduce v by the rows of a canonical basis, one pivot at a time; in the span iff v reduces to 0."""
+    vv = list(v)
+    for row in basis:
+        p = next(i for i, x in enumerate(row) if x)
+        if vv[p]:
+            coef = vv[p]
+            vv = [fld.sub(x, fld.mul(coef, y)) for x, y in zip(vv, row)]
+    return not any(vv)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mask_of_points_in_span_matches_scalar_reference(catalog, d):
+    cat = catalog("Qparabolic", d, 2)
+    ps, fld, pm = cat.space, cat.space.field, cat.point_masks
+    hidx = next(j for j in range(cat.n) if pm[0] & pm[j] == 0)
+    G, H = cat.generators[0].basis, cat.generators[hidx].basis
+    e0 = tuple(int(i == 0) for i in range(ps.nv))  # Q(e_0) = 1: not singular
+    spans = [rref(fld, G + H), rref(fld, G[:1] + H), rref(fld, (e0,) + G), (), rref(fld, G + H + (e0,))]
+    assert not is_totally_isotropic(Subspace(spans[1]), ps)
+    assert not is_totally_isotropic(Subspace(spans[2]), ps)
+    for basis in spans:
+        want = sum(1 << j for j, v in enumerate(cat.points) if _reference_in_span(fld, basis, v))
+        assert cat.mask_of_points_in_span(basis) == want
+    assert cat.mask_of_points_in_span(spans[0]).bit_count() == num_points("Qplus", d, 2)
+    assert cat.mask_of_points_in_span(spans[-1]) == (1 << len(cat.points)) - 1
 
 
 @pytest.mark.parametrize(
@@ -186,6 +218,38 @@ def test_generators_through_generator_is_itself(catalog):
     assert generators_through(g, cat.space) == [g]
 
 
+def _solve_in_rows(fld, rows, target):
+    """Coefficients a with sum a_i rows_i = target, or None if inconsistent."""
+    m = len(rows)
+    if m == 0:
+        return () if not any(target) else None
+    aug = [[rows[i][c] for i in range(m)] + [target[c]] for c in range(len(target))]
+    coeffs = [0] * m
+    for row in rref(fld, aug):
+        p = next(i for i, x in enumerate(row) if x)
+        if p == m:
+            return None
+        coeffs[p] = row[m]
+        if any(row[i] for i in range(p + 1, m)):
+            raise ValueError("_solve_in_rows requires independent rows")
+    return tuple(coeffs)
+
+
+def _quotient_map(L, g, ps):
+    """Image of g in perp(L)/L, i.e. ((g ∩ perp(L)) + L)/L in the coordinates
+    of quotient_geometry's lift rows."""
+    if L.dim >= ps.d and L.basis == g.basis:
+        return Subspace(())
+    rows = L.basis + quotient_geometry(L, ps).lift_rows
+    image = []
+    for w in intersect_bases(ps.field, g.basis, perp(L, ps).basis):
+        coeffs = _solve_in_rows(ps.field, rows, w)
+        if coeffs is None:
+            raise ValueError("vector is not in perp(L)")
+        image.append(coeffs[L.dim :])
+    return Subspace.from_vectors(ps.field, image)
+
+
 def test_quotient_of_line_in_w52(catalog):
     cat = catalog("W", 3, 2)
     ps = cat.space
@@ -195,7 +259,7 @@ def test_quotient_of_line_in_w52(catalog):
     assert qg.space.family == "W"
     assert qg.space.d == 1
     assert qg.space.nv == 2
-    img = quotient_map(L, g, ps)
+    img = _quotient_map(L, g, ps)
     assert img.dim == 1
     # the image is a generator of the quotient
     assert is_totally_isotropic(img, qg.space)
@@ -208,7 +272,7 @@ def test_quotient_images_are_isotropic_exhaustive_w52(catalog):
     L = Subspace(cat.generators[0].basis[:1])
     qg = quotient_geometry(L, ps)
     for g in cat.generators:
-        img = quotient_map(L, g, ps)
+        img = _quotient_map(L, g, ps)
         assert img.dim <= ps.d - L.dim
         assert is_totally_isotropic(img, qg.space)
 
@@ -216,7 +280,7 @@ def test_quotient_images_are_isotropic_exhaustive_w52(catalog):
 def test_quotient_of_generator_is_zero(catalog):
     cat = catalog("W", 3, 2)
     g = cat.generators[0]
-    assert quotient_map(g, g, cat.space).dim == 0
+    assert _quotient_map(g, g, cat.space).dim == 0
 
 
 def test_quotient_rejects_non_isotropic():

@@ -1,6 +1,9 @@
+import ast
 import errno
+import importlib
 import json
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -434,3 +437,49 @@ def test_memoized_parser_behaves_like_a_fresh_one(capsys, monkeypatch):
     for argv, want in zip(argvs, memoized):
         assert (main(argv), capsys.readouterr()) == want
     assert memoized[3][0] == 2 and memoized[4][0] == 0
+
+
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _resolve(module: str, dotted: str):
+    obj = importlib.import_module(module)
+    for name in dotted.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+def test_every_name_the_benchmark_reaches_resolves():
+    """perfbench/tracing.py wraps LAYER_FUNCTIONS by name and perfbench/workloads.py
+    calls polarb through module attributes: each name must exist in the package.
+    Both files are parsed, not imported, so nothing is written under perfbench/."""
+    tracing = ast.parse((_PERFBENCH / "tracing.py").read_text())
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tracing.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYER_FUNCTIONS"]
+    )
+    assert len(layers) >= 20
+    for mod, fn in layers:
+        assert callable(_resolve(f"polarb.{mod}", fn)), f"polarb.{mod}.{fn}"
+
+    workloads = ast.parse((_PERFBENCH / "workloads.py").read_text())
+    aliases = {
+        alias.asname or alias.name: alias.name
+        for node in workloads.body
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.startswith("polarb.")
+    }
+    assert set(aliases) == {"extremal", "geom", "qcount", "scheme", "shell", "specbound"}
+    chains = set()
+    for node in ast.walk(workloads):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if names and isinstance(node, ast.Name) and node.id in aliases:
+            chains.add((aliases[node.id], ".".join(reversed(names))))
+    assert ("polarb.shell", "main") in chains
+    for module, dotted in sorted(chains):
+        _resolve(module, dotted)

@@ -5,7 +5,6 @@ import pytest
 from polarb.qcount import eigen_data, generators_on_point, num_generators
 from polarb.specbound import (
     classical_bound,
-    hermitian_cross_bound,
     hermitian_cross_report,
     hermitian_ekr_bound,
     hermitian_params,
@@ -112,17 +111,15 @@ def test_weighted_matrix_h54():
 
 
 def test_cross_bound_d3_q2():
-    b = hermitian_cross_bound(3, 2)
+    rep = hermitian_cross_report(3, 2)
+    b = rep.bound
     assert b == Fraction(747, 11)
     assert 32 < b < 96
-    rep = hermitian_cross_report(3, 2)
     assert rep.valid and rep.improves_plain
     assert rep.plain.bound == 99
 
 
 def test_cross_bound_d2_q2_reported_not_asserted():
-    with pytest.raises(ValueError):
-        hermitian_cross_bound(2, 2)
     rep = hermitian_cross_report(2, 2)
     assert rep.bound is None
     assert not rep.valid
