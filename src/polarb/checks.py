@@ -238,7 +238,7 @@ def check_thm15() -> dict:
 
 
 def check_thm16(q: int = 3) -> dict:
-    rep = verify_w3_triples(q)
+    rep = verify_w3_triples(_catalog("W", 2, q))
     return _report("thm16", rep["ok"], rep["details"], _space("W", 2, q))
 
 

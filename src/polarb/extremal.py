@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain
-from operator import and_, or_
+from operator import and_
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .geom import (
     _array_arithmetic,
     _bases,
     bit_indices,
-    enumerate_generators,
+    bits_to_masks,
     enumerate_subspaces_within,
     generators_through,
     intersect_bases,
@@ -65,14 +65,9 @@ class CrossGraph:
 
 
 def cross_graph(cat: GeneratorCatalog) -> CrossGraph:
-    """nonn[x] is the OR, over the points p of x, of the generators through p."""
-    n = cat.n
-    through = [0] * len(cat.points)
-    for x, pmask in enumerate(cat.point_masks):
-        for p in bit_indices(pmask):
-            through[p] |= 1 << x
-    nonn = tuple(reduce(or_, map(through.__getitem__, bit_indices(pmask)), 0) for pmask in cat.point_masks)
-    return CrossGraph(cat=cat, n=n, nonn=nonn)
+    """nonn[x] has bit y set exactly when the common point count of x and y is nonzero."""
+    nonn = tuple(chain.from_iterable(bits_to_masks(counts != 0) for counts in common_point_counts(cat)))
+    return CrossGraph(cat=cat, n=cat.n, nonn=nonn)
 
 
 @dataclass(frozen=True)
@@ -353,14 +348,15 @@ def verify_hyperplane_section(cat: GeneratorCatalog, gidx: int, hidx: int) -> di
     return {"ok": ok, "details": details}
 
 
-def verify_w3_triples(q: int) -> dict:
+def verify_w3_triples(cat: GeneratorCatalog) -> dict:
     """Transversal counts over all pairwise disjoint line triples of W(3, q).
 
     For q odd the count must be 0 or 2 everywhere; for q even the observed
     distribution is reported without judgement (the statement excludes it).
     """
-    ps = polar_space_make("W", 2, q)
-    cat = enumerate_generators(ps)
+    ps = cat.space
+    if (ps.family, ps.d) != ("W", 2):
+        raise ValueError(f"{ps.label}: the triples are counted on W(3, q)")
     g = cross_graph(cat)
     n, nonn = g.n, g.nonn
     full = (1 << n) - 1
@@ -381,7 +377,7 @@ def verify_w3_triples(q: int) -> dict:
                 counts[t] = counts.get(t, 0) + 1
     triples = sum(counts.values())
     details = [f"disjoint triples: {triples}", f"transversal counts: {dict(sorted(counts.items()))}"]
-    if q % 2 == 1:
+    if ps.q % 2 == 1:
         ok = set(counts) <= {0, 2}
         details.append(f"all counts in {{0, 2}}: {ok}")
     else:
@@ -536,8 +532,10 @@ def example_h7_cross_sample(q: int = 2, samples: int = 10_000, seed: int = 20260
     """Random y in Y, z in Z pairs; every one must intersect non-trivially.
 
     The pairs are drawn in blocks and each block is ranked by one rref_batch;
-    a pair of full rank nv is disjoint.
+    a pair of full rank nv is disjoint.  A negative sample count raises ValueError.
     """
+    if samples < 0:
+        raise ValueError(f"sample count {samples} is negative")
     ps, through = _h7_data(q)
     rng = random.Random(seed)
     pool_y = through[2]

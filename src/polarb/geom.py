@@ -750,7 +750,6 @@ class GeneratorCatalog:
     space: PolarSpace
     generators: tuple[Subspace, ...]
     points: tuple[Vector, ...]
-    point_index: dict
     point_masks: tuple[int, ...]
     _dim_of_count: dict
 
@@ -817,7 +816,6 @@ def _catalog(ps: PolarSpace, pts, orth, bases) -> GeneratorCatalog:
         space=ps,
         generators=gens,
         points=pts,
-        point_index=pt_index,
         point_masks=tuple(masks),
         _dim_of_count=dim_of_count,
     )

@@ -7,8 +7,8 @@ in the distance-regular dual polar graph A_1.  One certificate of its
 three-term identity proves the scheme axioms: a single integer pass over
 packed neighbour histograms, no float and no BLAS.  An exact recurrence
 checks the closed-form eigenmatrix, and the idempotent projections run in
-integers on C.  Floats appear only in the common point counts, behind the
-static 2^24 bound that makes them exact.
+integers on C.  The common point counts that C is read from are popcounts
+of packed 64-bit point masks, integers from the first operation on.
 """
 
 from __future__ import annotations
@@ -19,17 +19,14 @@ from math import lcm
 
 import numpy as np
 
-from .geom import BLOCK_ENTRIES, GeneratorCatalog, masks_to_bits
+from .geom import BLOCK_ENTRIES, GeneratorCatalog
 from .qcount import EigenData
 
-# Every integer of absolute value below 2^24 is exact in float32.
-_FLOAT32_EXACT = 1 << 24
 # Every integer of absolute value below 2^63 is an int64.
 _INT64_EXACT = 1 << 63
 # Bytes of the numpy temporaries of one block in this module's row-blocked loops:
-# the float32 common point counts with their int32 copy, or the certificate's
-# gathered neighbour rows.  A block holds at least one row, so a certificate
-# block is the larger of this and one row's k_1 x n digits.
+# a uint64 AND, a uint8 popcount and an int32 sum per common point count, or the
+# certificate's gathered neighbour rows (at least one row's k_1 x n digits).
 _BLOCK_BYTES = 1 << 19
 
 
@@ -55,20 +52,22 @@ class RelationData:
 
 
 def common_point_counts(cat: GeneratorCatalog):
-    """Row blocks of the incidence product M M^T, as int32 arrays in row order.
+    """Row blocks of the common point counts, as int32 arrays in row order.
 
-    M is the n x npts generator/point incidence matrix, so (M M^T)[x, y] is
-    the number of common points of generators x and y, an integer at most
-    npts.  float32 represents every such integer and partial sum exactly
-    below 2^24; at or above that the product is refused.
+    Entry [x, y] is the number of points generators x and y share, the
+    popcount of pm[x] & pm[y].  The point masks are packed once into a
+    words x n uint64 array, one row per 64 points; each block sums the
+    popcounts word by word, so every partial sum is an integer at most npts.
     """
-    n, npts = cat.n, len(cat.points)
-    if npts >= _FLOAT32_EXACT:
-        raise ValueError(f"{npts} points is not below 2^24; float32 products would not be exact")
-    M = masks_to_bits(cat.point_masks, npts).astype(np.float32)
-    step = max(1, _BLOCK_BYTES // (8 * max(1, n)))
+    n, nwords = cat.n, (len(cat.points) + 63) // 64
+    raw = b"".join(m.to_bytes(8 * nwords, "little") for m in cat.point_masks)
+    words = np.frombuffer(raw, dtype="<u8").reshape(n, nwords).T.copy()
+    step = max(1, _BLOCK_BYTES // (13 * max(1, n)))  # 8 + 1 + 4 bytes per count
     for r in range(0, n, step):
-        yield (M[r : r + step] @ M.T).astype(np.int32)
+        acc = np.zeros((min(step, n - r), n), dtype=np.int32)
+        for w in words:
+            acc += np.bitwise_count(w[r : r + step, None] & w)
+        yield acc
 
 
 def build_relations(cat: GeneratorCatalog) -> RelationData:

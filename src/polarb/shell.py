@@ -23,6 +23,7 @@ import numpy as np
 from .checks import CHECKS, run_check
 from .extremal import cross_graph, enumerate_maximal_cross_pairs
 from .families import TAU, normalize_family, space_label
+from .ff import field_of_order
 from .geom import (
     ENUM_LIMIT_DEFAULT,
     GeneratorCatalog,
@@ -431,6 +432,7 @@ def cmd_verify(args) -> int:
 
 def cmd_summary(args) -> int:
     d, q = args.d, args.q
+    field_of_order(q)  # raises ValueError unless q is a prime power
     rows = []
 
     def row(space, value, example, reference, note=None):

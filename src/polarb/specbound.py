@@ -102,6 +102,7 @@ def hoffman_cross_bound(eigs, n: int, label: str = "") -> BoundReport:
 
 def classical_bound(family: str, d: int, q: int) -> BoundReport:
     """Per-family bound from the plain disjointness spectrum of one space."""
+    field_of_order(q)  # raises ValueError unless q is a prime power
     tau = TAU[family]
     spectrum = [(r, disjointness_eigenvalue(d, tau, r, q)) for r in range(d + 1)]
     n = num_generators(family, d, q)

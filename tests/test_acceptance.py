@@ -143,9 +143,9 @@ def test_criterion_6_prop10_lemma11(catalogs):
     _verdict(6, ok, "all four parity count cases (prop10) and the z-slice reconstruction (lemma11) verify")
 
 
-def test_criterion_7_w33_triples():
+def test_criterion_7_w33_triples(catalogs):
     t0 = time.perf_counter()
-    rep = verify_w3_triples(3)
+    rep = verify_w3_triples(catalogs[("W", 2, 3)])
     elapsed = time.perf_counter() - t0
     ok = rep["ok"] and set(rep["counts"]) <= {0, 2} and elapsed < 60
     _verdict(7, ok, f"transversal counts of disjoint triples in {{0,2}} ({elapsed:.1f}s)")

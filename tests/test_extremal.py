@@ -470,13 +470,15 @@ def test_hyperplane_section_rejects_meeting_generators(catalog):
         verify_hyperplane_section(cat, 0, 0)
 
 
-def test_w3_triples_odd_and_even():
-    rep3 = verify_w3_triples(3)
+def test_w3_triples_odd_and_even(catalog):
+    rep3 = verify_w3_triples(catalog("W", 2, 3))
     assert rep3["ok"]
     assert rep3["counts"] == {0: 1080, 2: 2160}
-    rep2 = verify_w3_triples(2)  # q even: outside the statement, report only
+    rep2 = verify_w3_triples(catalog("W", 2, 2))  # q even: outside the statement, report only
     assert rep2["ok"]
     assert rep2["counts"] == {1: 60, 3: 20}
+    with pytest.raises(ValueError, match="W\\(3, q\\)"):
+        verify_w3_triples(catalog("Hodd", 2, 4))
 
 
 def test_thm20_at_q3():
@@ -506,6 +508,7 @@ def _reference_maximality_lemma(cat, pair):
     """The scalar route: Zassenhaus intersection of y1 and y2, then the catalog points of its span."""
     d = cat.space.d
     pm = cat.point_masks
+    index = {v: i for i, v in enumerate(cat.points)}
     tested = 0
     ok = True
     for i, y1 in enumerate(pair.y):
@@ -516,8 +519,8 @@ def _reference_maximality_lemma(cat, pair):
             meet = intersect_bases(cat.space.field, cat.generators[y1].basis, cat.generators[y2].basis)
             smask = 0
             for v in subspace_points(cat.space, meet):
-                if v in cat.point_index:
-                    smask |= 1 << cat.point_index[v]
+                if v in index:
+                    smask |= 1 << index[v]
             for z in pair.z:
                 if pm[z] & smask == 0:
                     ok = False

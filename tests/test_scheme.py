@@ -100,11 +100,15 @@ def test_unknown_intersection_size_is_a_scheme_error(catalog):
         build_relations(dataclasses.replace(cat, point_masks=masks))
 
 
-def test_float32_product_needs_fewer_than_2_24_points(catalog, monkeypatch):
-    cat = catalog("W", 2, 3)
-    monkeypatch.setattr(scheme, "_FLOAT32_EXACT", len(cat.points))
-    with pytest.raises(ValueError, match="2\\^24"):
-        build_relations(cat)
+def test_common_point_counts_match_popcount_reference(catalog, monkeypatch):
+    cat = catalog("Hodd", 2, 9)  # 280 points: five words, the last one partly filled
+    assert len(cat.points) > 64 and len(cat.points) % 64
+    monkeypatch.setattr(scheme, "_BLOCK_BYTES", 5 * 13 * cat.n)  # blocks of 5 rows, then 2
+    blocks = list(scheme.common_point_counts(cat))
+    assert {len(b) for b in blocks} == {5, cat.n % 5}
+    assert all(b.dtype == np.int32 for b in blocks)
+    pm = cat.point_masks
+    assert np.vstack(blocks).tolist() == [[(a & b).bit_count() for b in pm] for a in pm]
 
 
 def test_intersection_numbers_w33(relations):

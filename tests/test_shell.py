@@ -347,13 +347,50 @@ def test_cli_search_negative_limit_is_a_usage_error(capsys):
 
 
 def test_cli_search_geometry_bug_exits_1(capsys, monkeypatch):
-    def no_count_of_a_subspace(cat):
-        yield np.full((cat.n, cat.n), len(cat.points))
+    counts = extremal.common_point_counts
+
+    def no_count_of_a_subspace(cat):  # keeps "x meets y" intact, so only the bipartition sees it
+        for true in counts(cat):
+            yield np.where(true != 0, len(cat.points), 0)
 
     monkeypatch.setattr(extremal, "common_point_counts", no_count_of_a_subspace)
     assert main(["search", "max-pairs", "Qplus", "2", "2"]) == 1
     err = capsys.readouterr().err
     assert "verification failed" in err and "not a bipartition; geometry bug" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "W", "2", "6"],
+        ["info", "W", "2", "0"],
+        ["info", "Qplus", "2", "12"],
+        ["info", "Hodd", "2", "36"],
+        ["bound", "classical", "W", "2", "6"],
+        ["summary", "--d", "2", "--q", "6"],
+        ["summary", "--d", "2", "--q", "0"],
+        ["enum", "W", "2", "6"],
+        ["scheme", "W", "2", "6"],
+        ["search", "max-pairs", "W", "2", "6"],
+        ["bound", "hermitian-cross", "2", "6"],
+        ["bound", "hermitian-ekr", "3", "6"],
+        ["verify", "thm16", "--q", "6"],
+        ["verify", "q-col-signs", "--q", "0"],
+    ],
+    ids="_".join,
+)
+def test_cli_field_order_that_is_no_prime_power_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_verify_negative_samples_is_a_usage_error(capsys):
+    assert main(["verify", "example21", "--samples", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sample count -5 is negative\n"
 
 
 def test_cli_verify_pass_and_fail_exit_codes(capsys):
