@@ -161,24 +161,23 @@ def check_thm7(q: int = 2) -> dict:
 
 def _grid_pair(q: int = 2):
     cat = _catalog("Qparabolic", 2, q)
-    g = cross_graph(cat)
-    certs = enumerate_maximal_cross_pairs(g)
+    certs = enumerate_maximal_cross_pairs(cross_graph(cat))
     pair = next(c for c in certs if c.label == "hyperbolic-subgeometry")
-    return cat, g, pair
+    return build_relations(cat), pair
 
 
 def check_prop10(q: int = 2) -> dict:
     """Intersection counts from a fixed G of the Q(4,q) non-EKR maximum pair."""
-    cat, _, pair = _grid_pair(q)
-    rep = verify_prop10_counts(cat, pair, pair.y[0])
+    rel, pair = _grid_pair(q)
+    rep = verify_prop10_counts(rel, pair, pair.y[0])
     details = [f"pair Y={pair.y} Z={pair.z}"] + rep["details"]
     return _report("prop10", rep["ok"], details, _space("Qparabolic", 2, q))
 
 
 def check_lemma11(q: int = 2) -> dict:
     """Z_{G,H} recovery on the Q(4,q) non-EKR maximum pair."""
-    cat, _, pair = _grid_pair(q)
-    rep = verify_zgh(cat, pair, pair.y[0], pair.y[1])
+    rel, pair = _grid_pair(q)
+    rep = verify_zgh(rel, pair, pair.y[0], pair.y[1])
     details = [f"pair Y={pair.y} Z={pair.z}, G={pair.y[0]}, H={pair.y[1]}"] + rep["details"]
     return _report("lemma11", rep["ok"], details, _space("Qparabolic", 2, q))
 
@@ -188,10 +187,9 @@ def check_lemma12(q: int = 2) -> dict:
     details = []
     ok = True
     for d in (2, 3):
-        cat = _catalog("Qparabolic", d, q)
-        pm = cat.point_masks
-        hidx = next(j for j in range(cat.n) if pm[0] & pm[j] == 0)
-        rep = verify_hyperplane_section(cat, 0, hidx)
+        rel = build_relations(_catalog("Qparabolic", d, q))
+        hidx = rel.codim[0].tolist().index(d)  # the first generator disjoint from 0
+        rep = verify_hyperplane_section(rel, 0, hidx)
         details.append(f"Q({2 * d},{q}) with G=0, H={hidx}:")
         details.extend("  " + s for s in rep["details"])
         ok &= rep["ok"]
@@ -281,8 +279,9 @@ def check_thm20(q: int = 2) -> dict:
         f"{verdict}"
     )
     ok &= nontight
+    rel = build_relations(cat)
     for c in certs:
-        mrep = verify_maximality_lemma(cat, c)
+        mrep = verify_maximality_lemma(rel, c)
         if not mrep["ok"]:
             details.append(f"maximality lemma fails on {c.y} / {c.z}")
             ok = False

@@ -1,8 +1,9 @@
 """Maximal cross-intersecting pairs by complete bit-vector search, plus the
 computational verifications of the classification statements.
 
-The graph is kept as packed bit rows of one relation, "x meets y"; two
-generators are disjoint exactly when they do not meet.  A pair (Y, Z) with
+The graph is kept as packed bit rows of one relation, "x meets y", read off
+the codimension matrix C of scheme.build_relations as C < d; two generators
+are disjoint exactly when they do not meet.  A pair (Y, Z) with
 every y meeting every z is maximal exactly when Y and Z are fixed by the
 non-neighborhood closure Y = nonN(Z), Z = nonN(Y).  Because "x meets y" is
 symmetric, these fixed points are the formal concepts of the context
@@ -42,7 +43,7 @@ from .geom import (
     span_lines,
 )
 from .qcount import binom2, gaussian, nbracket, num_generators, num_points
-from .scheme import SchemeError, common_point_counts
+from .scheme import RelationData, SchemeError, build_relations
 
 
 @dataclass(eq=False)
@@ -65,9 +66,11 @@ class CrossGraph:
 
 
 def cross_graph(cat: GeneratorCatalog) -> CrossGraph:
-    """nonn[x] has bit y set exactly when the common point count of x and y is nonzero."""
-    nonn = tuple(chain.from_iterable(bits_to_masks(counts != 0) for counts in common_point_counts(cat)))
-    return CrossGraph(cat=cat, n=cat.n, nonn=nonn)
+    """nonn[x] has bit y set exactly when x and y meet: C[x, y] < d for the
+    codimension matrix C of build_relations, which raises SchemeError on a
+    geometry that is no association scheme."""
+    rel = build_relations(cat)
+    return CrossGraph(cat=cat, n=cat.n, nonn=tuple(bits_to_masks(rel.codim < rel.d)))
 
 
 @dataclass(frozen=True)
@@ -212,22 +215,17 @@ def classify_pair(yids, zids, g: CrossGraph) -> str:
 
 def bipartition_latins_greeks(cat: GeneratorCatalog) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two codimension-parity classes of a hyperbolic quadric's generators:
-    x is in class codim(0, x) mod 2, and every pair's parity, read off blocks
-    of common_point_counts, must be the sum of its classes.  A geometry that
-    breaks either invariant raises SchemeError (a failed verification)."""
-    ps = cat.space
-    if ps.family != "Qplus":
+    x is in class C[0, x] mod 2, and every pair's parity, read off row blocks
+    of the codimension matrix C, must be the sum of its classes.  A geometry
+    that breaks either invariant raises SchemeError (a failed verification)."""
+    if cat.space.family != "Qplus":
         raise ValueError("latins/greeks exist on hyperbolic quadrics only")
-    parity = np.full(len(cat.points) + 1, -1, dtype=np.int8)
-    for count, j in cat._dim_of_count.items():
-        parity[count] = (ps.d - j) % 2
-    cls, r = None, 0
-    for counts in common_point_counts(cat):
-        par = parity[counts]
-        cls = par[0] if cls is None else cls
-        if (par < 0).any() or (par != cls[r : r + len(par), None] ^ cls).any():
+    C = build_relations(cat).codim
+    cls = C[0] & 1
+    step = max(1, BLOCK_ENTRIES // cat.n)
+    for r in range(0, cat.n, step):
+        if ((C[r : r + step] & 1) != (cls[r : r + step, None] ^ cls)).any():
             raise SchemeError("codimension parity is not a bipartition; geometry bug")
-        r += len(par)
     x1, x2 = (tuple(np.flatnonzero(cls == c).tolist()) for c in (0, 1))
     if len(x1) != len(x2):
         raise SchemeError("parity classes have unequal sizes")
@@ -239,39 +237,31 @@ def bipartition_latins_greeks(cat: GeneratorCatalog) -> tuple[tuple[int, ...], t
 # ---------------------------------------------------------------------------
 
 
-def _dims_to(cat: GeneratorCatalog, gidx: int, ids) -> dict[int, int]:
-    """Histogram of dim(g ∩ h) over h in ids."""
-    pm = cat.point_masks
-    dim_of = cat._dim_of_count
-    out: dict[int, int] = {}
-    base = pm[gidx]
-    for h in ids:
-        dim = dim_of[(base & pm[h]).bit_count()]
-        out[dim] = out.get(dim, 0) + 1
-    return out
+def _dims_to(rel: RelationData, gidx: int, ids) -> list[int]:
+    """Histogram of dim(g ∩ h) = d - C[g, h] over h in ids, indexed by dimension 0..d."""
+    return np.bincount(rel.d - rel.codim[gidx, list(ids)], minlength=rel.d + 1).tolist()
 
 
-def verify_prop10_counts(cat: GeneratorCatalog, pair: CrossPairCertificate, gidx: int) -> dict:
+def verify_prop10_counts(rel: RelationData, pair: CrossPairCertificate, gidx: int) -> dict:
     """Intersection-dimension counts from a fixed G in Y of a maximum non-EKR pair.
 
     For each s: if d-s is even G meets 0 elements of Z and [d,s] q^C(d-s,2)
     elements of Y in dimension exactly s, and the other way around for d-s
     odd.  Also Y and Z must be disjoint as sets.
     """
-    ps = cat.space
-    d, q = ps.d, ps.q
+    d, q = rel.d, rel.cat.space.q
     if gidx not in pair.y:
         raise ValueError("G must belong to the Y side")
     if set(pair.y) & set(pair.z):
         return {"ok": False, "details": ["Y and Z are not disjoint as sets"]}
-    hist_y = _dims_to(cat, gidx, pair.y)
-    hist_z = _dims_to(cat, gidx, pair.z)
+    hist_y = _dims_to(rel, gidx, pair.y)
+    hist_z = _dims_to(rel, gidx, pair.z)
     details = []
     ok = True
     for s in range(d + 1):
         expected = gaussian(d, s, q) * q ** binom2(d - s)
-        ny = hist_y.get(s, 0)
-        nz = hist_z.get(s, 0)
+        ny = hist_y[s]
+        nz = hist_z[s]
         if (d - s) % 2 == 0:
             good = nz == 0 and ny == expected
             want = f"Y:{expected} Z:0"
@@ -283,20 +273,19 @@ def verify_prop10_counts(cat: GeneratorCatalog, pair: CrossPairCertificate, gidx
     return {"ok": ok, "details": details}
 
 
-def verify_zgh(cat: GeneratorCatalog, pair: CrossPairCertificate, gidx: int, hidx: int) -> dict:
+def verify_zgh(rel: RelationData, pair: CrossPairCertificate, gidx: int, hidx: int) -> dict:
     """The Z_{G,H} construction: hyperplane-by-hyperplane recovery of the
     [d]_q elements of Z meeting G in dimension d-1."""
+    cat, C = rel.cat, rel.codim
     ps = cat.space
     fld = ps.field
     d, q = ps.d, ps.q
-    pm = cat.point_masks
-    dim_of = cat._dim_of_count
-    if dim_of[(pm[gidx] & pm[hidx]).bit_count()] != 0:
+    if C[gidx, hidx] != d:
         raise ValueError("G and H must be disjoint")
     G = cat.generators[gidx]
     H = cat.generators[hidx]
     expected = nbracket(d, q)
-    z_meet = [z for z in pair.z if dim_of[(pm[gidx] & pm[z]).bit_count()] == d - 1]
+    z_meet = [z for z in pair.z if C[gidx, z] == 1]  # dim(G ∩ z) = d - 1
     details = [f"elements of Z meeting G in dim {d - 1}: {len(z_meet)} (expected {expected})"]
     ok = len(z_meet) == expected
     built = set()
@@ -312,25 +301,20 @@ def verify_zgh(cat: GeneratorCatalog, pair: CrossPairCertificate, gidx: int, hid
     same = built == z_bases
     details.append(f"{{<pi, perp(pi) ∩ H>}} equals the Z-slice: {same}")
     ok &= same
-    pairwise = all(
-        dim_of[(pm[a] & pm[b]).bit_count()] < d - 1
-        for i, a in enumerate(z_meet)
-        for b in z_meet[i + 1 :]
-    )
+    pairwise = all(C[a, b] > 1 for i, a in enumerate(z_meet) for b in z_meet[i + 1 :])
     details.append(f"pairwise dim(z_i ∩ z_j) < {d - 1}: {pairwise}")
     ok &= pairwise
     return {"ok": ok, "details": details}
 
 
-def verify_hyperplane_section(cat: GeneratorCatalog, gidx: int, hidx: int) -> dict:
+def verify_hyperplane_section(rel: RelationData, gidx: int, hidx: int) -> dict:
     """span(G, H) cuts a hyperbolic polar space of the same rank out of Q(2d, q)."""
+    cat = rel.cat
     ps = cat.space
     if ps.family != "Qparabolic":
         raise ValueError("hyperplane sections are checked on parabolic quadrics")
     fld = ps.field
-    pm = cat.point_masks
-    dim_of = cat._dim_of_count
-    if dim_of[(pm[gidx] & pm[hidx]).bit_count()] != 0:
+    if rel.codim[gidx, hidx] != rel.d:
         raise ValueError("G and H must be disjoint generators")
     d, q = ps.d, ps.q
     h = rref(fld, list(cat.generators[gidx].basis) + list(cat.generators[hidx].basis))
@@ -386,7 +370,7 @@ def verify_w3_triples(cat: GeneratorCatalog) -> dict:
     return {"ok": ok, "details": details, "counts": counts}
 
 
-def verify_maximality_lemma(cat: GeneratorCatalog, pair: CrossPairCertificate) -> dict:
+def verify_maximality_lemma(rel: RelationData, pair: CrossPairCertificate) -> dict:
     """Whenever y1, y2 in Y meet in dimension d-1, every z in Z meets y1 ∩ y2.
 
     y1 ∩ y2 is totally isotropic, so each of its points is a singular point
@@ -395,16 +379,15 @@ def verify_maximality_lemma(cat: GeneratorCatalog, pair: CrossPairCertificate) -
     """
     if not pair.maximal:
         raise ValueError("the statement applies to maximal pairs only")
-    d = cat.space.d
-    pm = cat.point_masks
-    dim_of = cat._dim_of_count
+    C = rel.codim
+    pm = rel.cat.point_masks
     tested = 0
     ok = True
     for i, y1 in enumerate(pair.y):
         for y2 in pair.y[i + 1 :]:
-            meet = pm[y1] & pm[y2]
-            if dim_of[meet.bit_count()] != d - 1:
+            if C[y1, y2] != 1:  # dim(y1 ∩ y2) = d - 1
                 continue
+            meet = pm[y1] & pm[y2]
             tested += 1
             if not all(pm[z] & meet for z in pair.z):
                 ok = False

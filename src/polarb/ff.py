@@ -210,6 +210,15 @@ def field_make(p: int, k: int) -> FieldSpec:
 
 def field_of_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q."""
+    return field_make(*prime_power(q))
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k and p prime; ValueError when q is no prime power.
+
+    Pure arithmetic: no field is built, so orders past field_make's 2^16
+    ceiling pass too.
+    """
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
     p = 2
@@ -225,4 +234,4 @@ def field_of_order(q: int) -> FieldSpec:
             raise ValueError(f"{q} is not a prime power")
         n //= p
         k += 1
-    return field_make(p, k)
+    return p, k

@@ -743,15 +743,13 @@ class GeneratorCatalog:
     """Complete, deterministically ordered catalog of the generators of one space.
 
     ``point_masks[i]`` is the bitmask (over the point list) of the points of
-    generator i; the codimension oracle compares popcounts of mask
-    intersections against the Gaussian point counts [j]_q.
+    generator i.
     """
 
     space: PolarSpace
     generators: tuple[Subspace, ...]
     points: tuple[Vector, ...]
     point_masks: tuple[int, ...]
-    _dim_of_count: dict
 
     @property
     def n(self) -> int:
@@ -810,15 +808,8 @@ def _catalog(ps: PolarSpace, pts, orth, bases) -> GeneratorCatalog:
         if mask.bit_count() != size:
             raise ValueError(f"basis {g}: {mask.bit_count()} points, expected [{ps.d}]_q = {size}")
         masks.append(mask)
-    dim_of_count = {nbracket(j, ps.q): j for j in range(ps.d + 1)}
     gens = tuple(Subspace(b) for b in bases)
-    return GeneratorCatalog(
-        space=ps,
-        generators=gens,
-        points=pts,
-        point_masks=tuple(masks),
-        _dim_of_count=dim_of_count,
-    )
+    return GeneratorCatalog(space=ps, generators=gens, points=pts, point_masks=tuple(masks))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from math import lcm
 import numpy as np
 
 from .geom import BLOCK_ENTRIES, GeneratorCatalog
-from .qcount import EigenData
+from .qcount import EigenData, nbracket
 
 # Every integer of absolute value below 2^63 is an int64.
 _INT64_EXACT = 1 << 63
@@ -73,15 +73,17 @@ def common_point_counts(cat: GeneratorCatalog):
 def build_relations(cat: GeneratorCatalog) -> RelationData:
     """The codimension matrix C, block by block from the common point counts.
 
+    Two generators meeting in dimension j share [j]_q points, so a count
+    [j]_q decodes to codimension d - j.  This is the only place where a
+    count is decoded; every other reader of intersection dimensions reads C.
     A count that is no [j]_q, a relation that is not regular or an A_0 that
     is not the identity raises SchemeError.
     """
     n = cat.n
-    d = cat.space.d
-    npts = len(cat.points)
-    codim_of = np.full(npts + 1, -1, dtype=np.int8)
-    for count, j in cat._dim_of_count.items():
-        codim_of[count] = d - j
+    d, q = cat.space.d, cat.space.q
+    codim_of = np.full(len(cat.points) + 1, -1, dtype=np.int8)
+    for j in range(d + 1):
+        codim_of[nbracket(j, q)] = d - j
     C = np.empty((n, n), dtype=np.int8)
     degrees = np.empty((d + 1, n), dtype=np.int64)  # degrees[i, x] = |R_i(x)|
     r = 0

@@ -23,7 +23,7 @@ import numpy as np
 from .checks import CHECKS, run_check
 from .extremal import cross_graph, enumerate_maximal_cross_pairs
 from .families import TAU, normalize_family, space_label
-from .ff import field_of_order
+from .ff import prime_power
 from .geom import (
     ENUM_LIMIT_DEFAULT,
     GeneratorCatalog,
@@ -149,9 +149,13 @@ def cache_read(path, expected: tuple[str, int, int, int]):
     All bases are checked together: one base-q digit unpack of the payload
     array (_unpack_bases), one rref_batch whose forms and ranks must equal
     the bases and d, and one comparison of each pair of consecutive bases at
-    the first column where they differ.
+    the first column where they differ.  A file that cannot be read
+    (OSError) is refused too.
     """
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise CacheError(f"{path}: {exc.strerror or exc}") from exc
     if blob[: len(MAGIC)] != MAGIC:
         raise CacheError(f"{path}: bad magic")
     off = len(MAGIC)
@@ -432,7 +436,7 @@ def cmd_verify(args) -> int:
 
 def cmd_summary(args) -> int:
     d, q = args.d, args.q
-    field_of_order(q)  # raises ValueError unless q is a prime power
+    prime_power(q)  # raises ValueError unless q is a prime power
     rows = []
 
     def row(space, value, example, reference, note=None):
@@ -569,13 +573,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A rank below 1, a bad argument value or an OS error
+    such as an unwritable cache directory exits 2; a failed verification 1."""
     args = build_parser().parse_args(argv)
     try:
+        if (hasattr(args, "family") or args.command == "summary") and args.d < 1:
+            raise ValueError("rank must be >= 1")
         return args.func(args)
     except SchemeError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .families import TAU, space_label
-from .ff import field_of_order
+from .ff import prime_power
 from .qcount import (
     EigenData,
     disjointness_eigenvalue,
@@ -102,7 +102,7 @@ def hoffman_cross_bound(eigs, n: int, label: str = "") -> BoundReport:
 
 def classical_bound(family: str, d: int, q: int) -> BoundReport:
     """Per-family bound from the plain disjointness spectrum of one space."""
-    field_of_order(q)  # raises ValueError unless q is a prime power
+    prime_power(q)  # raises ValueError unless q is a prime power
     tau = TAU[family]
     spectrum = [(r, disjointness_eigenvalue(d, tau, r, q)) for r in range(d + 1)]
     n = num_generators(family, d, q)
@@ -141,7 +141,7 @@ class HermitianParams:
 def hermitian_params(d: int, q: int) -> HermitianParams:
     if d <= 1:
         raise ValueError("the weighted Hermitian machinery needs d > 1")
-    field_of_order(q)  # raises ValueError unless q is a prime power
+    prime_power(q)  # raises ValueError unless q is a prime power
     n = 1
     for i in range(d):
         n *= q ** (2 * i + 1) + 1

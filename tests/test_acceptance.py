@@ -136,9 +136,9 @@ def test_criterion_5_h34_classification(catalogs):
 def test_criterion_6_prop10_lemma11(catalogs):
     certs = enumerate_maximal_cross_pairs(cross_graph(catalogs[("Qparabolic", 2, 2)]))
     pair = next(c for c in certs if c.label == "hyperbolic-subgeometry")
-    cat = catalogs[("Qparabolic", 2, 2)]
-    r1 = verify_prop10_counts(cat, pair, pair.y[0])
-    r2 = verify_zgh(cat, pair, pair.y[0], pair.y[1])
+    rel = build_relations(catalogs[("Qparabolic", 2, 2)])
+    r1 = verify_prop10_counts(rel, pair, pair.y[0])
+    r2 = verify_zgh(rel, pair, pair.y[0], pair.y[1])
     ok = r1["ok"] and r2["ok"]
     _verdict(6, ok, "all four parity count cases (prop10) and the z-slice reconstruction (lemma11) verify")
 

@@ -2,6 +2,7 @@ import dataclasses
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,8 @@ from polarb.geom import (
     polar_space_make,
     subspace_points,
 )
+from polarb.qcount import nbracket
+from polarb.scheme import RelationData, SchemeError
 
 _GRAPHS = {}
 
@@ -378,9 +381,14 @@ def test_bipartition_needs_qplus(catalog):
         bipartition_latins_greeks(catalog("W", 2, 2))
 
 
+def _dim_of_count(cat):
+    """{[j]_q: j}: the dimension of an intersection by its number of points."""
+    return {nbracket(j, cat.space.q): j for j in range(cat.space.d + 1)}
+
+
 def _reference_bipartition(cat):
     """Codimension-parity classes by one popcount per pair of generators."""
-    n, d, pm, dim_of = cat.n, cat.space.d, cat.point_masks, cat._dim_of_count
+    n, d, pm, dim_of = cat.n, cat.space.d, cat.point_masks, _dim_of_count(cat)
 
     def codim(x, y):
         return d - dim_of[(pm[x] & pm[y]).bit_count()]
@@ -406,9 +414,9 @@ def test_bipartition_matches_pairwise_reference(catalog, d):
 @pytest.mark.parametrize(
     "swap, message",
     [
-        (lambda pm, x1, x2: pm[x2[0]], "unequal sizes"),  # a latin takes a greek's points
-        (lambda pm, x1, x2: pm[x1[1]] ^ pm[x1[1]] & pm[x2[0]], "not a bipartition"),  # drops a point
-        (lambda pm, x1, x2: 0, "not a bipartition"),  # disjoint from every generator
+        (lambda pm, x1, x2: pm[x2[0]], "relation 0 is not regular"),  # a latin takes a greek's points
+        (lambda pm, x1, x2: pm[x1[1]] ^ pm[x1[1]] & pm[x2[0]], r"no \[j\]_q"),  # drops a point
+        (lambda pm, x1, x2: 0, "relation 0 is not regular"),  # disjoint from every generator
     ],
     ids=["other-class", "dropped-point", "empty"],
 )
@@ -425,49 +433,71 @@ def test_bipartition_rejects_a_swapped_point_mask(catalog, d, swap, message):
         _reference_bipartition(bad)
 
 
-def _grid(catalog):
+def _doctored_relations(monkeypatch, rows):
+    """Make bipartition_latins_greeks read the codimension matrix ``rows`` of a stand-in Q+ catalog."""
+    C = np.array(rows, dtype=np.int8)
+    cat = SimpleNamespace(space=SimpleNamespace(family="Qplus"), n=len(C))
+    monkeypatch.setattr(extremal, "build_relations", lambda _: RelationData(cat=cat, codim=C, valencies=()))
+    return cat
+
+
+def test_bipartition_rejects_a_regular_c_of_broken_parity(monkeypatch):
+    # The distance classes of a 5-cycle: regular, but an odd cycle has no bipartition.
+    cat = _doctored_relations(monkeypatch, [[min(abs(x - y), 5 - abs(x - y)) for y in range(5)] for x in range(5)])
+    with pytest.raises(SchemeError, match="not a bipartition"):
+        bipartition_latins_greeks(cat)
+
+
+def test_bipartition_rejects_classes_of_unequal_size(monkeypatch):
+    # The distance classes of a 3-vertex path: consistent parity, classes {0, 2} and {1}.
+    cat = _doctored_relations(monkeypatch, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    with pytest.raises(SchemeError, match="unequal sizes"):
+        bipartition_latins_greeks(cat)
+
+
+def _grid(catalog, relations):
     g = graph_of(catalog, "Qparabolic", 2, 2)
     certs = enumerate_maximal_cross_pairs(g)
-    return g.cat, next(c for c in certs if c.label == "hyperbolic-subgeometry")
+    return relations("Qparabolic", 2, 2), next(c for c in certs if c.label == "hyperbolic-subgeometry")
 
 
-def test_prop10_on_grid_pair(catalog):
-    cat, pair = _grid(catalog)
-    rep = verify_prop10_counts(cat, pair, pair.y[0])
+def test_prop10_on_grid_pair(catalog, relations):
+    rel, pair = _grid(catalog, relations)
+    rep = verify_prop10_counts(rel, pair, pair.y[0])
     assert rep["ok"], rep["details"]
 
 
-def test_prop10_rejects_foreign_generator(catalog):
-    cat, pair = _grid(catalog)
+def test_prop10_rejects_foreign_generator(catalog, relations):
+    rel, pair = _grid(catalog, relations)
     with pytest.raises(ValueError):
-        verify_prop10_counts(cat, pair, pair.z[0])
+        verify_prop10_counts(rel, pair, pair.z[0])
 
 
-def test_zgh_on_grid_pair(catalog):
-    cat, pair = _grid(catalog)
-    rep = verify_zgh(cat, pair, pair.y[0], pair.y[1])
+def test_zgh_on_grid_pair(catalog, relations):
+    rel, pair = _grid(catalog, relations)
+    rep = verify_zgh(rel, pair, pair.y[0], pair.y[1])
     assert rep["ok"], rep["details"]
 
 
-def test_zgh_requires_disjoint_generators(catalog):
-    cat, pair = _grid(catalog)
+def test_zgh_requires_disjoint_generators(catalog, relations):
+    rel, pair = _grid(catalog, relations)
     with pytest.raises(ValueError):
-        verify_zgh(cat, pair, pair.y[0], pair.y[0])
+        verify_zgh(rel, pair, pair.y[0], pair.y[0])
 
 
-def test_hyperplane_sections(catalog):
+def test_hyperplane_sections(relations):
     for d in (2, 3):
-        cat = catalog("Qparabolic", d, 2)
-        pm = cat.point_masks
-        hidx = next(j for j in range(cat.n) if pm[0] & pm[j] == 0)
-        rep = verify_hyperplane_section(cat, 0, hidx)
+        rel = relations("Qparabolic", d, 2)
+        pm = rel.cat.point_masks
+        hidx = next(j for j in range(rel.n) if pm[0] & pm[j] == 0)
+        rep = verify_hyperplane_section(rel, 0, hidx)
         assert rep["ok"], rep["details"]
 
 
-def test_hyperplane_section_rejects_meeting_generators(catalog):
-    cat = catalog("Qparabolic", 2, 2)
+def test_hyperplane_section_rejects_meeting_generators(relations):
+    rel = relations("Qparabolic", 2, 2)
     with pytest.raises(ValueError):
-        verify_hyperplane_section(cat, 0, 0)
+        verify_hyperplane_section(rel, 0, 0)
 
 
 def test_w3_triples_odd_and_even(catalog):
@@ -488,32 +518,33 @@ def test_thm20_at_q3():
     assert rep["exact"] == {"num": "31", "den": "1"}  # q^3 + q + 1
 
 
-def test_maximality_lemma_on_h34_certificates(catalog):
+def test_maximality_lemma_on_h34_certificates(catalog, relations):
     g = graph_of(catalog, "Hodd", 2, 4)
     certs = enumerate_maximal_cross_pairs(g)
     star = next(c for c in certs if c.label == "single-line-star")
     pencil = next(c for c in certs if c.label == "point-pencil-EKR")
-    assert verify_maximality_lemma(g.cat, star)["ok"]
-    assert verify_maximality_lemma(g.cat, pencil)["ok"]
+    rel = relations("Hodd", 2, 4)
+    assert verify_maximality_lemma(rel, star)["ok"]
+    assert verify_maximality_lemma(rel, pencil)["ok"]
 
 
-def test_maximality_lemma_rejects_non_maximal(catalog):
-    cat = catalog("Hodd", 2, 4)
+def test_maximality_lemma_rejects_non_maximal(relations):
     fake = CrossPairCertificate(y=(0,), z=(1,), product=1, maximal=False, label="other")
     with pytest.raises(ValueError):
-        verify_maximality_lemma(cat, fake)
+        verify_maximality_lemma(relations("Hodd", 2, 4), fake)
 
 
 def _reference_maximality_lemma(cat, pair):
     """The scalar route: Zassenhaus intersection of y1 and y2, then the catalog points of its span."""
     d = cat.space.d
     pm = cat.point_masks
+    dim_of = _dim_of_count(cat)
     index = {v: i for i, v in enumerate(cat.points)}
     tested = 0
     ok = True
     for i, y1 in enumerate(pair.y):
         for y2 in pair.y[i + 1 :]:
-            if cat._dim_of_count[(pm[y1] & pm[y2]).bit_count()] != d - 1:
+            if dim_of[(pm[y1] & pm[y2]).bit_count()] != d - 1:
                 continue
             tested += 1
             meet = intersect_bases(cat.space.field, cat.generators[y1].basis, cat.generators[y2].basis)
@@ -528,21 +559,22 @@ def _reference_maximality_lemma(cat, pair):
 
 
 @pytest.mark.parametrize("family,d,q", [("Hodd", 2, 4), ("W", 2, 3), ("Qparabolic", 2, 2)])
-def test_maximality_lemma_matches_intersection_reference(family, d, q, catalog):
+def test_maximality_lemma_matches_intersection_reference(family, d, q, catalog, relations):
     g = graph_of(catalog, family, d, q)
+    rel = relations(family, d, q)
     for cert in enumerate_maximal_cross_pairs(g):
-        assert verify_maximality_lemma(g.cat, cert) == _reference_maximality_lemma(g.cat, cert)
+        assert verify_maximality_lemma(rel, cert) == _reference_maximality_lemma(g.cat, cert)
 
 
-def test_maximality_lemma_reports_a_z_missing_a_meet(catalog):
+def test_maximality_lemma_reports_a_z_missing_a_meet(catalog, relations):
     # y1, y2 meet in a point p; z meets y1 elsewhere, so it misses y1 ∩ y2 but not y1.
     cat = catalog("Hodd", 2, 4)
     pm = cat.point_masks
     y2 = next(x for x in range(1, cat.n) if pm[0] & pm[x])
     z = next(x for x in range(cat.n) if pm[x] & pm[0] and not pm[x] & pm[0] & pm[y2])
     doctored = CrossPairCertificate(y=(0, y2), z=(z,), product=2, maximal=True, label="other")
-    for route in (verify_maximality_lemma, _reference_maximality_lemma):
-        assert route(cat, doctored)["details"] == ["(d-1)-meeting pairs tested: 1", "all Z elements hit: False"]
+    for route, data in ((verify_maximality_lemma, relations("Hodd", 2, 4)), (_reference_maximality_lemma, cat)):
+        assert route(data, doctored)["details"] == ["(d-1)-meeting pairs tested: 1", "all Z elements hit: False"]
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from polarb.geom import (
     vec_add,
     vec_scale,
 )
-from polarb.qcount import num_generators, num_points
+from polarb.qcount import nbracket, num_generators, num_points
 
 
 def test_standard_forms_are_nondegenerate():
@@ -113,7 +113,8 @@ def test_enumeration_limit():
 def _codim_intersection(i, j, cat):
     """d - dim(g_i ∩ g_j), read off the shared point count."""
     common = (cat.point_masks[i] & cat.point_masks[j]).bit_count()
-    return cat.space.d - cat._dim_of_count[common]
+    dim_of_count = {nbracket(k, cat.space.q): k for k in range(cat.space.d + 1)}
+    return cat.space.d - dim_of_count[common]
 
 
 def test_codim_identity_and_distribution(catalog):

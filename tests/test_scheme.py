@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from polarb import scheme
 from polarb.checks import ACCEPTANCE_INSTANCES
 from polarb.geom import bits_to_masks
-from polarb.qcount import eigen_data
+from polarb.qcount import eigen_data, nbracket
 from polarb.scheme import (
     RelationData,
     SchemeError,
@@ -60,10 +60,11 @@ def _reference_relation_rows(cat):
     """Relation rows by one popcount per pair of point masks."""
     n, d = cat.n, cat.space.d
     masks = cat.point_masks
+    dim_of_count = {nbracket(j, cat.space.q): j for j in range(d + 1)}
     rows = [[0] * n for _ in range(d + 1)]
     for x in range(n):
         for y in range(x, n):
-            i = d - cat._dim_of_count[(masks[x] & masks[y]).bit_count()]
+            i = d - dim_of_count[(masks[x] & masks[y]).bit_count()]
             rows[i][x] |= 1 << y
             rows[i][y] |= 1 << x
     return tuple(tuple(r) for r in rows)

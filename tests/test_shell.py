@@ -9,8 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from polarb import checks, extremal, geom, shell
-from polarb.scheme import SchemeError, build_relations
+from polarb import checks, ff, geom, scheme, shell
+from polarb.geom import enumerate_generators, polar_space_make
+from polarb.qcount import eigen_data, nbracket
+from polarb.scheme import SchemeError, build_relations, verify_spectrum
 from polarb.shell import CacheError, cache_read, cache_write, main
 
 
@@ -40,10 +42,11 @@ def _reference_relation_section(cat):
     """Relation rows by one popcount per pair of point masks, each row an
     n-bit little-endian integer, relation by relation."""
     n, d, masks = cat.n, cat.space.d, cat.point_masks
+    dim_of_count = {nbracket(j, cat.space.q): j for j in range(d + 1)}
     rows = [[0] * n for _ in range(d + 1)]
     for x in range(n):
         for y in range(n):
-            rows[d - cat._dim_of_count[(masks[x] & masks[y]).bit_count()]][x] |= 1 << y
+            rows[d - dim_of_count[(masks[x] & masks[y]).bit_count()]][x] |= 1 << y
     return b"".join(row.to_bytes((n + 7) // 8, "little") for rel_rows in rows for row in rel_rows)
 
 
@@ -313,12 +316,75 @@ def test_cli_enum_and_cached_scheme(capsys, tmp_path):
     assert payload["multiplicities"] == [1, 20, 6]
 
 
-def test_cli_scheme_check_rank0(capsys):
-    assert main(["scheme", "W", "0", "2", "--check", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["n"] == 1
-    assert payload["checked"] is True
-    assert payload["P"] == [[1]]
+def test_scheme_check_rank0_in_the_library():
+    # A generator's quotient has rank 0, so the library certifies it; the CLI refuses rank 0.
+    cat = enumerate_generators(polar_space_make("W", 0, 2))
+    eig = eigen_data("W", 0, 2)
+    assert cat.n == 1
+    assert verify_spectrum(build_relations(cat), eig) is True
+    assert [list(r) for r in eig.P] == [[1]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "W", "0", "2"],
+        ["info", "W", "-1", "2"],
+        ["enum", "W", "0", "2"],
+        ["scheme", "W", "0", "2", "--check"],
+        ["bound", "classical", "Qplus", "0", "2"],
+        ["search", "max-pairs", "W", "0", "2"],
+        ["summary", "--d", "0", "--q", "2"],
+        ["summary", "--d", "-1", "--q", "2"],
+    ],
+    ids="_".join,
+)
+def test_cli_rank_below_1_is_a_usage_error(capsys, isolated_cache, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rank must be >= 1\n"
+    assert not (isolated_cache / "cache").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "W", "2", "131072"],
+        ["bound", "classical", "Qplus", "3", "59049"],
+        ["summary", "--d", "3", "--q", "131072"],
+    ],
+    ids="_".join,
+)
+def test_cli_closed_forms_validate_q_without_building_the_field(capsys, monkeypatch, argv):
+    def no_field(p, k):
+        raise AssertionError(f"GF({p}^{k}) built")
+
+    monkeypatch.setattr(ff, "field_make", no_field)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_enum_into_a_cache_dir_that_is_a_file_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_bytes(b"")
+    monkeypatch.setenv("POLARB_CACHE_DIR", str(blocker))
+    assert main(["enum", "W", "2", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_unreadable_cache_file_is_ignored_and_reenumerated(capsys):
+    path = shell.cache_path("W", 2, 2)
+    path.mkdir(parents=True)
+    with pytest.raises(CacheError, match="W_2_2.plb"):
+        cache_read(path, ("W", 2, 2, 1))
+    assert main(["scheme", "W", "2", "2", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["valencies"] == [1, 6, 8]
+    assert captured.err.startswith(f"warning: ignoring cache file {path}: ")
+    assert captured.err.endswith("; enumerating instead\n") and captured.err.count("\n") == 1
 
 
 def test_cli_scheme_failed_certificate_exits_1(capsys, monkeypatch):
@@ -347,16 +413,16 @@ def test_cli_search_negative_limit_is_a_usage_error(capsys):
 
 
 def test_cli_search_geometry_bug_exits_1(capsys, monkeypatch):
-    counts = extremal.common_point_counts
+    counts = scheme.common_point_counts
 
-    def no_count_of_a_subspace(cat):  # keeps "x meets y" intact, so only the bipartition sees it
+    def no_count_of_a_subspace(cat):  # keeps "x meets y" intact, but no nonzero count is a [j]_q
         for true in counts(cat):
             yield np.where(true != 0, len(cat.points), 0)
 
-    monkeypatch.setattr(extremal, "common_point_counts", no_count_of_a_subspace)
+    monkeypatch.setattr(scheme, "common_point_counts", no_count_of_a_subspace)
     assert main(["search", "max-pairs", "Qplus", "2", "2"]) == 1
     err = capsys.readouterr().err
-    assert "verification failed" in err and "not a bipartition; geometry bug" in err
+    assert "verification failed" in err and "share a number of points that is no [j]_q" in err
 
 
 @pytest.mark.parametrize(
