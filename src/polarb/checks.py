@@ -11,7 +11,6 @@ from fractions import Fraction
 from functools import cache
 
 from .extremal import (
-    bipartition_latins_greeks,
     cross_graph,
     enumerate_maximal_cross_pairs,
     example_h7_cross_sample,
@@ -91,12 +90,11 @@ def check_thm5_support(q: int = 2) -> dict:
         details.append(f"{rep.label}: bound {rep.bound} (expected {want}), support {rep.support}")
         ok &= good
 
-    cat = _catalog("Qplus", 4, q)
-    rel = build_relations(cat)
+    g = cross_graph(_catalog("Qplus", 4, q))
     eig = eigen_data("Qplus", 4, q)
-    x1, x2 = bipartition_latins_greeks(cat)
-    chi_x1 = [1 if i in set(x1) else 0 for i in range(cat.n)]
-    sup = eigenspace_support(chi_x1, rel, eig)
+    x1, x2 = g.latins_greeks
+    chi_x1 = [1 if i in set(x1) else 0 for i in range(g.n)]
+    sup = eigenspace_support(chi_x1, g.rel, eig)
     good = sup == {0, 4}
     details.append(f"Q+(7,{q}) chi_latins support: {sorted(sup)} (expected [0, 4])")
     ok &= good
@@ -123,18 +121,16 @@ def check_thm5_support(q: int = 2) -> dict:
 def check_thm7(q: int = 2) -> dict:
     """Hyperbolic classification at rank 4: latins/greeks attain and exhaust the bound."""
     d = 4
-    cat = _catalog("Qplus", d, q)
-    rel = build_relations(cat)
+    g = cross_graph(_catalog("Qplus", d, q))
     eig = eigen_data("Qplus", d, q)
     details = []
     ok = True
 
-    x1, x2 = bipartition_latins_greeks(cat)
-    n = cat.n
+    x1, x2 = g.latins_greeks
+    n = g.n
     details.append(f"bipartition sizes: {len(x1)}, {len(x2)} (n = {n})")
     ok &= len(x1) == len(x2) == n // 2
 
-    g = cross_graph(cat)
     sx1 = set(x1)
     x2mask = sum(1 << b for b in x2)
     cross_ok = all(g.nonn[a] & x2mask == x2mask for a in x1)
@@ -150,7 +146,7 @@ def check_thm7(q: int = 2) -> dict:
     ok &= good
 
     v = [1 if i in sx1 else -1 for i in range(n)]
-    sup = eigenspace_support(v, rel, eig)
+    sup = eigenspace_support(v, g.rel, eig)
     details.append(f"support(chi_X1 - chi_X2) = {sorted(sup)} (expected [{d}])")
     ok &= sup == {d}
     md = eig.multiplicities[d]
@@ -160,10 +156,9 @@ def check_thm7(q: int = 2) -> dict:
 
 
 def _grid_pair(q: int = 2):
-    cat = _catalog("Qparabolic", 2, q)
-    certs = enumerate_maximal_cross_pairs(cross_graph(cat))
-    pair = next(c for c in certs if c.label == "hyperbolic-subgeometry")
-    return build_relations(cat), pair
+    g = cross_graph(_catalog("Qparabolic", 2, q))
+    pair = next(c for c in enumerate_maximal_cross_pairs(g) if c.label == "hyperbolic-subgeometry")
+    return g.rel, pair
 
 
 def check_prop10(q: int = 2) -> dict:
@@ -236,15 +231,14 @@ def check_thm15() -> dict:
 
 
 def check_thm16(q: int = 3) -> dict:
-    rep = verify_w3_triples(_catalog("W", 2, q))
+    rep = verify_w3_triples(cross_graph(_catalog("W", 2, q)))
     return _report("thm16", rep["ok"], rep["details"], _space("W", 2, q))
 
 
 def check_thm20(q: int = 2) -> dict:
     """Complete maximal-pair classification of H(3, q^2)."""
     qq = q * q
-    cat = _catalog("Hodd", 2, qq)
-    g = cross_graph(cat)
+    g = cross_graph(_catalog("Hodd", 2, qq))
     certs = enumerate_maximal_cross_pairs(g)
     expected = {
         "whole-vs-empty": 0,
@@ -279,9 +273,8 @@ def check_thm20(q: int = 2) -> dict:
         f"{verdict}"
     )
     ok &= nontight
-    rel = build_relations(cat)
     for c in certs:
-        mrep = verify_maximality_lemma(rel, c)
+        mrep = verify_maximality_lemma(g.rel, c)
         if not mrep["ok"]:
             details.append(f"maximality lemma fails on {c.y} / {c.z}")
             ok = False

@@ -1,9 +1,9 @@
 """Maximal cross-intersecting pairs by complete bit-vector search, plus the
 computational verifications of the classification statements.
 
-The graph is kept as packed bit rows of one relation, "x meets y", read off
-the codimension matrix C of scheme.build_relations as C < d; two generators
-are disjoint exactly when they do not meet.  A pair (Y, Z) with
+The graph keeps the codimension matrix C of scheme.build_relations and the
+packed bit rows of one relation, "x meets y", read off it as C < d; two
+generators are disjoint exactly when they do not meet.  A pair (Y, Z) with
 every y meeting every z is maximal exactly when Y and Z are fixed by the
 non-neighborhood closure Y = nonN(Z), Z = nonN(Y).  Because "x meets y" is
 symmetric, these fixed points are the formal concepts of the context
@@ -40,7 +40,6 @@ from .geom import (
     polar_space_make,
     rref,
     rref_batch,
-    span_lines,
 )
 from .qcount import binom2, gaussian, nbracket, num_generators, num_points
 from .scheme import RelationData, SchemeError, build_relations
@@ -49,11 +48,15 @@ from .scheme import RelationData, SchemeError, build_relations
 @dataclass(eq=False)
 class CrossGraph:
     """Disjointness graph of a catalog, held as its closed non-neighborhood
-    rows: x and y are disjoint exactly when bit y of nonn[x] is clear."""
+    rows next to the codimension matrix they are read from: x and y are
+    disjoint exactly when bit y of nonn[x] is clear."""
 
-    cat: GeneratorCatalog
-    n: int
+    rel: RelationData  # the catalog is rel.cat
     nonn: tuple[int, ...]  # nonn[x] = bitmask of generators meeting x, x included
+
+    @property
+    def n(self) -> int:
+        return len(self.nonn)
 
     def nonn_of(self, ids) -> int:
         """nonN of the vertex set ``ids``: the vertices meeting all of them."""
@@ -61,8 +64,22 @@ class CrossGraph:
 
     @cached_property
     def latins_greeks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """bipartition_latins_greeks of the catalog, computed on first use."""
-        return bipartition_latins_greeks(self.cat)
+        """The two codimension-parity classes of a hyperbolic quadric's generators:
+        x is in class C[0, x] mod 2, and every pair's parity, read off row blocks
+        of the codimension matrix C, must be the sum of its classes.  A geometry
+        that breaks either invariant raises SchemeError (a failed verification)."""
+        if self.rel.cat.space.family != "Qplus":
+            raise ValueError("latins/greeks exist on hyperbolic quadrics only")
+        C, n = self.rel.codim, self.n
+        cls = C[0] & 1
+        step = max(1, BLOCK_ENTRIES // n)
+        for r in range(0, n, step):
+            if ((C[r : r + step] & 1) != (cls[r : r + step, None] ^ cls)).any():
+                raise SchemeError("codimension parity is not a bipartition; geometry bug")
+        x1, x2 = (tuple(np.flatnonzero(cls == c).tolist()) for c in (0, 1))
+        if len(x1) != len(x2):
+            raise SchemeError("parity classes have unequal sizes")
+        return x1, x2
 
 
 def cross_graph(cat: GeneratorCatalog) -> CrossGraph:
@@ -70,7 +87,7 @@ def cross_graph(cat: GeneratorCatalog) -> CrossGraph:
     codimension matrix C of build_relations, which raises SchemeError on a
     geometry that is no association scheme."""
     rel = build_relations(cat)
-    return CrossGraph(cat=cat, n=cat.n, nonn=tuple(bits_to_masks(rel.codim < rel.d)))
+    return CrossGraph(rel=rel, nonn=tuple(bits_to_masks(rel.codim < rel.d)))
 
 
 @dataclass(frozen=True)
@@ -185,7 +202,7 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
 
 def classify_pair(yids, zids, g: CrossGraph) -> str:
     """Best-effort family label; reporting only, set identities carry the proofs."""
-    cat = g.cat
+    cat = g.rel.cat
     family = cat.space.family
     ny, nz = len(yids), len(zids)
     if nz == 0:
@@ -214,23 +231,8 @@ def classify_pair(yids, zids, g: CrossGraph) -> str:
 
 
 def bipartition_latins_greeks(cat: GeneratorCatalog) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two codimension-parity classes of a hyperbolic quadric's generators:
-    x is in class C[0, x] mod 2, and every pair's parity, read off row blocks
-    of the codimension matrix C, must be the sum of its classes.  A geometry
-    that breaks either invariant raises SchemeError (a failed verification)."""
-    if cat.space.family != "Qplus":
-        raise ValueError("latins/greeks exist on hyperbolic quadrics only")
-    C = build_relations(cat).codim
-    cls = C[0] & 1
-    step = max(1, BLOCK_ENTRIES // cat.n)
-    for r in range(0, cat.n, step):
-        if ((C[r : r + step] & 1) != (cls[r : r + step, None] ^ cls)).any():
-            raise SchemeError("codimension parity is not a bipartition; geometry bug")
-    x1, x2 = (tuple(np.flatnonzero(cls == c).tolist()) for c in (0, 1))
-    if len(x1) != len(x2):
-        raise SchemeError("parity classes have unequal sizes")
-    return x1, x2
-
+    """CrossGraph.latins_greeks of the catalog's graph."""
+    return cross_graph(cat).latins_greeks
 
 # ---------------------------------------------------------------------------
 # Verification of the classification statements
@@ -332,31 +334,22 @@ def verify_hyperplane_section(rel: RelationData, gidx: int, hidx: int) -> dict:
     return {"ok": ok, "details": details}
 
 
-def verify_w3_triples(cat: GeneratorCatalog) -> dict:
+def verify_w3_triples(g: CrossGraph) -> dict:
     """Transversal counts over all pairwise disjoint line triples of W(3, q).
 
     For q odd the count must be 0 or 2 everywhere; for q even the observed
     distribution is reported without judgement (the statement excludes it).
     """
-    ps = cat.space
+    ps = g.rel.cat.space
     if (ps.family, ps.d) != ("W", 2):
         raise ValueError(f"{ps.label}: the triples are counted on W(3, q)")
-    g = cross_graph(cat)
     n, nonn = g.n, g.nonn
     full = (1 << n) - 1
     counts: dict[int, int] = {}
     for a in range(n):
         rest_a = (full ^ nonn[a]) >> (a + 1) << (a + 1)
-        ma = rest_a
-        while ma:
-            lsb = ma & -ma
-            ma ^= lsb
-            b = lsb.bit_length() - 1
-            mb = rest_a & ~nonn[b] >> (b + 1) << (b + 1)
-            while mb:
-                lsb2 = mb & -mb
-                mb ^= lsb2
-                c = lsb2.bit_length() - 1
+        for b in bit_indices(rest_a):
+            for c in bit_indices(rest_a & ~nonn[b] >> (b + 1) << (b + 1)):
                 t = (nonn[a] & nonn[b] & nonn[c]).bit_count()
                 counts[t] = counts.get(t, 0) + 1
     triples = sum(counts.values())
@@ -404,10 +397,9 @@ def _dual_blocks(ar, Ainv: np.ndarray) -> np.ndarray:
     return ar.conj[Ainv].transpose(0, 2, 1)[:, ::-1, ::-1]
 
 
-def _generators_through_subspaces(ps: PolarSpace, k: int, span=None) -> list[tuple[tuple, list[Subspace]]]:
+def _generators_through_subspaces(ps: PolarSpace, k: int) -> list[tuple[tuple, list[Subspace]]]:
     """(S, generators_through(S)) for every k-subspace S of G = <e_0..e_(d-1)>,
-    S in enumerate_subspaces_within order, from one quotient enumeration;
-    ``span`` is span_lines(ps, G), built here when not given.
+    S in enumerate_subspaces_within order, from one quotient enumeration.
 
     Both Hermitian models have the antidiagonal Gram matrix J.  For A in
     GL(d, q) let C = J sigma(A^-1)^T J and M = diag(A, C), with a 1 on the
@@ -435,7 +427,7 @@ def _generators_through_subspaces(ps: PolarSpace, k: int, span=None) -> list[tup
     ar = _array_arithmetic(fld)
     unit = anti[::-1]
     eye = np.eye(d, dtype=np.int32)
-    subs = enumerate_subspaces_within(ps, unit[:d], k, span)
+    subs = enumerate_subspaces_within(ps, unit[:d], k)
     W = np.array([g.basis for g in generators_through(Subspace(unit[:k]), ps)], dtype=np.int32)
     n = len(W)
     out = []
@@ -477,8 +469,7 @@ def _generators_through_subspaces(ps: PolarSpace, k: int, span=None) -> list[tup
 def _h7_data(q: int):
     """Generators of H(7, q^2) through every >=2-dimensional subspace of G = <e_0..e_3>."""
     ps = polar_space_make("Hodd", 4, q * q)
-    span = span_lines(ps, [tuple(int(t == i) for t in range(ps.nv)) for i in range(4)])
-    return ps, {k: _generators_through_subspaces(ps, k, span) for k in (2, 3, 4)}
+    return ps, {k: _generators_through_subspaces(ps, k) for k in (2, 3, 4)}
 
 
 def example_h7_sizes(q: int = 2) -> tuple[int, int]:

@@ -2,7 +2,7 @@
 
 Builds the six families in their standard coordinate forms, decides
 singularity / total isotropy, computes perps and quotient geometries, and
-enumerates complete generator catalogs with a codimension oracle.
+enumerates complete generator catalogs and the subspaces of a span.
 
 Vectors are tuples of field codes.  Subspaces are canonical reduced
 row-echelon bases (pivot-normalized, reduced above and below, rows ordered by
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -654,7 +654,7 @@ def _line_table(ps: PolarSpace, pts, orth) -> list[list[int]]:
     return line
 
 
-def _orderly_subspaces(ps: PolarSpace, pts, orth, k: int, line=None) -> np.ndarray:
+def _orderly_subspaces(ps: PolarSpace, pts, orth, k: int) -> np.ndarray:
     """The k-dimensional subspaces spanned by k pairwise orthogonal points of
     ``pts``, each exactly once, as an (L, k, nv) stack of spanning points.
 
@@ -668,11 +668,9 @@ def _orderly_subspaces(ps: PolarSpace, pts, orth, k: int, line=None) -> np.ndarr
     the greedy bases, b_1 the least point and b_(i+1) the least point outside
     span(b_1..b_i), so every subspace is reached once (orderly generation,
     R. C. Read 1978) and no seen-set is needed.  Each leaf chain gives its
-    k points; _canonical_bases reduces them all in one rref_batch.  ``line``
-    is _line_table(ps, pts, orth), built here when not given.
+    k points; _canonical_bases reduces them all in one rref_batch.
     """
-    if line is None and k > 1:
-        line = _line_table(ps, pts, orth)
+    line = _line_table(ps, pts, orth) if k > 1 else None
     leaves: list[tuple[int, ...]] = []
     stack = [((), 0, (), (1 << len(pts)) - 1)]  # chain, span, points of span, perp
     while stack:
@@ -724,18 +722,33 @@ def _generator_spans(ps: PolarSpace, limit: int):
     return pts, orth, spans
 
 
-def span_lines(ps: PolarSpace, basis) -> tuple[list[Vector], list[list[int]]]:
-    """The sorted points of the span of ``basis`` and their line table."""
-    pts = sorted(subspace_points(ps, tuple(basis)))
-    return pts, _line_table(ps, pts, [(1 << len(pts)) - 1] * len(pts))
+def enumerate_subspaces_within(ps: PolarSpace, basis, k: int) -> list[tuple[Vector, ...]]:
+    """All k-dimensional subspaces of the span of ``basis`` (canonical bases, sorted).
 
-
-def enumerate_subspaces_within(ps: PolarSpace, basis, k: int, span=None) -> list[tuple[Vector, ...]]:
-    """All k-dimensional subspaces of the span of ``basis`` (canonical bases,
-    sorted); ``span`` is span_lines(ps, basis), built here when not given."""
-    pts, line = span or span_lines(ps, basis)
-    full = (1 << len(pts)) - 1
-    return _canonical_bases(ps.field, _orderly_subspaces(ps, pts, [full] * len(pts), k, line))
+    B = rref(basis) is canonical with pivots p_1 < .. < p_m, so each k-subspace
+    of its row space is X·B for exactly one k x m matrix X in reduced
+    row-echelon form.  X·B is canonical too: at p_t it equals column t of X,
+    and row r of X·B vanishes before p_c for c the pivot of row r of X, so
+    its pivots are B's pivots in X's pivot columns.  The X with pivots
+    c_1 < .. < c_k fill their free cells (i, j), j > c_i and j no pivot, with
+    every field element; the products X·B are _Gathers sums.
+    """
+    fld, q = ps.field, ps.q
+    B = np.array(rref(fld, basis), dtype=np.int32).reshape(-1, ps.nv)
+    m = len(B)
+    ar = _array_arithmetic(fld)
+    out = []
+    for piv in combinations(range(m), k):
+        cells = [(i, j) for i, c in enumerate(piv) for j in range(c + 1, m) if j not in piv]
+        X = np.zeros((q ** len(cells), k, m), dtype=np.int32)
+        X[:, range(k), piv] = 1
+        for f, (i, j) in enumerate(cells):
+            X[:, i, j] = np.arange(len(X)) // q**f % q
+        XB = np.zeros((len(X), k, ps.nv), dtype=np.int32)
+        for t in range(m):
+            XB = ar.add(XB, ar.mul(X[:, :, t, None], B[t]))
+        out += _bases(XB)
+    return sorted(out)
 
 
 @dataclass(eq=False)

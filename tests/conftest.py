@@ -1,9 +1,9 @@
+from functools import cache
+
 import pytest
 
 from polarb.checks import _catalog
-from polarb.scheme import build_relations
-
-_RELATIONS = {}
+from polarb.extremal import cross_graph
 
 
 @pytest.fixture(scope="session")
@@ -13,11 +13,12 @@ def catalog():
 
 
 @pytest.fixture(scope="session")
-def relations(catalog):
-    def get(family, d, q):
-        key = (family, d, q)
-        if key not in _RELATIONS:
-            _RELATIONS[key] = build_relations(catalog(family, d, q))
-        return _RELATIONS[key]
+def graph(catalog):
+    """Memoized cross graph factory over the catalog memo."""
+    return cache(lambda family, d, q: cross_graph(catalog(family, d, q)))
 
-    return get
+
+@pytest.fixture(scope="session")
+def relations(graph):
+    """The codimension matrix each memoized graph holds."""
+    return lambda family, d, q: graph(family, d, q).rel

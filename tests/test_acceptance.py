@@ -134,9 +134,9 @@ def test_criterion_5_h34_classification(catalogs):
 
 
 def test_criterion_6_prop10_lemma11(catalogs):
-    certs = enumerate_maximal_cross_pairs(cross_graph(catalogs[("Qparabolic", 2, 2)]))
-    pair = next(c for c in certs if c.label == "hyperbolic-subgeometry")
-    rel = build_relations(catalogs[("Qparabolic", 2, 2)])
+    g = cross_graph(catalogs[("Qparabolic", 2, 2)])
+    pair = next(c for c in enumerate_maximal_cross_pairs(g) if c.label == "hyperbolic-subgeometry")
+    rel = g.rel
     r1 = verify_prop10_counts(rel, pair, pair.y[0])
     r2 = verify_zgh(rel, pair, pair.y[0], pair.y[1])
     ok = r1["ok"] and r2["ok"]
@@ -145,7 +145,7 @@ def test_criterion_6_prop10_lemma11(catalogs):
 
 def test_criterion_7_w33_triples(catalogs):
     t0 = time.perf_counter()
-    rep = verify_w3_triples(catalogs[("W", 2, 3)])
+    rep = verify_w3_triples(cross_graph(catalogs[("W", 2, 3)]))
     elapsed = time.perf_counter() - t0
     ok = rep["ok"] and set(rep["counts"]) <= {0, 2} and elapsed < 60
     _verdict(7, ok, f"transversal counts of disjoint triples in {{0,2}} ({elapsed:.1f}s)")

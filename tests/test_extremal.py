@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,16 +38,6 @@ from polarb.geom import (
 from polarb.qcount import nbracket
 from polarb.scheme import RelationData, SchemeError
 
-_GRAPHS = {}
-
-
-def graph_of(catalog, family, d, q):
-    key = (family, d, q)
-    if key not in _GRAPHS:
-        _GRAPHS[key] = cross_graph(catalog(family, d, q))
-    return _GRAPHS[key]
-
-
 def _reference_disjointness_rows(cat):
     """The popcount loop: bit y of row x set iff generators x and y share no point."""
     pm = cat.point_masks
@@ -64,24 +55,24 @@ def test_cross_graph_rows_match_popcount_reference(catalog, family, d, q):
     assert all(type(row) is int for row in g.nonn)
 
 
-def test_closure_of_empty_set(catalog):
-    g = graph_of(catalog, "Hodd", 2, 4)
+def test_closure_of_empty_set(graph):
+    g = graph("Hodd", 2, 4)
     cert = cross_closure((), g)
     assert cert.sizes == (27, 0)
     assert cert.label == "whole-vs-empty"
     assert cert.product == 0
 
 
-def test_closure_of_single_line(catalog):
-    g = graph_of(catalog, "Hodd", 2, 4)
+def test_closure_of_single_line(graph):
+    g = graph("Hodd", 2, 4)
     cert = cross_closure((0,), g)
     assert cert.sizes == (11, 1)  # (q^2+1)q + 1 lines meet a fixed line
     assert cert.label == "single-line-star"
     assert 0 in cert.y and cert.z == (0,)
 
 
-def test_closure_of_two_meeting_lines_is_a_pencil(catalog):
-    g = graph_of(catalog, "Hodd", 2, 4)
+def test_closure_of_two_meeting_lines_is_a_pencil(graph):
+    g = graph("Hodd", 2, 4)
     a, b = next(
         (x, y) for x in range(g.n) for y in range(x + 1, g.n) if (g.nonn[x] >> y) & 1
     )
@@ -92,25 +83,25 @@ def test_closure_of_two_meeting_lines_is_a_pencil(catalog):
 
 
 @pytest.mark.parametrize("tamper", ["nonn"])
-def test_certificate_rejects_an_inconsistent_graph(catalog, tamper):
-    g = graph_of(catalog, "Hodd", 2, 4)
+def test_certificate_rejects_an_inconsistent_graph(graph, tamper):
+    g = graph("Hodd", 2, 4)
     seed = next(j for j in range(1, g.n) if g.nonn[0] >> j & 1)
     # vertex 0 meets only itself, but its neighbours still meet 0
-    bad = CrossGraph(cat=g.cat, n=g.n, nonn=(1,) + g.nonn[1:])
+    bad = CrossGraph(rel=g.rel, nonn=(1,) + g.nonn[1:])
     with pytest.raises(AssertionError, match="fixed point"):
         cross_closure((seed,), bad)
 
 
-def test_closure_idempotence(catalog):
-    g = graph_of(catalog, "Hodd", 2, 4)
+def test_closure_idempotence(graph):
+    g = graph("Hodd", 2, 4)
     for seed in [(0,), (0, 1), (3, 7, 11)]:
         cert = cross_closure(seed, g)
         again = cross_closure(cert.z, g)
         assert {tuple(cert.y), tuple(cert.z)} == {tuple(again.y), tuple(again.z)}
 
 
-def test_h34_sweep_finds_the_five_families(catalog):
-    g = graph_of(catalog, "Hodd", 2, 4)
+def test_h34_sweep_finds_the_five_families(graph):
+    g = graph("Hodd", 2, 4)
     certs = enumerate_maximal_cross_pairs(g)
     counts = Counter(c.label for c in certs)
     assert counts == {
@@ -131,15 +122,15 @@ def test_h34_sweep_finds_the_five_families(catalog):
     assert max(c.product for c in certs) == 11
 
 
-def test_sweep_limit_guard(catalog):
-    g = graph_of(catalog, "Hodd", 2, 4)
+def test_sweep_limit_guard(graph):
+    g = graph("Hodd", 2, 4)
     with pytest.raises(ValueError):
         enumerate_maximal_cross_pairs(g, limit=5)
 
 
-def test_limit_caps_the_closed_sets_at_two_to_the_limit(catalog):
+def test_limit_caps_the_closed_sets_at_two_to_the_limit(graph):
     # H(3,4) has 1253 closed sets: 2^10 = 1024 is passed, 2^11 = 2048 is not.
-    g = graph_of(catalog, "Hodd", 2, 4)
+    g = graph("Hodd", 2, 4)
     with pytest.raises(ValueError, match="2\\^10"):
         enumerate_maximal_cross_pairs(g, limit=10)
     certs = enumerate_maximal_cross_pairs(g, limit=11)
@@ -180,8 +171,8 @@ _RANK2 = [("W", 2, 3), ("Qplus", 2, 5), ("Qparabolic", 2, 3), ("Qminus", 2, 2), 
 
 
 @pytest.mark.parametrize("family,d,q", _RANK2)
-def test_close_by_one_matches_the_subset_sweep(catalog, family, d, q):
-    g = graph_of(catalog, family, d, q)
+def test_close_by_one_matches_the_subset_sweep(graph, family, d, q):
+    g = graph(family, d, q)
     certs = enumerate_maximal_cross_pairs(g)
     assert len(_pair_set(certs)) == len(certs)
     assert _pair_set(certs) == _reference_sweep_pairs(g)
@@ -196,7 +187,7 @@ def _symmetric_graphs(draw):
             meet[x][y] = meet[y][x] = draw(st.booleans())
     nonn = tuple(sum(1 << y for y in range(n) if meet[x][y]) for x in range(n))
     cat = SimpleNamespace(space=SimpleNamespace(q=0, family=None), point_masks=(0,) * n)
-    return CrossGraph(cat=cat, n=n, nonn=nonn)
+    return CrossGraph(rel=SimpleNamespace(cat=cat), nonn=nonn)
 
 
 @settings(max_examples=120, deadline=None, database=None)
@@ -263,8 +254,8 @@ def _closed_sets(certs):
 
 
 @pytest.mark.parametrize("family,d,q", _RANK2)
-def test_fcbo_matches_plain_close_by_one(catalog, family, d, q):
-    g = graph_of(catalog, family, d, q)
+def test_fcbo_matches_plain_close_by_one(graph, family, d, q):
+    g = graph(family, d, q)
     certs = enumerate_maximal_cross_pairs(g)
     reference, closed = _reference_close_by_one(g)
     assert certs == reference
@@ -286,8 +277,8 @@ def _counting_nonn_of(monkeypatch):
 
 
 @pytest.mark.parametrize("family,d,q", [("W", 2, 3), ("Hodd", 2, 4)])
-def test_fcbo_computes_fewer_closures_than_close_by_one(catalog, monkeypatch, family, d, q):
-    g = graph_of(catalog, family, d, q)
+def test_fcbo_computes_fewer_closures_than_close_by_one(graph, monkeypatch, family, d, q):
+    g = graph(family, d, q)
     calls = _counting_nonn_of(monkeypatch)
     certs = enumerate_maximal_cross_pairs(g)
     fcbo = len(calls)
@@ -300,8 +291,8 @@ def test_fcbo_computes_fewer_closures_than_close_by_one(catalog, monkeypatch, fa
     assert _closed_sets(certs) == set(closed)
 
 
-def test_cross_closure_makes_three_reductions(catalog, monkeypatch):
-    g = graph_of(catalog, "Hodd", 2, 4)
+def test_cross_closure_makes_three_reductions(graph, monkeypatch):
+    g = graph("Hodd", 2, 4)
     calls = _counting_nonn_of(monkeypatch)
     for seed in [(0,), (0, 1), (3, 7, 11)]:
         calls.clear()
@@ -309,23 +300,25 @@ def test_cross_closure_makes_three_reductions(catalog, monkeypatch):
         assert len(calls) == 3  # nonN(seed) = Y, nonN(Y) = Z, and the check nonN(Z) = Y
 
 
-def test_close_by_one_rejects_a_doctored_nonn(catalog):
-    g = graph_of(catalog, "Hodd", 2, 4)
+def test_close_by_one_rejects_a_doctored_nonn(graph):
+    g = graph("Hodd", 2, 4)
     nonn = (1,) + g.nonn[1:]  # vertex 0 meets only itself, but its neighbours still meet 0
-    bad = CrossGraph(cat=g.cat, n=g.n, nonn=nonn)
+    bad = CrossGraph(rel=g.rel, nonn=nonn)
     with pytest.raises(AssertionError, match="fixed point"):
         enumerate_maximal_cross_pairs(bad)
 
 
 def test_latins_greeks_bipartition_is_computed_once_per_graph(catalog, monkeypatch):
     calls = []
-    original = extremal.bipartition_latins_greeks
+    original = CrossGraph.__dict__["latins_greeks"].func
 
-    def counting(cat):
-        calls.append(cat)
-        return original(cat)
+    def counting(g):
+        calls.append(g)
+        return original(g)
 
-    monkeypatch.setattr(extremal, "bipartition_latins_greeks", counting)
+    counted = cached_property(counting)
+    counted.__set_name__(CrossGraph, "latins_greeks")
+    monkeypatch.setattr(CrossGraph, "latins_greeks", counted)
     # Label counts of the uncached classification, which computed it per certificate.
     expected = {
         ("Qplus", 2, 5): {"latins-greeks": 1, "point-pencil-EKR": 36, "single-line-star": 12, "whole-vs-empty": 1},
@@ -340,13 +333,13 @@ def test_latins_greeks_bipartition_is_computed_once_per_graph(catalog, monkeypat
     for k, (space, labels) in enumerate(expected.items(), start=1):
         g = cross_graph(catalog(*space))
         certs = enumerate_maximal_cross_pairs(g)
-        assert len(calls) == k and calls[-1] is g.cat
+        assert len(calls) == k and calls[-1] is g
         assert Counter(c.label for c in certs) == labels
 
 
-def test_q42_and_w32_maximum_pairs(catalog):
+def test_q42_and_w32_maximum_pairs(graph):
     for family in ("Qparabolic", "W"):
-        g = graph_of(catalog, family, 2, 2)
+        g = graph(family, 2, 2)
         certs = enumerate_maximal_cross_pairs(g)
         best = max(c.product for c in certs)
         assert best == 9
@@ -356,20 +349,20 @@ def test_q42_and_w32_maximum_pairs(catalog):
         assert all(c.sizes == (3, 3) for c in certs if c.product == best)
 
 
-def test_w33_maximum_pairs_are_ekr(catalog):
-    g = graph_of(catalog, "W", 2, 3)
+def test_w33_maximum_pairs_are_ekr(graph):
+    g = graph("W", 2, 3)
     certs = enumerate_maximal_cross_pairs(g)
     best = max(c.product for c in certs)
     assert best == 16
     assert all(c.y == c.z for c in certs if c.product == best)
 
 
-def test_bipartition_q72(catalog):
+def test_bipartition_q72(graph, catalog):
     cat = catalog("Qplus", 4, 2)
     x1, x2 = bipartition_latins_greeks(cat)
     assert len(x1) == len(x2) == 135
     assert set(x1) | set(x2) == set(range(270))
-    g = graph_of(catalog, "Qplus", 4, 2)
+    g = graph("Qplus", 4, 2)
     # d even: no disjoint pairs across the classes, some inside each class
     x2mask = sum(1 << b for b in x2)
     assert all(g.nonn[a] & x2mask == x2mask for a in x1)
@@ -434,9 +427,9 @@ def test_bipartition_rejects_a_swapped_point_mask(catalog, d, swap, message):
 
 
 def _doctored_relations(monkeypatch, rows):
-    """Make bipartition_latins_greeks read the codimension matrix ``rows`` of a stand-in Q+ catalog."""
+    """Make cross_graph read the codimension matrix ``rows`` of a stand-in Q+ catalog of rank max(rows)."""
     C = np.array(rows, dtype=np.int8)
-    cat = SimpleNamespace(space=SimpleNamespace(family="Qplus"), n=len(C))
+    cat = SimpleNamespace(space=SimpleNamespace(family="Qplus", d=int(C.max())), n=len(C))
     monkeypatch.setattr(extremal, "build_relations", lambda _: RelationData(cat=cat, codim=C, valencies=()))
     return cat
 
@@ -455,32 +448,31 @@ def test_bipartition_rejects_classes_of_unequal_size(monkeypatch):
         bipartition_latins_greeks(cat)
 
 
-def _grid(catalog, relations):
-    g = graph_of(catalog, "Qparabolic", 2, 2)
-    certs = enumerate_maximal_cross_pairs(g)
-    return relations("Qparabolic", 2, 2), next(c for c in certs if c.label == "hyperbolic-subgeometry")
+def _grid(graph):
+    g = graph("Qparabolic", 2, 2)
+    return g.rel, next(c for c in enumerate_maximal_cross_pairs(g) if c.label == "hyperbolic-subgeometry")
 
 
-def test_prop10_on_grid_pair(catalog, relations):
-    rel, pair = _grid(catalog, relations)
+def test_prop10_on_grid_pair(graph):
+    rel, pair = _grid(graph)
     rep = verify_prop10_counts(rel, pair, pair.y[0])
     assert rep["ok"], rep["details"]
 
 
-def test_prop10_rejects_foreign_generator(catalog, relations):
-    rel, pair = _grid(catalog, relations)
+def test_prop10_rejects_foreign_generator(graph):
+    rel, pair = _grid(graph)
     with pytest.raises(ValueError):
         verify_prop10_counts(rel, pair, pair.z[0])
 
 
-def test_zgh_on_grid_pair(catalog, relations):
-    rel, pair = _grid(catalog, relations)
+def test_zgh_on_grid_pair(graph):
+    rel, pair = _grid(graph)
     rep = verify_zgh(rel, pair, pair.y[0], pair.y[1])
     assert rep["ok"], rep["details"]
 
 
-def test_zgh_requires_disjoint_generators(catalog, relations):
-    rel, pair = _grid(catalog, relations)
+def test_zgh_requires_disjoint_generators(graph):
+    rel, pair = _grid(graph)
     with pytest.raises(ValueError):
         verify_zgh(rel, pair, pair.y[0], pair.y[0])
 
@@ -500,15 +492,15 @@ def test_hyperplane_section_rejects_meeting_generators(relations):
         verify_hyperplane_section(rel, 0, 0)
 
 
-def test_w3_triples_odd_and_even(catalog):
-    rep3 = verify_w3_triples(catalog("W", 2, 3))
+def test_w3_triples_odd_and_even(graph):
+    rep3 = verify_w3_triples(graph("W", 2, 3))
     assert rep3["ok"]
     assert rep3["counts"] == {0: 1080, 2: 2160}
-    rep2 = verify_w3_triples(catalog("W", 2, 2))  # q even: outside the statement, report only
+    rep2 = verify_w3_triples(graph("W", 2, 2))  # q even: outside the statement, report only
     assert rep2["ok"]
     assert rep2["counts"] == {1: 60, 3: 20}
     with pytest.raises(ValueError, match="W\\(3, q\\)"):
-        verify_w3_triples(catalog("Hodd", 2, 4))
+        verify_w3_triples(graph("Hodd", 2, 4))
 
 
 def test_thm20_at_q3():
@@ -518,8 +510,8 @@ def test_thm20_at_q3():
     assert rep["exact"] == {"num": "31", "den": "1"}  # q^3 + q + 1
 
 
-def test_maximality_lemma_on_h34_certificates(catalog, relations):
-    g = graph_of(catalog, "Hodd", 2, 4)
+def test_maximality_lemma_on_h34_certificates(graph, relations):
+    g = graph("Hodd", 2, 4)
     certs = enumerate_maximal_cross_pairs(g)
     star = next(c for c in certs if c.label == "single-line-star")
     pencil = next(c for c in certs if c.label == "point-pencil-EKR")
@@ -559,11 +551,11 @@ def _reference_maximality_lemma(cat, pair):
 
 
 @pytest.mark.parametrize("family,d,q", [("Hodd", 2, 4), ("W", 2, 3), ("Qparabolic", 2, 2)])
-def test_maximality_lemma_matches_intersection_reference(family, d, q, catalog, relations):
-    g = graph_of(catalog, family, d, q)
+def test_maximality_lemma_matches_intersection_reference(family, d, q, graph, relations):
+    g = graph(family, d, q)
     rel = relations(family, d, q)
     for cert in enumerate_maximal_cross_pairs(g):
-        assert verify_maximality_lemma(rel, cert) == _reference_maximality_lemma(g.cat, cert)
+        assert verify_maximality_lemma(rel, cert) == _reference_maximality_lemma(g.rel.cat, cert)
 
 
 def test_maximality_lemma_reports_a_z_missing_a_meet(catalog, relations):

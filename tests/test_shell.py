@@ -2,6 +2,8 @@ import ast
 import errno
 import importlib
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -423,6 +425,35 @@ def test_cli_search_geometry_bug_exits_1(capsys, monkeypatch):
     assert main(["search", "max-pairs", "Qplus", "2", "2"]) == 1
     err = capsys.readouterr().err
     assert "verification failed" in err and "share a number of points that is no [j]_q" in err
+
+
+@pytest.fixture
+def relation_builds(monkeypatch):
+    """build_relations calls by space label, counted in every polarb module that binds it."""
+    calls = Counter()
+    original = scheme.build_relations
+
+    def counting(cat):
+        calls[cat.space.label] += 1
+        return original(cat)
+
+    bound = [name for name, module in sys.modules.items() if getattr(module, "build_relations", None) is original]
+    assert {"polarb.scheme", "polarb.extremal", "polarb.checks", "polarb.shell"} <= set(bound)
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "build_relations", counting)
+    return calls
+
+
+@pytest.mark.parametrize("check_id", sorted(checks.CHECKS))
+def test_every_check_builds_a_codimension_matrix_at_most_once_per_space(relation_builds, check_id):
+    checks.run_check(check_id)
+    assert all(count == 1 for count in relation_builds.values()), dict(relation_builds)
+
+
+def test_search_builds_the_codimension_matrix_once(relation_builds, capsys):
+    assert main(["search", "max-pairs", "Qplus", "3", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["maximal_pairs"] == 2278
+    assert dict(relation_builds) == {"Q+(5,2)": 1}
 
 
 @pytest.mark.parametrize(
