@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 MAX_ORDER = 1 << 16
 
 
@@ -37,17 +39,6 @@ def _poly_from_code(code: int, p: int, k: int) -> tuple[int, ...]:
         digits.append(code % p)
         code //= p
     return tuple(digits)
-
-
-def _poly_mul_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _poly_rem(a: list[int], m: list[int], p: int) -> list[int]:
@@ -95,9 +86,16 @@ class FieldSpec:
     """Immutable description of GF(p^k) plus its arithmetic tables.
 
     ``poly`` holds the non-leading coefficients of the monic defining
-    polynomial; ``primitive`` is the code of a verified generator of the
-    multiplicative group; ``exp``/``log`` are the usual discrete tables with
-    exp[i] = primitive^i for 0 <= i < order-1.
+    polynomial and ``primitive`` the least code of multiplicative order
+    order-1.  ``exp`` holds two periods of its powers, exp[i] = primitive^i
+    for 0 <= i < 2(order-1), then a zero tail of 2(order-1)+1 entries;
+    ``log`` inverts the first period and log[0] = 2(order-1) points into the
+    tail, so every index log[a] + log[b] with a or b zero lands on a 0.
+    ``places`` are the digit place values 1, p, .., p^(k-1).
+
+    add, sub and neg are XOR in characteristic 2 and one base-p digit loop
+    otherwise; the same operators make them valid on Python ints and
+    elementwise on int arrays of codes alike.
     """
 
     p: int
@@ -107,44 +105,39 @@ class FieldSpec:
     primitive: int
     exp: tuple[int, ...]
     log: tuple[int, ...]
+    places: tuple[int, ...]
 
-    def add(self, a: int, b: int) -> int:
+    def add(self, a, b):
         if self.p == 2:
             return a ^ b
-        p = self.p
         out = 0
-        mult = 1
-        while a or b:
-            out += (a % p + b % p) % p * mult
-            a //= p
-            b //= p
-            mult *= p
+        for pe in self.places:
+            out += (a // pe + b // pe) % self.p * pe
         return out
 
-    def neg(self, a: int) -> int:
+    def sub(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        out = 0
+        for pe in self.places:
+            out += (a // pe - b // pe) % self.p * pe
+        return out
+
+    def neg(self, a):
         if self.p == 2:
             return a
-        p = self.p
         out = 0
-        mult = 1
-        while a:
-            out += (-a % p) % p * mult
-            a //= p
-            mult *= p
+        for pe in self.places:
+            out += -(a // pe) % self.p * pe
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.order - 1)]
+        return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        return self.exp[(-self.log[a]) % (self.order - 1)]
+        return self.exp[self.order - 1 - self.log[a]]
 
     @property
     def has_conjugation(self) -> bool:
@@ -160,21 +153,29 @@ class FieldSpec:
         return self.exp[(self.log[a] * root) % (self.order - 1)]
 
 
-def _mul_raw(a: int, b: int, p: int, k: int, poly: tuple[int, ...]) -> int:
-    """Table-free polynomial-basis product, used only while bootstrapping tables."""
-    da = _poly_from_code(a, p, k)
-    db = _poly_from_code(b, p, k)
-    prod = _poly_mul_mod_p(list(da), list(db), p)
-    rem = _poly_rem(prod, list(poly) + [1], p)
-    out = 0
-    for c in reversed(rem):
-        out = out * p + c
-    return out
+def _prime_factors(n: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
 
 
 @lru_cache(maxsize=None)
 def field_make(p: int, k: int) -> FieldSpec:
-    """Construct GF(p^k) with exp/log tables and a verified primitive element."""
+    """Construct GF(p^k) with exp/log tables of its least primitive element.
+
+    Multiplication by an element c is the k x k matrix c(X) over GF(p), X the
+    companion matrix of the defining polynomial acting on digit rows: row i
+    of c(X) is c x^i, and the digit row of c y is digits(y) @ c(X) mod p.
+    Codes are tried in increasing order; c has full order exactly when
+    c(X)^((order-1)/r) is not the identity for every prime r dividing
+    order-1.  The first that passes fills exp by walking its multiplication
+    table once.
+    """
     if not _is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p}")
     if k < 1:
@@ -183,29 +184,38 @@ def field_make(p: int, k: int) -> FieldSpec:
     if order > MAX_ORDER:
         raise ValueError(f"field order {order} exceeds the 2^16 ceiling")
     poly = least_irreducible(p, k)
+    places = p ** np.arange(k, dtype=np.int64)
+    X = np.eye(k, k, 1, dtype=np.int64)  # x * x^i = x^(i+1)
+    X[-1] = [-c % p for c in poly]  # x * x^(k-1) = x^k = -sum poly_i x^i
+    eye = np.eye(k, dtype=np.int64)
 
-    # Scan for a primitive element; filling the exp table *is* the order check.
-    log = [0] * order
-    for cand in range(2, order):
-        exp = [1]
-        log_try = [-1] * order
-        log_try[1] = 0
-        x = 1
-        ok = True
-        for i in range(1, order - 1):
-            x = _mul_raw(x, cand, p, k, poly)
-            if x == 1:
-                ok = False  # multiplicative order divides i < order-1
-                break
-            exp.append(x)
-            log_try[x] = i
-        if ok and _mul_raw(x, cand, p, k, poly) == 1:
-            for code in range(1, order):
-                log[code] = log_try[code]
-            return FieldSpec(p, k, order, poly, cand, tuple(exp), tuple(log))
-    if order == 2:
-        return FieldSpec(2, 1, 2, poly, 1, (1,), (0, 0))
-    raise ValueError(f"no primitive element found for GF({order})")  # unreachable
+    def power(M, e):
+        out = eye
+        while e:
+            if e & 1:
+                out = out @ M % p
+            M = M @ M % p
+            e >>= 1
+        return out
+
+    for cand in range(1, order):
+        M = [cand // places % p]
+        for _ in range(k - 1):
+            M.append(M[-1] @ X % p)
+        M = np.array(M)
+        if all((power(M, (order - 1) // r) != eye).any() for r in _prime_factors(order - 1)):
+            break
+    digits = np.arange(order)[:, None] // places % p
+    times = (digits @ M % p @ places).tolist()
+    powers = [1]
+    for _ in range(order - 2):
+        powers.append(times[powers[-1]])
+    zero = 2 * (order - 1)
+    log = [zero] * order
+    for i, x in enumerate(powers):
+        log[x] = i
+    exp = tuple(powers * 2 + [0] * (zero + 1))
+    return FieldSpec(p, k, order, poly, cand, exp, tuple(log), tuple(places.tolist()))
 
 
 def field_of_order(q: int) -> FieldSpec:

@@ -34,9 +34,7 @@ ENUM_LIMIT_DEFAULT = 200_000
 
 
 def vec_add(fld: FieldSpec, u: Vector, v: Vector) -> Vector:
-    if fld.p == 2:
-        return tuple(a ^ b for a, b in zip(u, v))
-    return tuple(fld.add(a, b) for a, b in zip(u, v))
+    return tuple(map(fld.add, u, v))
 
 
 def vec_scale(fld: FieldSpec, c: int, v: Vector) -> Vector:
@@ -248,39 +246,24 @@ def is_totally_isotropic(S: Subspace, ps: PolarSpace) -> bool:
 
 
 def perp(S: Subspace, ps: PolarSpace) -> Subspace:
-    """{v : B(v, s) = 0 for all s in S}."""
-    fld = ps.field
-    constraints = []
-    for s in S.basis:
-        sig = tuple(fld.conjugate(x) for x in s) if ps.is_hermitian else s
-        row = []
-        for t in range(ps.nv):
-            acc = 0
-            g = ps.gram[t]
-            for j in range(ps.nv):
-                if g[j] and sig[j]:
-                    acc = fld.add(acc, fld.mul(g[j], sig[j]))
-            row.append(acc)
-        constraints.append(tuple(row))
-    return Subspace(nullspace(fld, constraints, ps.nv))
+    """{v : B(v, s) = 0 for all s in S}: B(v, s) = sum_t v_t T(s)_t, T = _gram_image."""
+    A = np.array(S.basis, dtype=np.int32).reshape(S.dim, ps.nv)
+    return Subspace(nullspace(ps.field, _gram_image(ps, A, _array_arithmetic(ps.field)).tolist(), ps.nv))
 
 
 def _validate_nondegenerate(ps: PolarSpace) -> None:
-    fld = ps.field
-    rad = nullspace(fld, ps.gram, ps.nv)
-    if ps.is_orthogonal and fld.p == 2:
-        # Radical of the polarization may contain the nucleus; it must carry
-        # no singular point (else the quadric itself is degenerate).
-        for coeffs in product(range(fld.order), repeat=len(rad)):
-            if not any(coeffs):
-                continue
-            v = (0,) * ps.nv
-            for c, row in zip(coeffs, rad):
-                v = vec_add(fld, v, vec_scale(fld, c, row))
-            if quad_value(ps, v) == 0:
-                raise ValueError("degenerate quadratic form: singular radical vector")
-        if len(rad) > 1:
-            raise ValueError("polarization radical has dimension > 1")
+    """Raise ValueError unless the form is nondegenerate.
+
+    In characteristic 2 the polarization of a quadratic form may have a
+    radical R (the nucleus of a parabolic quadric).  Q is additive on R and
+    Q(cv) = c^2 Q(v), so on R = <v_1..v_r> Q(sum a_i v_i) = (sum a_i
+    sqrt(Q(v_i)))^2: for r >= 2 that linear form has a nonzero kernel, a
+    singular radical vector, and for r = 1 one exists iff Q(v_1) = 0.
+    """
+    rad = nullspace(ps.field, ps.gram, ps.nv)
+    if ps.is_orthogonal and ps.field.p == 2:
+        if len(rad) > 1 or (rad and quad_value(ps, rad[0]) == 0):
+            raise ValueError("degenerate quadratic form: singular radical vector")
     elif rad:
         raise ValueError("degenerate form: nonzero radical")
 
@@ -481,52 +464,38 @@ def masks_to_bits(masks, width: int) -> np.ndarray:
 
 
 class _Gathers(NamedTuple):
-    """Exact GF(q) arithmetic on int32 arrays of field codes, by integer gathers only."""
+    """Exact GF(q) arithmetic on int32 arrays of field codes: integer table
+    gathers and the FieldSpec's digit expressions, no float."""
 
     mul: Callable
-    add: Callable
-    neg: np.ndarray  # neg[a] = -a
+    add: Callable  # FieldSpec.add
+    sub: Callable  # FieldSpec.sub
     inv: np.ndarray  # inv[a] = 1/a, inv[0] = 0
     conj: np.ndarray | None  # conj[a] = a^sqrt(q), square orders only
 
 
 @lru_cache(maxsize=None)
 def _field_gathers(p: int, k: int) -> _Gathers:
-    """The gather tables of GF(p^k), built once per field.
+    """The gather tables of GF(p^k), made once per field from ff's.
 
-    mul gathers exp[log a + log b]: exp holds two periods of the exp table,
-    and log 0 points past them into a zero tail that every sum involving it
-    lands in, so no branch is needed for zero.  add is XOR in characteristic
-    2 and base-p digitwise addition otherwise.  Tables are O(q); every value
-    stays below 4q <= 2^18.
+    mul gathers exp[log a + log b] from int32 copies of the FieldSpec tables,
+    whose zero tail takes every sum involving log 0, so no branch is needed
+    for zero.  add and sub are the FieldSpec's own digit expressions, which
+    act elementwise on arrays.  Every value stays below 4q <= 2^18.
     """
     fld = field_make(p, k)
-    q = fld.order
-    zero = 2 * (q - 1)
+    exp = np.array(fld.exp, dtype=np.int32)
     log = np.array(fld.log, dtype=np.int32)
-    log[0] = zero
-    exp = np.zeros(2 * zero + 1, dtype=np.int32)
-    exp[:zero] = np.tile(np.array(fld.exp, dtype=np.int32), 2)
 
     def mul(a, b):
         return exp.take(log.take(a) + log.take(b))
 
-    def add(a, b):
-        if p == 2:
-            return a ^ b
-        out, pe = 0, 1
-        for _ in range(k):
-            out = out + (a // pe + b // pe) % p * pe
-            pe *= p
-        return out
-
-    neg = np.array([fld.neg(a) for a in range(q)], dtype=np.int32)
-    inv = np.array([0] + [fld.inv(a) for a in range(1, q)], dtype=np.int32)
-    conj = np.array([fld.conjugate(a) for a in range(q)], dtype=np.int32) if fld.has_conjugation else None
-    for table in (log, exp, neg, inv, conj):
+    inv = np.array([0] + [fld.inv(a) for a in range(1, fld.order)], dtype=np.int32)
+    conj = np.array([fld.conjugate(a) for a in range(fld.order)], dtype=np.int32) if fld.has_conjugation else None
+    for table in (log, exp, inv, conj):
         if table is not None:
             table.flags.writeable = False  # shared by every caller through the cache
-    return _Gathers(mul, add, neg, inv, conj)
+    return _Gathers(mul, fld.add, fld.sub, inv, conj)
 
 
 def _array_arithmetic(fld: FieldSpec) -> _Gathers:
@@ -570,9 +539,9 @@ def rref_batch(fld: FieldSpec, M) -> tuple[np.ndarray, np.ndarray]:
             Rb[b, piv] = Rb[b, top]
             prow = ar.mul(ar.inv[prow[:, col, None]], prow)
             Rb[b, top] = prow
-            coef = ar.neg[Rb[sel, :, col]]
+            coef = Rb[sel, :, col].copy()
             coef[np.arange(b.size), top] = 0
-            Rb[sel] = ar.add(Rb[sel], ar.mul(coef[:, :, None], prow[:, None, :]))
+            Rb[sel] = ar.sub(Rb[sel], ar.mul(coef[:, :, None], prow[:, None, :]))
             rk[sel] += 1
     return R, rank
 

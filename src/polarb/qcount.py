@@ -125,28 +125,6 @@ def eigenmatrix_P(family: str, d: int, q: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def invert_rational(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact Gauss-Jordan inverse of a square matrix of Fractions."""
-    n = len(mat)
-    a = [row[:] for row in mat]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
-
 @dataclass(frozen=True)
 class EigenData:
     """Exact eigenmatrices of the generator association scheme of one polar space."""
@@ -169,7 +147,11 @@ class EigenData:
 
 
 def eigen_data(family: str, d: int, q: int) -> EigenData:
-    """Build P from the closed form, Q = n P^(-1) exactly, and check the identities."""
+    """Build P from the closed form, Q from the orthogonality relation, and check the identities.
+
+    Q[i][j] = m_j P[j][i] / k_i with m_j = n / sum_i P[j][i]^2 / k_i and k_i =
+    P[0][i]; the exact check PQ = QP = nI below proves Q = n P^(-1).
+    """
     tau = TAU[family]
     n = num_generators(family, d, q)
     P = eigenmatrix_P(family, d, q)
@@ -178,8 +160,8 @@ def eigen_data(family: str, d: int, q: int) -> EigenData:
     valencies = P[0]
     if sum(valencies) != n:
         raise ValueError("row 0 of P must be the valencies summing to n")
-    pfrac = [[Fraction(x) for x in row] for row in P]
-    Q = [[x * n for x in row] for row in invert_rational(pfrac)]
+    mq = [n / sum(Fraction(P[j][i] ** 2, valencies[i]) for i in range(d + 1)) for j in range(d + 1)]
+    Q = [[mq[j] * P[j][i] / valencies[i] for j in range(d + 1)] for i in range(d + 1)]
     for r in range(d + 1):
         for c in range(d + 1):
             pq = sum(Fraction(P[r][t]) * Q[t][c] for t in range(d + 1))
@@ -260,7 +242,6 @@ __all__ = [
     "disjointness_eigenvalue",
     "eigenvalue_P_entry",
     "eigenmatrix_P",
-    "invert_rational",
     "EigenData",
     "eigen_data",
     "lemma9_triple",

@@ -1,6 +1,41 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarb.ff import field_make, field_of_order, least_irreducible
+from polarb.ff import _poly_from_code, _poly_rem, field_make, field_of_order, least_irreducible, prime_power
+
+
+def _mul_raw(a: int, b: int, p: int, k: int, poly: tuple[int, ...]) -> int:
+    """Reference product: schoolbook polynomial product of the digit vectors,
+    reduced modulo the defining polynomial.  Needs no table."""
+    da, db = _poly_from_code(a, p, k), _poly_from_code(b, p, k)
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    out = 0
+    for c in reversed(_poly_rem(prod, list(poly) + [1], p)):
+        out = out * p + c
+    return out
+
+
+def _reference_scan(p: int, k: int) -> tuple[int, list[int]]:
+    """(least code of full multiplicative order, its first order-1 powers),
+    by multiplying out the powers of every candidate in turn."""
+    order, poly = p**k, least_irreducible(p, k)
+    for cand in range(1, order):
+        powers = [1]
+        while (x := _mul_raw(powers[-1], cand, p, k, poly)) != 1:
+            powers.append(x)
+        if len(powers) == order - 1:
+            return cand, powers
+    raise AssertionError("no primitive element")
+
+
+def _reference_add(f, a: int, b: int) -> int:
+    da, db = _poly_from_code(a, f.p, f.k), _poly_from_code(b, f.p, f.k)
+    return sum((x + y) % f.p * f.p**i for i, (x, y) in enumerate(zip(da, db)))
 
 
 def brute_force_irreducible_quadratics_gf2():
@@ -100,3 +135,49 @@ def test_field_make_rejects_bad_parameters():
         field_make(2, 17)  # above the 2^16 ceiling
     with pytest.raises(ValueError):
         field_of_order(12)  # not a prime power
+
+
+def _prime_powers(limit: int) -> list[int]:
+    primes = [p for p in range(2, limit + 1) if all(p % f for f in range(2, p))]
+    return sorted(p**k for p in primes for k in range(1, limit.bit_length()) if p**k <= limit)
+
+
+@pytest.mark.parametrize("q", _prime_powers(256))
+def test_tables_match_the_reference_scan(q):
+    f = field_of_order(q)
+    primitive, powers = _reference_scan(*prime_power(q))
+    assert f.primitive == primitive
+    assert list(f.exp[: q - 1]) == powers
+    # Two periods, then a zero tail that log[0] points into.
+    zero = 2 * (q - 1)
+    assert f.exp[q - 1 : zero] == f.exp[: q - 1] and f.exp[zero:] == (0,) * (zero + 1)
+    assert f.log[0] == zero and all(f.log[x] == i for i, x in enumerate(powers))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from([(3, 10), (2, 16)]), st.data())
+def test_large_field_arithmetic_matches_the_reference_product(pk, data):
+    f = field_make(*pk)
+    a, b, c = (data.draw(st.integers(0, f.order - 1)) for _ in range(3))
+    poly = (f.p, f.k, f.poly)
+    assert f.mul(a, b) == _mul_raw(a, b, *poly)
+    assert f.add(a, b) == _reference_add(f, a, b)
+    assert f.sub(f.add(a, b), b) == a and f.add(a, f.neg(a)) == 0
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    if a:
+        assert _mul_raw(a, f.inv(a), *poly) == 1
+    for x in (f.add(a, b), f.sub(a, b), f.neg(a), f.mul(a, b)):
+        assert type(x) is int
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 10), (2, 16)])
+def test_digit_arithmetic_on_int32_arrays_matches_scalars(p, k):
+    f = field_make(p, k)
+    rng = np.random.default_rng(p * 100 + k)
+    a, b = rng.integers(0, f.order, size=(2, 2000), dtype=np.int32)
+    for got, want in [
+        (f.add(a, b), [f.add(x, y) for x, y in zip(a.tolist(), b.tolist())]),
+        (f.sub(a, b), [f.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]),
+        (f.neg(a), [f.neg(x) for x in a.tolist()]),
+    ]:
+        assert got.dtype == np.int32 and got.tolist() == want

@@ -48,6 +48,63 @@ def test_standard_forms_are_nondegenerate():
         assert ps.nv == len(ps.gram)
 
 
+def _reference_degeneracy(ps):
+    """The message nondegeneracy validation raises for ps, or None: the
+    characteristic-2 radical enumerated vector by vector, all q^r of them."""
+    fld = ps.field
+    rad = geom.nullspace(fld, ps.gram, ps.nv)
+    if ps.is_orthogonal and fld.p == 2:
+        for coeffs in product(range(fld.order), repeat=len(rad)):
+            if not any(coeffs):
+                continue
+            v = (0,) * ps.nv
+            for c, row in zip(coeffs, rad):
+                v = vec_add(fld, v, vec_scale(fld, c, row))
+            if geom.quad_value(ps, v) == 0:
+                return "degenerate quadratic form: singular radical vector"
+        if len(rad) > 1:
+            return "polarization radical has dimension > 1"
+        return None
+    return "degenerate form: nonzero radical" if rad else None
+
+
+def _forms(q, nv, quadratic):
+    """Every upper-triangular quadratic form (quadratic) or every Gram matrix
+    (not quadratic) on GF(q)^nv, as (gram, quad) pairs."""
+    fld = field_of_order(q)
+    cells = [(i, j) for i in range(nv) for j in range(i if quadratic else 0, nv)]
+    for values in product(range(q), repeat=len(cells)):
+        M = [[0] * nv for _ in range(nv)]
+        for (i, j), x in zip(cells, values):
+            M[i][j] = x
+        yield (geom._polarization(fld, M), M) if quadratic else (M, None)
+
+
+@pytest.mark.parametrize(
+    "family,q,nv,quadratic",
+    [("Qparabolic", 2, 3, True), ("Qplus", 4, 2, True), ("Qparabolic", 3, 2, True), ("W", 3, 2, False)],
+)
+def test_nondegeneracy_matches_radical_enumeration(family, q, nv, quadratic):
+    fld = field_of_order(q)
+    forms = list(_forms(q, nv, quadratic))
+    raised = 0
+    for gram, quad in forms:
+        unchecked = geom.PolarSpace(
+            family, 1, fld, nv, 0, tuple(map(tuple, gram)), None if quad is None else tuple(map(tuple, quad))
+        )
+        want = _reference_degeneracy(unchecked)
+        if want is None:
+            geom._space_from_forms(family, 1, fld, gram, quad)
+            continue
+        raised += 1
+        with pytest.raises(ValueError) as err:
+            geom._space_from_forms(family, 1, fld, gram, quad)
+        # A radical of dimension >= 2 always holds a singular vector, so the
+        # reference never reaches its dimension message.
+        assert str(err.value) == want
+    assert 0 < raised < len(forms)
+
+
 def test_hermitian_needs_square_order():
     with pytest.raises(ValueError):
         polar_space_make("Hodd", 2, 8)
@@ -136,16 +193,18 @@ def test_codim_parity_constant_on_bipartition(catalog):
 
 
 def test_perp_basics():
-    ps = polar_space_make("W", 2, 3)
-    full = perp(Subspace(()), ps)
-    assert full.dim == 4
     rng = random.Random(11)
-    for _ in range(100):
-        rows = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(rng.randint(0, 4))]
-        S = Subspace.from_vectors(ps.field, rows)
-        P = perp(S, ps)
-        assert P.dim == 4 - S.dim
-        assert perp(P, ps).basis == S.basis
+    for family, d, q in [("W", 2, 3), ("Hodd", 2, 4), ("Qminus", 2, 3)]:
+        ps = polar_space_make(family, d, q)
+        full = perp(Subspace(()), ps)
+        assert full.dim == ps.nv
+        for _ in range(100):
+            rows = [tuple(rng.randrange(q) for _ in range(ps.nv)) for _ in range(rng.randint(0, ps.nv))]
+            S = Subspace.from_vectors(ps.field, rows)
+            P = perp(S, ps)
+            assert P.dim == ps.nv - S.dim
+            assert all(bilinear(ps, v, s) == 0 for v in P.basis for s in S.basis)
+            assert perp(P, ps).basis == S.basis
 
 
 def test_perp_point_trace_on_disjoint_generators(catalog):
