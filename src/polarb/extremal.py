@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain
+from math import isqrt
 from operator import and_
 
 import numpy as np
@@ -45,6 +46,12 @@ from .qcount import binom2, gaussian, nbracket, num_generators, num_points
 from .scheme import RelationData, SchemeError, build_relations
 
 
+# Below this many vertices nonn_of ANDs every row: on the closures of Q-(7,2)
+# and W(5,2), sampling and filtering was slower for 12 to 31 vertices and
+# faster from 32 on.
+_SAMPLE_MIN = 32
+
+
 @dataclass(eq=False)
 class CrossGraph:
     """Disjointness graph of a catalog, held as its closed non-neighborhood
@@ -58,9 +65,39 @@ class CrossGraph:
     def n(self) -> int:
         return len(self.nonn)
 
-    def nonn_of(self, ids) -> int:
-        """nonN of the vertex set ``ids``: the vertices meeting all of them."""
-        return reduce(and_, map(self.nonn.__getitem__, ids), (1 << self.n) - 1)
+    @cached_property
+    def full(self) -> int:
+        """The bit set of every vertex."""
+        return (1 << self.n) - 1
+
+    def nonn_of(self, ids, mask: int | None = None) -> int:
+        """nonN of the vertex set ``ids``: the vertices meeting all of them.
+
+        Given ``mask``, the bit set of the sequence ``ids``, a set of at least
+        _SAMPLE_MIN vertices ANDs only the rows ids[::isqrt(k)], about sqrt(k)
+        of its k rows, into a superset c of nonN(ids).  If c has fewer members
+        than rows are left, each j in c is kept exactly when
+        nonn[j] & mask == mask; otherwise every row is ANDed into c.
+        The filter is exact because "meets" is symmetric (cross_graph reads
+        nonn off the symmetric codimension matrix C), so for every j:
+          j in nonN(ids)  <=>  bit j of nonn[i] is set for every i in ids
+                          <=>  bit i of nonn[j] is set for every i in ids.
+        """
+        rows = self.nonn
+        if mask is None or len(ids) < _SAMPLE_MIN:
+            return reduce(and_, map(rows.__getitem__, ids), self.full)
+        k = len(ids)
+        sample = ids[:: isqrt(k)]
+        c = reduce(and_, map(rows.__getitem__, sample))
+        if c.bit_count() >= k - len(sample):
+            return reduce(and_, map(rows.__getitem__, ids), c)
+        rest = c
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if rows[low.bit_length() - 1] & mask != mask:
+                c ^= low
+        return c
 
     @cached_property
     def latins_greeks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -109,7 +146,7 @@ def cross_closure(z, g: CrossGraph) -> CrossPairCertificate:
     """Close an arbitrary vertex set to a maximal pair (nonN(Z), nonN(nonN(Z)))."""
     ymask = g.nonn_of(bit_indices(z) if isinstance(z, int) else z)
     yids = bit_indices(ymask)
-    return _certificate(g, ymask, yids, g.nonn_of(yids))
+    return _certificate(g, ymask, yids, g.nonn_of(yids, ymask))
 
 
 def _certificate(g: CrossGraph, ymask: int, yids, zmask: int) -> CrossPairCertificate:
@@ -165,9 +202,9 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
     nonn_of = g.nonn_of
     cap = 1 << limit
     pairs = {}
-    full = (1 << g.n) - 1
+    full = g.full
     ids = tuple(range(g.n))
-    stack = [(full, ids, nonn_of(ids), 0, (0,) * g.n)]
+    stack = [(full, ids, nonn_of(ids, full), 0, (0,) * g.n)]
     closed = 0
     while stack:
         a, aids, b, j0, failed = stack.pop()
@@ -185,7 +222,7 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
                 continue
             a2 = a & nonn[j]
             a2ids = bit_indices(a2)
-            b2 = nonn_of(a2ids)
+            b2 = nonn_of(a2ids, a2)
             if (b2 ^ b) & low:
                 if fresh is None:
                     fresh = list(failed)
@@ -220,14 +257,18 @@ def classify_pair(yids, zids, g: CrossGraph) -> str:
     nonn = g.nonn
     if nz == 2 and not nonn[zids[0]] >> zids[1] & 1:
         return "two-line-transversal"
-    y_disjoint = not any(nonn[a] >> b & 1 for i, a in enumerate(yids) for b in yids[i + 1 :])
-    z_disjoint = not any(nonn[a] >> b & 1 for i, a in enumerate(zids) for b in zids[i + 1 :])
-    if y_disjoint and z_disjoint and ny == nz:
+    if ny == nz and _pairwise_disjoint(nonn, yids) and _pairwise_disjoint(nonn, zids):
         if family in ("Qparabolic", "W"):
             return "hyperbolic-subgeometry"
         if family in ("Hodd", "Heven"):
             return "regulus-triple"
     return "other"
+
+
+def _pairwise_disjoint(nonn, ids) -> bool:
+    """No two vertices of ids meet: one row test per vertex, as nonn[a] holds a."""
+    mask = sum(1 << a for a in ids)
+    return all(nonn[a] & mask == 1 << a for a in ids)
 
 
 def bipartition_latins_greeks(cat: GeneratorCatalog) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -343,8 +384,7 @@ def verify_w3_triples(g: CrossGraph) -> dict:
     ps = g.rel.cat.space
     if (ps.family, ps.d) != ("W", 2):
         raise ValueError(f"{ps.label}: the triples are counted on W(3, q)")
-    n, nonn = g.n, g.nonn
-    full = (1 << n) - 1
+    n, nonn, full = g.n, g.nonn, g.full
     counts: dict[int, int] = {}
     for a in range(n):
         rest_a = (full ^ nonn[a]) >> (a + 1) << (a + 1)

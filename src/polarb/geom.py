@@ -440,7 +440,7 @@ def bit_indices(mask: int) -> tuple[int, ...]:
     """
     if mask.bit_count() >= 24:
         raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-        return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
+        return tuple(np.unpackbits(raw, bitorder="little").nonzero()[0].tolist())
     out = []
     while mask:
         low = mask & -mask

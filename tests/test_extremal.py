@@ -1,11 +1,12 @@
 import dataclasses
+import random
 from collections import Counter
 from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import polarb.extremal as extremal
@@ -268,9 +269,9 @@ def _counting_nonn_of(monkeypatch):
     calls = []
     original = CrossGraph.nonn_of
 
-    def counting(self, ids):
+    def counting(self, ids, mask=None):
         calls.append(1)
-        return original(self, ids)
+        return original(self, ids, mask)
 
     monkeypatch.setattr(CrossGraph, "nonn_of", counting)
     return calls
@@ -300,12 +301,117 @@ def test_cross_closure_makes_three_reductions(graph, monkeypatch):
         assert len(calls) == 3  # nonN(seed) = Y, nonN(Y) = Z, and the check nonN(Z) = Y
 
 
+class _ReadRows(tuple):
+    """A row tuple that records the index of every row read."""
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return tuple.__getitem__(self, i)
+
+
+def _sampled_nonn_case(seed):
+    """A random symmetric graph on 16 to 96 vertices and a random vertex set; checks
+    nonn_of(ids, mask) against the plain reduction and names the branch it took."""
+    rng = random.Random(seed)
+    n = rng.randint(16, 96)
+    density = rng.random()
+    meet = [[False] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x, n):
+            meet[x][y] = meet[y][x] = x == y or rng.random() < density
+    rows = _ReadRows(sum(1 << y for y in range(n) if meet[x][y]) for x in range(n))
+    rows.read = []
+    g = CrossGraph(rel=None, nonn=rows)
+    ids = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+    mask = sum(1 << i for i in ids)
+    got = g.nonn_of(ids, mask)
+    reads = len(rows.read)
+    assert got == _reference_nonn(g, mask)
+    k = len(ids)
+    if k < extremal._SAMPLE_MIN:
+        return "plain"
+    # The filter reads the sampled rows and one row per candidate, fewer than k;
+    # the fallback reads the sampled rows and then all k rows.
+    return "fallback" if reads > k else "filter"
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 2**32))
+def test_sampled_nonn_of_matches_the_plain_reduction(seed):
+    event(_sampled_nonn_case(seed))
+
+
+def test_sampled_nonn_of_runs_the_filter_and_the_fallback():
+    assert set(map(_sampled_nonn_case, range(200))) == {"plain", "filter", "fallback"}
+
+
+def test_nonn_of_the_empty_set_is_everything(graph):
+    g = graph("Qminus", 3, 2)
+    assert g.nonn_of((), 0) == g.nonn_of(()) == g.full == (1 << 765) - 1
+
+
+def test_cross_closure_matches_the_plain_reference_on_seed_drawn_sets(graph):
+    g = graph("Qminus", 3, 2)
+    rng = random.Random(20261019)
+    sizes = Counter()
+    for _ in range(100):
+        for size in (1, 2, 3):
+            z = tuple(rng.sample(range(g.n), size))
+            cert = cross_closure(z, g)
+            assert cert == _reference_cross_closure(z, g)
+            sizes[len(cert.y) >= extremal._SAMPLE_MIN] += 1
+    assert sizes[True] > 0  # the sampled path ran
+
+
+def test_sampled_closure_still_rejects_an_asymmetric_nonn(graph):
+    g = graph("W", 3, 2)
+    seed = next(j for j in range(1, g.n) if g.nonn[0] >> j & 1)
+    bad = CrossGraph(rel=g.rel, nonn=(1,) + g.nonn[1:])  # 0 meets only itself; its neighbours still meet 0
+    assert bad.nonn[seed].bit_count() >= extremal._SAMPLE_MIN  # Y = nonN(seed) takes the sampled path
+    with pytest.raises(AssertionError, match="fixed point"):
+        cross_closure((seed,), bad)
+
+
 def test_close_by_one_rejects_a_doctored_nonn(graph):
     g = graph("Hodd", 2, 4)
     nonn = (1,) + g.nonn[1:]  # vertex 0 meets only itself, but its neighbours still meet 0
     bad = CrossGraph(rel=g.rel, nonn=nonn)
     with pytest.raises(AssertionError, match="fixed point"):
         enumerate_maximal_cross_pairs(bad)
+
+
+def _reference_pairwise_disjoint(g, ids):
+    """The pair scan classify_pair used: no two members of ids meet."""
+    return not any(g.nonn[a] >> b & 1 for i, a in enumerate(ids) for b in ids[i + 1 :])
+
+
+def _random_side(g, rng, size):
+    """size vertices, drawn at random or, half the time, greedily pairwise disjoint."""
+    if rng.random() < 0.5:
+        return tuple(sorted(rng.sample(range(g.n), size)))
+    side = []
+    for x in rng.sample(range(g.n), g.n):
+        if len(side) < size and all(not g.nonn[x] >> y & 1 for y in side):
+            side.append(x)
+    return tuple(sorted(side))
+
+
+@pytest.mark.parametrize("family,d,q", [("W", 2, 2), ("Hodd", 2, 4)])
+def test_classify_pair_disjointness_matches_the_pair_scan(graph, family, d, q):
+    g = graph(family, d, q)
+    named = "hyperbolic-subgeometry" if family == "W" else "regulus-triple"
+    rng = random.Random(17)
+    labels = Counter()
+    for _ in range(400):
+        size = rng.randint(3, 5)
+        y, z = _random_side(g, rng, size), _random_side(g, rng, size)
+        if len(y) != len(z) or y == z:
+            continue
+        disjoint = _reference_pairwise_disjoint(g, y) and _reference_pairwise_disjoint(g, z)
+        label = extremal.classify_pair(y, z, g)
+        assert label == (named if disjoint else "other")
+        labels[label] += 1
+    assert labels[named] and labels["other"]
 
 
 def test_latins_greeks_bipartition_is_computed_once_per_graph(catalog, monkeypatch):
