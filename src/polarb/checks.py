@@ -14,6 +14,7 @@ from .extremal import (
     cross_graph,
     enumerate_maximal_cross_pairs,
     example_h7_cross_sample,
+    example_h7_data,
     example_h7_sizes,
     verify_hyperplane_section,
     verify_maximality_lemma,
@@ -28,7 +29,7 @@ from .qcount import (
     lemma_bound_gens_check,
     num_generators,
 )
-from .scheme import build_relations, eigenspace_support
+from .scheme import eigenspace_support
 from .specbound import classical_bound, hermitian_cross_report
 
 # The desk-scale instance grid of the acceptance suite.
@@ -50,8 +51,9 @@ ACCEPTANCE_INSTANCES = (
 
 
 @cache
-def _catalog(family: str, d: int, q: int):
-    return enumerate_generators(polar_space_make(family, d, q))
+def _graph(family: str, d: int, q: int):
+    """The per-space memo: a cross graph g holds the catalog g.rel.cat, C as g.rel and nonn."""
+    return cross_graph(enumerate_generators(polar_space_make(family, d, q)))
 
 
 def _report(check_id, ok, details, space=None, exact=None) -> dict:
@@ -90,7 +92,7 @@ def check_thm5_support(q: int = 2) -> dict:
         details.append(f"{rep.label}: bound {rep.bound} (expected {want}), support {rep.support}")
         ok &= good
 
-    g = cross_graph(_catalog("Qplus", 4, q))
+    g = _graph("Qplus", 4, q)
     eig = eigen_data("Qplus", 4, q)
     x1, x2 = g.latins_greeks
     chi_x1 = [1 if i in set(x1) else 0 for i in range(g.n)]
@@ -103,8 +105,8 @@ def check_thm5_support(q: int = 2) -> dict:
     details.append(f"latins x greeks product {len(x1) * len(x2)} attains bound^2 {bound * bound}")
     ok &= good
 
-    cat42 = _catalog("Qparabolic", 2, q)
-    rel42 = build_relations(cat42)
+    rel42 = _graph("Qparabolic", 2, q).rel
+    cat42 = rel42.cat
     eig42 = eigen_data("Qparabolic", 2, q)
     pencil = [1 if (cat42.point_masks[i] >> 0) & 1 else 0 for i in range(cat42.n)]
     sup42 = eigenspace_support(pencil, rel42, eig42)
@@ -121,7 +123,7 @@ def check_thm5_support(q: int = 2) -> dict:
 def check_thm7(q: int = 2) -> dict:
     """Hyperbolic classification at rank 4: latins/greeks attain and exhaust the bound."""
     d = 4
-    g = cross_graph(_catalog("Qplus", d, q))
+    g = _graph("Qplus", d, q)
     eig = eigen_data("Qplus", d, q)
     details = []
     ok = True
@@ -156,7 +158,7 @@ def check_thm7(q: int = 2) -> dict:
 
 
 def _grid_pair(q: int = 2):
-    g = cross_graph(_catalog("Qparabolic", 2, q))
+    g = _graph("Qparabolic", 2, q)
     pair = next(c for c in enumerate_maximal_cross_pairs(g) if c.label == "hyperbolic-subgeometry")
     return g.rel, pair
 
@@ -182,7 +184,7 @@ def check_lemma12(q: int = 2) -> dict:
     details = []
     ok = True
     for d in (2, 3):
-        rel = build_relations(_catalog("Qparabolic", d, q))
+        rel = _graph("Qparabolic", d, q).rel
         hidx = rel.codim[0].tolist().index(d)  # the first generator disjoint from 0
         rep = verify_hyperplane_section(rel, 0, hidx)
         details.append(f"Q({2 * d},{q}) with G=0, H={hidx}:")
@@ -205,8 +207,8 @@ def check_thm15() -> dict:
     details = []
     ok = True
     for family, d, q in (("Qparabolic", 2, 2), ("W", 2, 2)):
-        cat = _catalog(family, d, q)
-        certs = enumerate_maximal_cross_pairs(cross_graph(cat))
+        g = _graph(family, d, q)
+        certs = enumerate_maximal_cross_pairs(g)
         best = max(c.product for c in certs)
         top = [c for c in certs if c.product == best]
         labels = sorted({c.label for c in top})
@@ -216,12 +218,11 @@ def check_thm15() -> dict:
             and all(c.y == c.z for c in top if c.label == "point-pencil-EKR")
         )
         details.append(
-            f"{cat.space.label}: max product {best}, attained by {labels} "
+            f"{g.rel.cat.space.label}: max product {best}, attained by {labels} "
             f"({len(top)} pairs)"
         )
         ok &= good
-    cat33 = _catalog("W", 2, 3)
-    certs = enumerate_maximal_cross_pairs(cross_graph(cat33))
+    certs = enumerate_maximal_cross_pairs(_graph("W", 2, 3))
     best = max(c.product for c in certs)
     top = [c for c in certs if c.product == best]
     good = best == 16 and all(c.y == c.z for c in top)
@@ -231,14 +232,14 @@ def check_thm15() -> dict:
 
 
 def check_thm16(q: int = 3) -> dict:
-    rep = verify_w3_triples(cross_graph(_catalog("W", 2, q)))
+    rep = verify_w3_triples(_graph("W", 2, q))
     return _report("thm16", rep["ok"], rep["details"], _space("W", 2, q))
 
 
 def check_thm20(q: int = 2) -> dict:
     """Complete maximal-pair classification of H(3, q^2)."""
     qq = q * q
-    g = cross_graph(_catalog("Hodd", 2, qq))
+    g = _graph("Hodd", 2, qq)
     certs = enumerate_maximal_cross_pairs(g)
     expected = {
         "whole-vs-empty": 0,
@@ -286,7 +287,8 @@ def check_thm20(q: int = 2) -> dict:
 
 def check_example21(q: int = 2, samples: int = 10_000) -> dict:
     """The H(7, q^2) example sizes and the pairwise-intersection spot check."""
-    size_y, size_z = example_h7_sizes(q)
+    data = example_h7_data(q)
+    size_y, size_z = example_h7_sizes(data)
     want_y = 1 + q + q**3 + q**4 + q**5 + q**6 + q**7 + 2 * q**8 + q**10 + q**12
     want_z = 1 + q + q**3 + q**5 + q**7
     details = [
@@ -294,7 +296,7 @@ def check_example21(q: int = 2, samples: int = 10_000) -> dict:
         f"|Z| = {size_z} (polynomial value {want_z})",
     ]
     ok = size_y == want_y and size_z == want_z
-    sample = example_h7_cross_sample(q, samples=samples)
+    sample = example_h7_cross_sample(data, samples=samples)
     details.append(
         f"{sample['samples']} random (y, z) samples, disjoint pairs: {sample['disjoint_pairs']}"
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import chain
 from math import isqrt
 from operator import and_
@@ -505,14 +505,13 @@ def _generators_through_subspaces(ps: PolarSpace, k: int) -> list[tuple[tuple, l
     return out
 
 
-@lru_cache(maxsize=None)
-def _h7_data(q: int):
-    """Generators of H(7, q^2) through every >=2-dimensional subspace of G = <e_0..e_3>."""
+def example_h7_data(q: int):
+    """H(7, q^2) and its generators through every >=2-dimensional subspace of G = <e_0..e_3>."""
     ps = polar_space_make("Hodd", 4, q * q)
     return ps, {k: _generators_through_subspaces(ps, k) for k in (2, 3, 4)}
 
 
-def example_h7_sizes(q: int = 2) -> tuple[int, int]:
+def example_h7_sizes(data) -> tuple[int, int]:
     """|Y| and |Z| of the large H(7, q^2) example: generators meeting a fixed
     G in dimension >= 2, respectively >= 3.
 
@@ -521,8 +520,8 @@ def example_h7_sizes(q: int = 2) -> tuple[int, int]:
     and converts to exact-intersection counts by Moebius inversion over the
     subspace lattice of G.
     """
-    _, through = _h7_data(q)
-    qf = q * q
+    ps, through = data
+    qf = ps.q
     c = {4: 1}
     for k in (2, 3):
         sizes = {len(gens) for _, gens in through[k]}
@@ -542,7 +541,7 @@ def example_h7_sizes(q: int = 2) -> tuple[int, int]:
     return size_y, size_z
 
 
-def example_h7_cross_sample(q: int = 2, samples: int = 10_000, seed: int = 20260810) -> dict:
+def example_h7_cross_sample(data, samples: int = 10_000, seed: int = 20260810) -> dict:
     """Random y in Y, z in Z pairs; every one must intersect non-trivially.
 
     The pairs are drawn in blocks and each block is ranked by one rref_batch;
@@ -550,7 +549,7 @@ def example_h7_cross_sample(q: int = 2, samples: int = 10_000, seed: int = 20260
     """
     if samples < 0:
         raise ValueError(f"sample count {samples} is negative")
-    ps, through = _h7_data(q)
+    ps, through = data
     rng = random.Random(seed)
     pool_y = through[2]
     pool_z = through[3]

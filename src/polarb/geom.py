@@ -670,7 +670,7 @@ def _canonical_bases(fld: FieldSpec, spans: np.ndarray) -> list[tuple[Vector, ..
     """Sorted canonical bases of the row spaces of a stack of independent rows."""
     R, rank = rref_batch(fld, spans)
     if (rank != spans.shape[1]).any():
-        raise AssertionError("enumeration bug: a leaf chain of points is dependent")
+        raise AssertionError("enumeration bug: the spanning rows of a generator are dependent")
     return sorted(_bases(R))
 
 
@@ -854,7 +854,4 @@ def generators_through(S: Subspace, ps: PolarSpace, limit: int = ENUM_LIMIT_DEFA
         M[:, : S.dim] = S.basis
     for t, row in enumerate(qg.lift_rows):
         M[:, S.dim :] = ar.add(M[:, S.dim :], ar.mul(W[:, :, t, None], np.array(row, dtype=np.int32)))
-    R, rank = rref_batch(ps.field, M)
-    if (rank != ps.d).any():
-        raise AssertionError("quotient lift produced a defective generator")
-    return [Subspace(b) for b in sorted(_bases(R))]
+    return [Subspace(b) for b in _canonical_bases(ps.field, M)]

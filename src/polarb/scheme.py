@@ -100,6 +100,7 @@ def build_relations(cat: GeneratorCatalog) -> RelationData:
             raise SchemeError(f"relation {i} is not regular")
     if degrees[0, 0] != 1 or np.diagonal(C).any():
         raise SchemeError("A_0 is not the identity relation")
+    C.flags.writeable = False  # shared by every reader of a memoized graph
     return RelationData(cat=cat, codim=C, valencies=tuple(degrees[:, 0].tolist()))
 
 

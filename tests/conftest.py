@@ -1,21 +1,18 @@
-from functools import cache
-
 import pytest
 
-from polarb.checks import _catalog
-from polarb.extremal import cross_graph
+from polarb import checks
 
 
 @pytest.fixture(scope="session")
-def catalog():
-    """Memoized catalog factory, the same memo the named checks use."""
-    return _catalog
+def graph():
+    """The cross graph of a space, read from the named checks' per-space memo."""
+    return lambda family, d, q: checks._graph(family, d, q)
 
 
 @pytest.fixture(scope="session")
-def graph(catalog):
-    """Memoized cross graph factory over the catalog memo."""
-    return cache(lambda family, d, q: cross_graph(catalog(family, d, q)))
+def catalog(graph):
+    """The generator catalog each memoized graph holds."""
+    return lambda family, d, q: graph(family, d, q).rel.cat
 
 
 @pytest.fixture(scope="session")

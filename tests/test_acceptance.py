@@ -14,14 +14,12 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 import polarb
 from polarb.checks import ACCEPTANCE_INSTANCES, check_q_col_signs, check_thm5_support
 from polarb.extremal import (
-    cross_graph,
     enumerate_maximal_cross_pairs,
     example_h7_cross_sample,
+    example_h7_data,
     example_h7_sizes,
     verify_prop10_counts,
     verify_w3_triples,
@@ -29,10 +27,8 @@ from polarb.extremal import (
 )
 from polarb.geom import enumerate_generators, polar_space_make
 from polarb.qcount import eigen_data, lemma_bound_gens_check, num_generators
-from polarb.scheme import build_relations, verify_spectrum
+from polarb.scheme import verify_spectrum
 from polarb.specbound import classical_bound
-
-_state: dict = {}
 
 
 def _verdict(num: int, ok: bool, text: str) -> None:
@@ -40,34 +36,22 @@ def _verdict(num: int, ok: bool, text: str) -> None:
     assert ok, f"criterion {num}: {text}"
 
 
-@pytest.fixture(scope="module")
-def catalogs():
-    if "catalogs" not in _state:
-        t0 = time.perf_counter()
-        cats = {key: enumerate_generators(polar_space_make(*key)) for key in ACCEPTANCE_INSTANCES}
-        _state["catalogs"] = cats
-        _state["enum_seconds"] = time.perf_counter() - t0
-    return _state["catalogs"]
-
-
-@pytest.fixture(scope="module")
-def all_relations(catalogs):
-    if "relations" not in _state:
-        _state["relations"] = {key: build_relations(cat) for key, cat in catalogs.items()}
-    return _state["relations"]
-
-
-def test_criterion_1_generator_counts(catalogs):
-    ok = all(cat.n == num_generators(*key) for key, cat in catalogs.items())
-    elapsed = _state["enum_seconds"]
+def test_criterion_1_generator_counts():
+    # Enumeration time is this criterion's subject, so it enumerates afresh
+    # instead of reading the memo the other criteria share.
+    t0 = time.perf_counter()
+    cats = {key: enumerate_generators(polar_space_make(*key)) for key in ACCEPTANCE_INSTANCES}
+    elapsed = time.perf_counter() - t0
+    ok = all(cat.n == num_generators(*key) for key, cat in cats.items())
     ok &= elapsed < 120
     _verdict(1, ok, f"all {len(ACCEPTANCE_INSTANCES)} catalogs match the product formula "
                     f"({elapsed:.1f}s < 120s)")
 
 
-def test_criterion_2_spectrum_oracle(catalogs, all_relations):
+def test_criterion_2_spectrum_oracle(relations):
     ok = True
-    for key, rel in all_relations.items():
+    for key in ACCEPTANCE_INSTANCES:
+        rel = relations(*key)
         eig = eigen_data(*key)  # construction verifies PQ = QP = nI exactly
         n = eig.n
         for r in range(eig.d + 1):
@@ -78,7 +62,7 @@ def test_criterion_2_spectrum_oracle(catalogs, all_relations):
     _verdict(2, ok, "distance-regular certificate and exact P recurrence hold, PQ = nI, on every instance")
 
 
-def test_criterion_3_per_family_bounds(catalogs):
+def test_criterion_3_per_family_bounds():
     report = check_thm5_support()
     ok = report["status"] == "pass"
     for key in ACCEPTANCE_INSTANCES:
@@ -91,17 +75,17 @@ def test_criterion_3_per_family_bounds(catalogs):
     _verdict(3, ok, "ratio bounds equal n/2 resp. generators-on-a-point; supports as stated")
 
 
-def test_criterion_4_rank2_classifications(catalogs):
+def test_criterion_4_rank2_classifications(graph):
     ok = True
     t0 = time.perf_counter()
     for family in ("Qparabolic", "W"):
-        certs = enumerate_maximal_cross_pairs(cross_graph(catalogs[(family, 2, 2)]))
+        certs = enumerate_maximal_cross_pairs(graph(family, 2, 2))
         best = max(c.product for c in certs)
         top = Counter(c.label for c in certs if c.product == best)
         ok &= best == 9 and top == {"point-pencil-EKR": 15, "hyperbolic-subgeometry": 10}
     sweep1 = time.perf_counter() - t0
     t0 = time.perf_counter()
-    certs33 = enumerate_maximal_cross_pairs(cross_graph(catalogs[("W", 2, 3)]))
+    certs33 = enumerate_maximal_cross_pairs(graph("W", 2, 3))
     best33 = max(c.product for c in certs33)
     ok &= best33 == 16 and all(c.y == c.z for c in certs33 if c.product == best33)
     sweep2 = time.perf_counter() - t0
@@ -110,9 +94,9 @@ def test_criterion_4_rank2_classifications(catalogs):
                     f"W(3,3) maxima all EKR ({sweep2:.1f}s)")
 
 
-def test_criterion_5_h34_classification(catalogs):
+def test_criterion_5_h34_classification(graph):
     t0 = time.perf_counter()
-    certs = enumerate_maximal_cross_pairs(cross_graph(catalogs[("Hodd", 2, 4)]))
+    certs = enumerate_maximal_cross_pairs(graph("Hodd", 2, 4))
     elapsed = time.perf_counter() - t0
     by_label = {}
     for c in certs:
@@ -133,8 +117,8 @@ def test_criterion_5_h34_classification(catalogs):
                     f"27/5 squared confirmed non-tight ({elapsed:.1f}s)")
 
 
-def test_criterion_6_prop10_lemma11(catalogs):
-    g = cross_graph(catalogs[("Qparabolic", 2, 2)])
+def test_criterion_6_prop10_lemma11(graph):
+    g = graph("Qparabolic", 2, 2)
     pair = next(c for c in enumerate_maximal_cross_pairs(g) if c.label == "hyperbolic-subgeometry")
     rel = g.rel
     r1 = verify_prop10_counts(rel, pair, pair.y[0])
@@ -143,9 +127,9 @@ def test_criterion_6_prop10_lemma11(catalogs):
     _verdict(6, ok, "all four parity count cases (prop10) and the z-slice reconstruction (lemma11) verify")
 
 
-def test_criterion_7_w33_triples(catalogs):
+def test_criterion_7_w33_triples(graph):
     t0 = time.perf_counter()
-    rep = verify_w3_triples(cross_graph(catalogs[("W", 2, 3)]))
+    rep = verify_w3_triples(graph("W", 2, 3))
     elapsed = time.perf_counter() - t0
     ok = rep["ok"] and set(rep["counts"]) <= {0, 2} and elapsed < 60
     _verdict(7, ok, f"transversal counts of disjoint triples in {{0,2}} ({elapsed:.1f}s)")
@@ -164,8 +148,9 @@ def test_criterion_9_hermitian_machinery():
 
 def test_criterion_10_example_h7():
     t0 = time.perf_counter()
-    size_y, size_z = example_h7_sizes(2)
-    sample = example_h7_cross_sample(2, samples=10_000)
+    data = example_h7_data(2)
+    size_y, size_z = example_h7_sizes(data)
+    sample = example_h7_cross_sample(data, samples=10_000)
     elapsed = time.perf_counter() - t0
     ok = size_y == 5883 and size_z == 171 and sample["ok"] and elapsed < 600
     _verdict(10, ok, f"|Y| = {size_y}, |Z| = {size_z}; 10^4 samples all intersect "

@@ -19,6 +19,7 @@ from polarb.extremal import (
     cross_graph,
     enumerate_maximal_cross_pairs,
     example_h7_cross_sample,
+    example_h7_data,
     example_h7_sizes,
     verify_hyperplane_section,
     verify_maximality_lemma,
@@ -719,12 +720,12 @@ def test_generators_through_subspaces_certifies_the_isometry(doctored, monkeypat
 
 
 def test_example_h7_sizes_match_closed_polynomials():
-    size_y, size_z = example_h7_sizes(2)
+    size_y, size_z = example_h7_sizes(example_h7_data(2))
     q = 2
     assert size_y == 1 + q + q**3 + q**4 + q**5 + q**6 + q**7 + 2 * q**8 + q**10 + q**12 == 5883
     assert size_z == 1 + q + q**3 + q**5 + q**7 == 171
 
 
 def test_example_h7_cross_property_sample():
-    rep = example_h7_cross_sample(2, samples=2000)
+    rep = example_h7_cross_sample(example_h7_data(2), samples=2000)
     assert rep["ok"] and rep["disjoint_pairs"] == 0

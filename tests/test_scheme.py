@@ -493,16 +493,18 @@ def test_build_relations_rejects_an_irregular_relation(catalog, monkeypatch):
         M[0, np.flatnonzero(M[0] == 1)[0]] = 0  # line 0 no longer meets one line in a point
         return M
 
+    cat = catalog("W", 2, 3)  # before the patch: a cold memo would build C from the doctored counts
     _doctored_counts(monkeypatch, edit)
     with pytest.raises(SchemeError, match="relation 1 is not regular"):
-        build_relations(catalog("W", 2, 3))
+        build_relations(cat)
 
 
 def test_build_relations_rejects_a_non_identity_a0(catalog, monkeypatch):
     # Rolling the rows keeps every row's class sizes but moves the diagonal.
+    cat = catalog("W", 2, 3)
     _doctored_counts(monkeypatch, lambda M: np.roll(M, 1, axis=0))
     with pytest.raises(SchemeError, match="A_0 is not the identity"):
-        build_relations(catalog("W", 2, 3))
+        build_relations(cat)
 
 
 def _codim_idempotent(rel, eig, j):

@@ -5,11 +5,14 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from polarb import checks, ff, geom, scheme, shell
 from polarb.geom import enumerate_generators, polar_space_make
@@ -29,15 +32,21 @@ def descriptor(cat):
     return (ps.family, ps.d, ps.field.p, ps.field.k)
 
 
-def test_cache_round_trip_is_byte_identical(catalog, tmp_path):
-    cat = catalog("W", 2, 3)
-    p1 = tmp_path / "a.plb"
-    p2 = tmp_path / "b.plb"
-    cache_write(cat, p1)
-    read = cache_read(p1, descriptor(cat))
-    assert [g.basis for g in read.generators] == [g.basis for g in cat.generators]
-    cache_write(read, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+# Small spaces of every kind of field and form: q = 2, 3 and 4, alternating,
+# Hermitian, elliptic and parabolic.
+_PROPERTY_SPACES = [("W", 2, 2), ("W", 2, 3), ("Hodd", 2, 4), ("Qminus", 2, 2), ("Qparabolic", 2, 3)]
+
+
+def test_cache_round_trip_is_byte_identical(graph, tmp_path):
+    for space in _PROPERTY_SPACES:
+        g = graph(*space)
+        cat = g.rel.cat
+        for rel in (None, g.rel):
+            blob = cache_write(cat, tmp_path / "a.plb", rel=rel).read_bytes()
+            read = cache_read(tmp_path / "a.plb", descriptor(cat))
+            assert [x.basis for x in read.generators] == [x.basis for x in cat.generators]
+            again = None if rel is None else build_relations(read)
+            assert cache_write(read, tmp_path / "b.plb", rel=again).read_bytes() == blob
 
 
 def _reference_relation_section(cat):
@@ -250,6 +259,36 @@ def test_cache_rejects_trailing_bytes(catalog, tmp_path, with_relations):
         cache_read(path, descriptor(cat))
 
 
+@settings(
+    max_examples=60, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # each example writes its own file
+)
+@given(data=st.data())
+@pytest.mark.parametrize("with_relations", [False, True])
+@pytest.mark.parametrize("space", _PROPERTY_SPACES)
+def test_cache_with_one_changed_byte_is_rejected_or_the_whole_catalog(graph, tmp_path, space, with_relations, data):
+    """An accepted file holds the closed-form count of strictly increasing,
+    valid generators, so it is every generator: a changed byte is either
+    rejected or leaves the catalog as enumeration made it.  Every generator
+    list has one encoding, so only a change in the relation section, which
+    is skipped, can be accepted."""
+    g = graph(*space)
+    cat, n = g.rel.cat, g.n
+    blob = bytearray(cache_write(cat, tmp_path / "c.plb", rel=g.rel if with_relations else None).read_bytes())
+    relation_section = len(blob) - (g.rel.d + 1) * n * ((n + 7) // 8) if with_relations else len(blob)
+    at = data.draw(st.integers(0, len(blob) - 1), label="byte")
+    blob[at] = data.draw(st.integers(0, 255).filter(lambda v: v != blob[at]), label="value")
+    (tmp_path / "c.plb").write_bytes(bytes(blob))
+    try:
+        read = cache_read(tmp_path / "c.plb", descriptor(cat))
+    except CacheError:
+        event("rejected")
+        return
+    event("accepted")
+    assert [x.basis for x in read.generators] == [x.basis for x in cat.generators]
+    assert at >= relation_section
+
+
 def test_cli_flipped_cache_bit_is_rejected_and_reenumerated(capsys):
     assert main(["enum", "W", "2", "3"]) == 0
     capsys.readouterr()
@@ -429,7 +468,8 @@ def test_cli_search_geometry_bug_exits_1(capsys, monkeypatch):
 
 @pytest.fixture
 def relation_builds(monkeypatch):
-    """build_relations calls by space label, counted in every polarb module that binds it."""
+    """build_relations calls by space label, counted in every polarb module that
+    binds it, under a fresh per-space memo of the named checks."""
     calls = Counter()
     original = scheme.build_relations
 
@@ -438,9 +478,10 @@ def relation_builds(monkeypatch):
         return original(cat)
 
     bound = [name for name, module in sys.modules.items() if getattr(module, "build_relations", None) is original]
-    assert {"polarb.scheme", "polarb.extremal", "polarb.checks", "polarb.shell"} <= set(bound)
+    assert {"polarb.scheme", "polarb.extremal", "polarb.shell"} <= set(bound)
     for name in bound:
         monkeypatch.setattr(sys.modules[name], "build_relations", counting)
+    monkeypatch.setattr(checks, "_graph", cache(checks._graph.__wrapped__))
     return calls
 
 
@@ -448,6 +489,23 @@ def relation_builds(monkeypatch):
 def test_every_check_builds_a_codimension_matrix_at_most_once_per_space(relation_builds, check_id):
     checks.run_check(check_id)
     assert all(count == 1 for count in relation_builds.values()), dict(relation_builds)
+
+
+def test_all_checks_build_one_codimension_matrix_per_space(relation_builds):
+    for check_id in checks.CHECKS:
+        checks.run_check(check_id)
+    assert dict(relation_builds) == dict.fromkeys(
+        ["Q(4,2)", "Q(6,2)", "Q+(7,2)", "W(3,2)", "W(3,3)", "H(3,4)"], 1
+    )
+
+
+def test_a_memoized_codimension_matrix_is_read_only(relations):
+    C = relations("Qparabolic", 2, 2).codim
+    with pytest.raises(ValueError, match="read-only"):
+        C[0, 1] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        C += 0
+    assert C[0, 1] != 0  # the write did not land: C is 0 on the diagonal only
 
 
 def test_search_builds_the_codimension_matrix_once(relation_builds, capsys):
