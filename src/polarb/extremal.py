@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 from math import isqrt
-from operator import and_
+from operator import and_, or_
 
 import numpy as np
 
@@ -46,10 +46,19 @@ from .qcount import binom2, gaussian, nbracket, num_generators, num_points
 from .scheme import RelationData, SchemeError, build_relations
 
 
-# Below this many vertices nonn_of ANDs every row: on the closures of Q-(7,2)
-# and W(5,2), sampling and filtering was slower for 12 to 31 vertices and
-# faster from 32 on.
-_SAMPLE_MIN = 32
+# Below this many members nonn_of ANDs every row: per call on the closures of
+# Q-(7,2) and W(5,2), sampling and filtering was slower for 12 to 19 members,
+# about as fast for 20 to 23 and faster from 24 on.
+_SAMPLE_MIN = 24
+
+
+def _and_rows(rows, mask: int, c: int) -> int:
+    """c ANDed with the row of every member of mask, lowest member first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        c &= rows[low.bit_length() - 1]
+    return c
 
 
 @dataclass(eq=False)
@@ -70,27 +79,36 @@ class CrossGraph:
         """The bit set of every vertex."""
         return (1 << self.n) - 1
 
-    def nonn_of(self, ids, mask: int | None = None) -> int:
-        """nonN of the vertex set ``ids``: the vertices meeting all of them.
+    def nonn_of(self, mask: int, sample: bool = False) -> int:
+        """nonN of the vertex set ``mask``: the vertices meeting all of them.
 
-        Given ``mask``, the bit set of the sequence ``ids``, a set of at least
-        _SAMPLE_MIN vertices ANDs only the rows ids[::isqrt(k)], about sqrt(k)
-        of its k rows, into a superset c of nonN(ids).  If c has fewer members
-        than rows are left, each j in c is kept exactly when
+        Without ``sample``, or below _SAMPLE_MIN members, every member's row is
+        ANDed.  With it, a set of k >= _SAMPLE_MIN members ANDs only about
+        sqrt(k) rows, those of the lowest member at or above each of isqrt(k)
+        evenly spaced bit offsets, into a superset c of nonN(mask); a window
+        with no member repeats a row, which AND ignores.  If c has fewer
+        members than rows are left, each j in c is kept exactly when
         nonn[j] & mask == mask; otherwise every row is ANDed into c.
         The filter is exact because "meets" is symmetric (cross_graph reads
         nonn off the symmetric codimension matrix C), so for every j:
-          j in nonN(ids)  <=>  bit j of nonn[i] is set for every i in ids
-                          <=>  bit i of nonn[j] is set for every i in ids.
+          j in nonN(mask)  <=>  bit j of nonn[i] is set for every i in mask
+                           <=>  bit i of nonn[j] is set for every i in mask.
+        Any sample of members gives such a superset, so the choice of rows
+        changes the cost only.
         """
         rows = self.nonn
-        if mask is None or len(ids) < _SAMPLE_MIN:
-            return reduce(and_, map(rows.__getitem__, ids), self.full)
-        k = len(ids)
-        sample = ids[:: isqrt(k)]
-        c = reduce(and_, map(rows.__getitem__, sample))
-        if c.bit_count() >= k - len(sample):
-            return reduce(and_, map(rows.__getitem__, ids), c)
+        k = mask.bit_count()
+        if not sample or k < _SAMPLE_MIN:
+            return _and_rows(rows, mask, self.full)
+        s = isqrt(k)
+        width = mask.bit_length()
+        c = self.full
+        for t in range(s):
+            o = width * t // s
+            rest = mask >> o
+            c &= rows[(rest & -rest).bit_length() - 1 + o]
+        if c.bit_count() >= k - s:
+            return _and_rows(rows, mask, c)
         rest = c
         while rest:
             low = rest & -rest
@@ -127,46 +145,55 @@ def cross_graph(cat: GeneratorCatalog) -> CrossGraph:
     return CrossGraph(rel=rel, nonn=tuple(bits_to_masks(rel.codim < rel.d)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossPairCertificate:
-    """A maximal cross-intersecting pair, sides ordered with |Y| >= |Z|."""
+    """A maximal cross-intersecting pair as two bit sets, sides ordered with
+    |Y| >= |Z|; the id tuples are unpacked on each read and not kept."""
 
-    y: tuple[int, ...]
-    z: tuple[int, ...]
-    product: int
+    ymask: int
+    zmask: int
     maximal: bool
     label: str
 
     @property
+    def y(self) -> tuple[int, ...]:
+        return bit_indices(self.ymask)
+
+    @property
+    def z(self) -> tuple[int, ...]:
+        return bit_indices(self.zmask)
+
+    @property
     def sizes(self) -> tuple[int, int]:
-        return len(self.y), len(self.z)
+        return self.ymask.bit_count(), self.zmask.bit_count()
+
+    @property
+    def product(self) -> int:
+        return self.ymask.bit_count() * self.zmask.bit_count()
 
 
 def cross_closure(z, g: CrossGraph) -> CrossPairCertificate:
-    """Close an arbitrary vertex set to a maximal pair (nonN(Z), nonN(nonN(Z)))."""
-    ymask = g.nonn_of(bit_indices(z) if isinstance(z, int) else z)
-    yids = bit_indices(ymask)
-    return _certificate(g, ymask, yids, g.nonn_of(yids, ymask))
+    """Close an arbitrary vertex set, a bit set or a sequence of ids, to a
+    maximal pair (nonN(Z), nonN(nonN(Z)))."""
+    zmask = z if isinstance(z, int) else _mask_of(z)
+    ymask = g.nonn_of(zmask)
+    return _certificate(g, ymask, g.nonn_of(ymask, sample=True))
 
 
-def _certificate(g: CrossGraph, ymask: int, yids, zmask: int) -> CrossPairCertificate:
+def _certificate(g: CrossGraph, ymask: int, zmask: int) -> CrossPairCertificate:
     """Certificate of the pair (Y, Z) for a Z = nonN(Y) the caller computed.
 
-    Checks the other fixed-point equation, nonN(Z) = Y.  Disjointness is the
-    complement of nonn, so every z in Z = nonN(Y) meets every y in Y.
+    Checks the other fixed-point equation, nonN(Z) = Y, with a plain AND over
+    Z's rows: the sampled filter assumes the symmetry this check guards.
+    Disjointness is the complement of nonn, so every z in Z = nonN(Y) meets
+    every y in Y.
     """
-    zids = bit_indices(zmask)
-    if g.nonn_of(zids) != ymask:
+    if g.nonn_of(zmask) != ymask:
         raise AssertionError("closure did not reach a fixed point")
-    if len(yids) < len(zids) or (len(yids) == len(zids) and ymask > zmask):
-        yids, zids = zids, yids
-    return CrossPairCertificate(
-        y=yids,
-        z=zids,
-        product=len(yids) * len(zids),
-        maximal=True,
-        label=classify_pair(yids, zids, g),
-    )
+    ny, nz = ymask.bit_count(), zmask.bit_count()
+    if ny < nz or (ny == nz and ymask > zmask):
+        ymask, zmask = zmask, ymask
+    return CrossPairCertificate(ymask, zmask, True, classify_pair(ymask, zmask, g))
 
 
 def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossPairCertificate]:
@@ -203,17 +230,16 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
     cap = 1 << limit
     pairs = {}
     full = g.full
-    ids = tuple(range(g.n))
-    stack = [(full, ids, nonn_of(ids, full), 0, (0,) * g.n)]
+    stack = [(full, nonn_of(full, sample=True), 0, (0,) * g.n)]
     closed = 0
     while stack:
-        a, aids, b, j0, failed = stack.pop()
+        a, b, j0, failed = stack.pop()
         closed += 1
         if closed > cap:
             raise ValueError(f"more than 2^{limit} closed sets; raise the limit or close chosen seeds")
         key = (a, b) if a < b else (b, a)
         if key not in pairs:
-            pairs[key] = _certificate(g, a, aids, b)
+            pairs[key] = _certificate(g, a, b)
         children = []
         fresh = None
         for j in bit_indices((full ^ b) >> j0 << j0):
@@ -221,43 +247,45 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
             if failed[j] & low & ~b:
                 continue
             a2 = a & nonn[j]
-            a2ids = bit_indices(a2)
-            b2 = nonn_of(a2ids, a2)
+            b2 = nonn_of(a2, sample=True)
             if (b2 ^ b) & low:
                 if fresh is None:
                     fresh = list(failed)
                 fresh[j] = b2
             else:
-                children.append((a2, a2ids, b2, j + 1))
+                children.append((a2, b2, j + 1))
         if fresh is not None:
             failed = tuple(fresh)
-        stack.extend((a2, a2ids, b2, j1, failed) for a2, a2ids, b2, j1 in children)
+        stack.extend((a2, b2, j1, failed) for a2, b2, j1 in children)
     out = list(pairs.values())
     out.sort(key=lambda c: (-c.product, c.y, c.z))
     return out
 
 
-def classify_pair(yids, zids, g: CrossGraph) -> str:
-    """Best-effort family label; reporting only, set identities carry the proofs."""
+def classify_pair(ymask: int, zmask: int, g: CrossGraph) -> str:
+    """Best-effort family label of the pair of bit sets (Y, Z), |Y| >= |Z|;
+    reporting only, set identities carry the proofs.  Unpacks Z, and Y only
+    when |Y| = |Z|."""
     cat = g.rel.cat
     family = cat.space.family
-    ny, nz = len(yids), len(zids)
+    ny, nz = ymask.bit_count(), zmask.bit_count()
     if nz == 0:
         return "whole-vs-empty"
     if nz == 1:
         return "single-line-star"
-    if yids == zids:
-        common = cat.point_masks[yids[0]]
-        for i in yids[1:]:
-            common &= cat.point_masks[i]
+    if ymask == zmask:
+        common = reduce(and_, map(cat.point_masks.__getitem__, bit_indices(zmask)))
         return "point-pencil-EKR" if common else "other"
     if family == "Qplus":
-        if {tuple(sorted(yids)), tuple(sorted(zids))} == set(g.latins_greeks):
+        x1, x2 = g.latins_greeks
+        if ny == nz == len(x1) and {ymask, zmask} == {_mask_of(x1), _mask_of(x2)}:
             return "latins-greeks"
     nonn = g.nonn
-    if nz == 2 and not nonn[zids[0]] >> zids[1] & 1:
-        return "two-line-transversal"
-    if ny == nz and _pairwise_disjoint(nonn, yids) and _pairwise_disjoint(nonn, zids):
+    if nz == 2:
+        z0, z1 = bit_indices(zmask)
+        if not nonn[z0] >> z1 & 1:
+            return "two-line-transversal"
+    if ny == nz and _pairwise_disjoint(nonn, ymask) and _pairwise_disjoint(nonn, zmask):
         if family in ("Qparabolic", "W"):
             return "hyperbolic-subgeometry"
         if family in ("Hodd", "Heven"):
@@ -265,10 +293,14 @@ def classify_pair(yids, zids, g: CrossGraph) -> str:
     return "other"
 
 
-def _pairwise_disjoint(nonn, ids) -> bool:
-    """No two vertices of ids meet: one row test per vertex, as nonn[a] holds a."""
-    mask = sum(1 << a for a in ids)
-    return all(nonn[a] & mask == 1 << a for a in ids)
+def _mask_of(ids) -> int:
+    """The bit set of a sequence of vertex ids."""
+    return reduce(or_, (1 << i for i in ids), 0)
+
+
+def _pairwise_disjoint(nonn, mask: int) -> bool:
+    """No two members of mask meet: one row test per member, as nonn[a] holds a."""
+    return all(nonn[a] & mask == 1 << a for a in bit_indices(mask))
 
 
 def bipartition_latins_greeks(cat: GeneratorCatalog) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -295,7 +327,7 @@ def verify_prop10_counts(rel: RelationData, pair: CrossPairCertificate, gidx: in
     d, q = rel.d, rel.cat.space.q
     if gidx not in pair.y:
         raise ValueError("G must belong to the Y side")
-    if set(pair.y) & set(pair.z):
+    if pair.ymask & pair.zmask:
         return {"ok": False, "details": ["Y and Z are not disjoint as sets"]}
     hist_y = _dims_to(rel, gidx, pair.y)
     hist_z = _dims_to(rel, gidx, pair.z)
@@ -414,15 +446,16 @@ def verify_maximality_lemma(rel: RelationData, pair: CrossPairCertificate) -> di
         raise ValueError("the statement applies to maximal pairs only")
     C = rel.codim
     pm = rel.cat.point_masks
+    ys, zs = pair.y, pair.z
     tested = 0
     ok = True
-    for i, y1 in enumerate(pair.y):
-        for y2 in pair.y[i + 1 :]:
+    for i, y1 in enumerate(ys):
+        for y2 in ys[i + 1 :]:
             if C[y1, y2] != 1:  # dim(y1 ∩ y2) = d - 1
                 continue
             meet = pm[y1] & pm[y2]
             tested += 1
-            if not all(pm[z] & meet for z in pair.z):
+            if not all(pm[z] & meet for z in zs):
                 ok = False
     return {"ok": ok, "details": [f"(d-1)-meeting pairs tested: {tested}", f"all Z elements hit: {ok}"]}
 

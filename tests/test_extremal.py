@@ -1,7 +1,9 @@
 import dataclasses
 import random
+import sys
 from collections import Counter
 from functools import cached_property
+from math import isqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -100,6 +102,24 @@ def test_closure_idempotence(graph):
         cert = cross_closure(seed, g)
         again = cross_closure(cert.z, g)
         assert {tuple(cert.y), tuple(cert.z)} == {tuple(again.y), tuple(again.z)}
+
+
+def test_certificates_compare_and_hash_as_their_id_tuples(graph):
+    g = graph("Hodd", 2, 4)
+    certs = enumerate_maximal_cross_pairs(g)
+    again = [cross_closure(c.z, g) for c in certs[::7]]  # equal certificates, built anew
+    assert again == certs[::7] and [hash(c) for c in again] == [hash(c) for c in certs[::7]]
+    certs += again
+
+    def as_tuples(c):
+        return c.y, c.z, c.product, c.maximal, c.label
+
+    assert not hasattr(certs[0], "__dict__")  # slotted: two ints, a bool and a str
+    assert len(set(certs)) == len({as_tuples(c) for c in certs}) < len(certs)
+    rng = random.Random(5)
+    for a, b in (rng.sample(certs, 2) for _ in range(2000)):
+        assert (a == b) == (as_tuples(a) == as_tuples(b))
+        assert a != b or hash(a) == hash(b)
 
 
 def test_h34_sweep_finds_the_five_families(graph):
@@ -204,30 +224,31 @@ def test_close_by_one_matches_brute_force_on_random_graphs(g):
     assert _pair_set(certs) == brute
 
 
-def _reference_certificate(g, ymask, zmask, yids=None):
-    """The per-closure certificate before the lean one: nonN of both sides, then
-    the disjointness rows full ^ nonn OR-ed over Y."""
-    yids = extremal.bit_indices(ymask) if yids is None else yids
-    zids = extremal.bit_indices(zmask)
-    if g.nonn_of(zids) != ymask or g.nonn_of(yids) != zmask:
+def _mask(ids):
+    return sum(1 << i for i in set(ids))
+
+
+def _reference_certificate(g, ymask, zmask):
+    """The per-closure certificate before the lean one: plain nonN of both sides,
+    then the disjointness rows full ^ nonn OR-ed over Y."""
+    if g.nonn_of(zmask) != ymask or g.nonn_of(ymask) != zmask:
         raise AssertionError("closure did not reach a fixed point")
     full = (1 << g.n) - 1
     adj_y = 0
-    for y in yids:
+    for y in extremal.bit_indices(ymask):
         adj_y |= full ^ g.nonn[y]
     if adj_y & zmask:
         raise AssertionError("edge between the two sides")
-    if len(yids) < len(zids) or (len(yids) == len(zids) and ymask > zmask):
-        yids, zids = zids, yids
+    if ymask.bit_count() < zmask.bit_count() or (ymask.bit_count() == zmask.bit_count() and ymask > zmask):
+        ymask, zmask = zmask, ymask
     return CrossPairCertificate(
-        y=yids, z=zids, product=len(yids) * len(zids), maximal=True, label=extremal.classify_pair(yids, zids, g)
+        ymask=ymask, zmask=zmask, maximal=True, label=extremal.classify_pair(ymask, zmask, g)
     )
 
 
 def _reference_cross_closure(z, g):
-    ymask = g.nonn_of(z)
-    yids = extremal.bit_indices(ymask)
-    return _reference_certificate(g, ymask, g.nonn_of(yids), yids)
+    ymask = _reference_nonn(g, _mask(z))
+    return _reference_certificate(g, ymask, _reference_nonn(g, ymask))
 
 
 def _reference_close_by_one(g):
@@ -235,7 +256,7 @@ def _reference_close_by_one(g):
     full = (1 << g.n) - 1
     pairs = {}
     closed = []
-    stack = [(full, g.nonn_of(range(g.n)), 0)]
+    stack = [(full, g.nonn_of(full), 0)]
     while stack:
         a, b, j0 = stack.pop()
         closed.append(b)
@@ -244,7 +265,7 @@ def _reference_close_by_one(g):
             pairs[key] = _reference_certificate(g, b, a)
         for j in extremal.bit_indices((full ^ b) >> j0 << j0):
             a2 = a & g.nonn[j]
-            b2 = g.nonn_of(extremal.bit_indices(a2))
+            b2 = g.nonn_of(a2)
             low = (1 << j) - 1
             if b2 & low == b & low:
                 stack.append((a2, b2, j + 1))
@@ -270,9 +291,9 @@ def _counting_nonn_of(monkeypatch):
     calls = []
     original = CrossGraph.nonn_of
 
-    def counting(self, ids, mask=None):
+    def counting(self, mask, sample=False):
         calls.append(1)
-        return original(self, ids, mask)
+        return original(self, mask, sample)
 
     monkeypatch.setattr(CrossGraph, "nonn_of", counting)
     return calls
@@ -302,6 +323,56 @@ def test_cross_closure_makes_three_reductions(graph, monkeypatch):
         assert len(calls) == 3  # nonN(seed) = Y, nonN(Y) = Z, and the check nonN(Z) = Y
 
 
+def _recording_bit_indices(monkeypatch):
+    """Record the caller's name and the argument's popcount of every bit_indices
+    call extremal makes."""
+    calls = []
+    original = extremal.bit_indices
+
+    def recording(mask):
+        calls.append((sys._getframe(1).f_code.co_name, mask.bit_count(), mask))
+        return original(mask)
+
+    monkeypatch.setattr(extremal, "bit_indices", recording)
+    return calls
+
+
+def test_cross_closure_unpacks_only_the_smaller_side(graph, monkeypatch):
+    g = graph("Qminus", 3, 2)
+    calls = _recording_bit_indices(monkeypatch)
+    rng = random.Random(20261019)
+    larger = 0
+    for _ in range(100):
+        for size in (1, 2, 3):
+            calls.clear()
+            cert = cross_closure(tuple(rng.sample(range(g.n), size)), g)
+            ny, nz = cert.sizes
+            # classify_pair unpacks Z, and Y only when |Y| = |Z|.
+            assert {caller for caller, _, _ in calls} <= {"classify_pair", "_pairwise_disjoint"}
+            assert all(k <= nz for _, k, _ in calls)
+            larger += ny > nz
+            calls.clear()
+            assert cert.y == tuple(i for i in range(g.n) if cert.ymask >> i & 1)
+            assert [(caller, k) for caller, k, _ in calls] == [("y", ny)]
+    assert larger > 0
+
+
+@pytest.mark.parametrize("family,d,q", [("W", 2, 3), ("Qminus", 2, 2)])
+def test_fcbo_children_carry_no_id_tuples(graph, monkeypatch, family, d, q):
+    g = graph(family, d, q)
+    calls = _recording_bit_indices(monkeypatch)
+    certs = enumerate_maximal_cross_pairs(g)
+    by_caller = Counter(caller for caller, _, _ in calls)
+    # One candidate scan per closed set, none per child closure; the sort key
+    # reads every certificate's y and z once.
+    closed = sum(1 if c.ymask == c.zmask else 2 for c in certs)
+    assert by_caller.pop("enumerate_maximal_cross_pairs") == closed
+    assert by_caller.pop("y") == by_caller.pop("z") == len(certs)
+    assert set(by_caller) <= {"classify_pair", "_pairwise_disjoint"}
+    smaller = {c.zmask for c in certs} | {c.ymask for c in certs if c.sizes[0] == c.sizes[1]}
+    assert all(mask in smaller for caller, _, mask in calls if caller in by_caller)
+
+
 class _ReadRows(tuple):
     """A row tuple that records the index of every row read."""
 
@@ -310,9 +381,12 @@ class _ReadRows(tuple):
         return tuple.__getitem__(self, i)
 
 
-def _sampled_nonn_case(seed):
+def _sampled_nonn_case(seed, gapped):
     """A random symmetric graph on 16 to 96 vertices and a random vertex set; checks
-    nonn_of(ids, mask) against the plain reduction and names the branch it took."""
+    nonn_of(mask, sample=True) against the plain reduction and names the branch it
+    took, and whether the sampled rows repeat.  A gapped set lies in a low and a
+    high block with an empty middle, so the offsets that fall into the gap all
+    pick the first member past it."""
     rng = random.Random(seed)
     n = rng.randint(16, 96)
     density = rng.random()
@@ -323,32 +397,43 @@ def _sampled_nonn_case(seed):
     rows = _ReadRows(sum(1 << y for y in range(n) if meet[x][y]) for x in range(n))
     rows.read = []
     g = CrossGraph(rel=None, nonn=rows)
-    ids = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+    if gapped:
+        lo, hi = sorted(rng.sample(range(n + 1), 2))
+        pool = [*range(lo), *range(hi, n)]
+        ids = rng.sample(pool, rng.randint(0, len(pool)))
+    else:
+        ids = rng.sample(range(n), rng.randint(0, n))
     mask = sum(1 << i for i in ids)
-    got = g.nonn_of(ids, mask)
-    reads = len(rows.read)
-    assert got == _reference_nonn(g, mask)
+    got = g.nonn_of(mask, sample=True)
+    read = list(rows.read)
+    assert got == _reference_nonn(g, mask) == g.nonn_of(mask)
     k = len(ids)
     if k < extremal._SAMPLE_MIN:
-        return "plain"
+        return "plain", False
+    s = isqrt(k)
+    assert set(read[:s]) <= set(ids)  # every sampled row is a member's
     # The filter reads the sampled rows and one row per candidate, fewer than k;
     # the fallback reads the sampled rows and then all k rows.
-    return "fallback" if reads > k else "filter"
+    return "fallback" if len(read) > k else "filter", len(set(read[:s])) < s
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(st.integers(0, 2**32))
-def test_sampled_nonn_of_matches_the_plain_reduction(seed):
-    event(_sampled_nonn_case(seed))
+@given(st.integers(0, 2**32), st.booleans())
+def test_sampled_nonn_of_matches_the_plain_reduction(seed, gapped):
+    branch, repeated = _sampled_nonn_case(seed, gapped)
+    event(branch)
+    event(f"repeated rows: {repeated}")
 
 
 def test_sampled_nonn_of_runs_the_filter_and_the_fallback():
-    assert set(map(_sampled_nonn_case, range(200))) == {"plain", "filter", "fallback"}
+    cases = [_sampled_nonn_case(seed, gapped) for seed in range(100) for gapped in (False, True)]
+    assert {branch for branch, _ in cases} == {"plain", "filter", "fallback"}
+    assert {branch for branch, repeated in cases if repeated} == {"filter", "fallback"}
 
 
 def test_nonn_of_the_empty_set_is_everything(graph):
     g = graph("Qminus", 3, 2)
-    assert g.nonn_of((), 0) == g.nonn_of(()) == g.full == (1 << 765) - 1
+    assert g.nonn_of(0, sample=True) == g.nonn_of(0) == g.full == (1 << 765) - 1
 
 
 def test_cross_closure_matches_the_plain_reference_on_seed_drawn_sets(graph):
@@ -409,7 +494,7 @@ def test_classify_pair_disjointness_matches_the_pair_scan(graph, family, d, q):
         if len(y) != len(z) or y == z:
             continue
         disjoint = _reference_pairwise_disjoint(g, y) and _reference_pairwise_disjoint(g, z)
-        label = extremal.classify_pair(y, z, g)
+        label = extremal.classify_pair(_mask(y), _mask(z), g)
         assert label == (named if disjoint else "other")
         labels[label] += 1
     assert labels[named] and labels["other"]
@@ -628,7 +713,7 @@ def test_maximality_lemma_on_h34_certificates(graph, relations):
 
 
 def test_maximality_lemma_rejects_non_maximal(relations):
-    fake = CrossPairCertificate(y=(0,), z=(1,), product=1, maximal=False, label="other")
+    fake = CrossPairCertificate(ymask=0b1, zmask=0b10, maximal=False, label="other")
     with pytest.raises(ValueError):
         verify_maximality_lemma(relations("Hodd", 2, 4), fake)
 
@@ -671,7 +756,8 @@ def test_maximality_lemma_reports_a_z_missing_a_meet(catalog, relations):
     pm = cat.point_masks
     y2 = next(x for x in range(1, cat.n) if pm[0] & pm[x])
     z = next(x for x in range(cat.n) if pm[x] & pm[0] and not pm[x] & pm[0] & pm[y2])
-    doctored = CrossPairCertificate(y=(0, y2), z=(z,), product=2, maximal=True, label="other")
+    doctored = CrossPairCertificate(ymask=1 | 1 << y2, zmask=1 << z, maximal=True, label="other")
+    assert (doctored.y, doctored.z, doctored.product) == ((0, y2), (z,), 2)
     for route, data in ((verify_maximality_lemma, relations("Hodd", 2, 4)), (_reference_maximality_lemma, cat)):
         assert route(data, doctored)["details"] == ["(d-1)-meeting pairs tested: 1", "all Z elements hit: False"]
 

@@ -2,6 +2,8 @@ import ast
 import errno
 import importlib
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -675,3 +677,31 @@ def test_every_name_the_benchmark_reaches_resolves():
     assert ("polarb.shell", "main") in chains
     for module, dotted in sorted(chains):
         _resolve(module, dotted)
+
+
+# Stubs lemma13 with a failed report, then runs polarb/__main__.py as -m does.
+_FAILING_MAIN = (
+    "import runpy, polarb.checks as c; "
+    "c.CHECKS['lemma13'] = lambda: c._report('lemma13', False, ['stub']); "
+    "runpy.run_module('polarb', run_name='__main__', alter_sys=True)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["-m", "polarb", "verify", "lemma13", "--json"], 0),
+        (["-c", _FAILING_MAIN, "verify", "lemma13", "--json"], 1),
+        (["-m", "polarb", "info", "W", "0", "2"], 2),
+        (["-m", "polarb", "definitely-not-a-command"], 2),
+    ],
+    ids=["pass", "fail", "bad-rank", "bad-command"],
+)
+def test_python_m_polarb_keeps_the_exit_codes(tmp_path, argv, code):
+    env = dict(os.environ)
+    root = str(Path(shell.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == code, proc.stderr
+    if argv[-1] == "--json":
+        assert json.loads(proc.stdout)["status"] == ("pass" if code == 0 else "fail")
