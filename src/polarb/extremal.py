@@ -16,10 +16,8 @@ failed closure of an ancestor already shows to fail the canonicity test.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
 from math import isqrt
 from operator import and_, or_
 
@@ -31,7 +29,6 @@ from .geom import (
     PolarSpace,
     Subspace,
     _array_arithmetic,
-    _bases,
     bit_indices,
     bits_to_masks,
     enumerate_subspaces_within,
@@ -470,9 +467,11 @@ def _dual_blocks(ar, Ainv: np.ndarray) -> np.ndarray:
     return ar.conj[Ainv].transpose(0, 2, 1)[:, ::-1, ::-1]
 
 
-def _generators_through_subspaces(ps: PolarSpace, k: int) -> list[tuple[tuple, list[Subspace]]]:
-    """(S, generators_through(S)) for every k-subspace S of G = <e_0..e_(d-1)>,
-    S in enumerate_subspaces_within order, from one quotient enumeration.
+def _generators_through_subspaces(ps: PolarSpace, k: int) -> tuple[list[tuple], np.ndarray]:
+    """(subs, images): subs are the k-subspaces S of G = <e_0..e_(d-1)> in
+    enumerate_subspaces_within order, and images[i] is an int32 (n, d, nv)
+    stack of the canonical bases of the n generators through subs[i], from
+    one quotient enumeration.
 
     Both Hermitian models have the antidiagonal Gram matrix J.  For A in
     GL(d, q) let C = J sigma(A^-1)^T J and M = diag(A, C), with a 1 on the
@@ -484,8 +483,8 @@ def _generators_through_subspaces(ps: PolarSpace, k: int) -> list[tuple[tuple, l
     so A is invertible and S0 M = S for S0 = <e_0..e_(k-1)>.  An isometry
     maps generators to generators and keeps containment, and so does M^-1;
     hence X -> X M is a bijection from the generators through S0 onto those
-    through S.  Reducing each image by rref_batch and sorting per S gives
-    exactly generators_through(S).
+    through S.  Reducing each image by rref_batch gives exactly the bases of
+    generators_through(S), in the order of the generators through S0.
 
     The generators through S0 are enumerated once; A^-1 comes from one
     rref_batch of [A | I], the images from _Gathers products, all in blocks
@@ -503,7 +502,8 @@ def _generators_through_subspaces(ps: PolarSpace, k: int) -> list[tuple[tuple, l
     subs = enumerate_subspaces_within(ps, unit[:d], k)
     W = np.array([g.basis for g in generators_through(Subspace(unit[:k]), ps)], dtype=np.int32)
     n = len(W)
-    out = []
+    images = np.empty((len(subs), n, d, nv), dtype=np.int32)
+    key = np.dtype((np.void, images.itemsize * d * nv))  # one basis as an opaque key
     step = max(1, BLOCK_ENTRIES // (n * d * nv))
     for s in range(0, len(subs), step):
         block = subs[s : s + step]
@@ -529,74 +529,47 @@ def _generators_through_subspaces(ps: PolarSpace, k: int) -> list[tuple[tuple, l
         R, rank = rref_batch(fld, img.reshape(-1, d, nv))
         if (rank != d).any():
             raise AssertionError(f"{ps.label}: an image of a generator has rank below {d}")
-        bases = _bases(R)
-        for i, sub in enumerate(block):
-            gens = sorted(bases[i * n : (i + 1) * n])
-            if any(a == b for a, b in zip(gens, gens[1:])):
-                raise AssertionError(f"{ps.label}: two generators through S0 map to one through {sub}")
-            out.append((sub, [Subspace(g) for g in gens]))
-    return out
+        keys = np.sort(R.reshape(len(block), n, d * nv).view(key)[..., 0], axis=1)
+        twice = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+        if twice.any():
+            raise AssertionError(f"{ps.label}: two generators through S0 map to one through {block[twice.argmax()]}")
+        images[s : s + len(block)] = R.reshape(len(block), n, d, nv)
+    return subs, images
 
 
 def example_h7_data(q: int):
-    """H(7, q^2) and its generators through every >=2-dimensional subspace of G = <e_0..e_3>."""
+    """(H(7, q^2), Y, Z): Y and Z are the int32 (m, 4, 8) stacks of the distinct
+    canonical bases of the generators meeting G = <e_0..e_3> in dimension >= 2,
+    respectively >= 3, that is of the generators through some 2-subspace,
+    respectively 3-subspace, of G."""
     ps = polar_space_make("Hodd", 4, q * q)
-    return ps, {k: _generators_through_subspaces(ps, k) for k in (2, 3, 4)}
+    key = np.dtype((np.void, 4 * 32))  # a basis as one opaque key: np.unique(axis=0) sorts about 10x slower
+    Y, Z = (np.unique(_generators_through_subspaces(ps, k)[1].reshape(-1, 32).view(key)) for k in (2, 3))
+    return ps, Y.view(np.int32).reshape(-1, 4, 8), Z.view(np.int32).reshape(-1, 4, 8)
 
 
 def example_h7_sizes(data) -> tuple[int, int]:
-    """|Y| and |Z| of the large H(7, q^2) example: generators meeting a fixed
-    G in dimension >= 2, respectively >= 3.
-
-    Counts generators through each subspace S of G of dimension 2, 3, 4 by
-    quotient enumeration, checks homogeneity against the closed rank formula,
-    and converts to exact-intersection counts by Moebius inversion over the
-    subspace lattice of G.
-    """
-    ps, through = data
-    qf = ps.q
-    c = {4: 1}
-    for k in (2, 3):
-        sizes = {len(gens) for _, gens in through[k]}
-        if len(sizes) != 1:
-            raise AssertionError(f"inhomogeneous through-counts at dim {k}: {sizes}")
-        c[k] = sizes.pop()
-        if c[k] != num_generators("Hodd", 4 - k, qf):
-            raise AssertionError("quotient count disagrees with the rank formula")
-    exact = {}
-    for j in (2, 3, 4):
-        total = 0
-        for m in range(0, 4 - j + 1):
-            total += (-1) ** m * qf ** binom2(m) * gaussian(4 - j, m, qf) * c[j + m]
-        exact[j] = gaussian(4, j, qf) * total
-    size_y = exact[2] + exact[3] + exact[4]
-    size_z = exact[3] + exact[4]
-    return size_y, size_z
+    """|Y| and |Z| of the large H(7, q^2) example, counted on its stacks."""
+    _, Y, Z = data
+    return len(Y), len(Z)
 
 
 def example_h7_cross_sample(data, samples: int = 10_000, seed: int = 20260810) -> dict:
     """Random y in Y, z in Z pairs; every one must intersect non-trivially.
 
-    The pairs are drawn in blocks and each block is ranked by one rref_batch;
-    a pair of full rank nv is disjoint.  A negative sample count raises ValueError.
+    The pairs are drawn in blocks of indices into Y and Z and each block is
+    ranked by one rref_batch; a pair of full rank nv is disjoint.  A negative
+    sample count raises ValueError.
     """
     if samples < 0:
         raise ValueError(f"sample count {samples} is negative")
-    ps, through = data
-    rng = random.Random(seed)
-    pool_y = through[2]
-    pool_z = through[3]
+    ps, Y, Z = data
+    rng = np.random.default_rng(seed)
     bad = 0
     block = BLOCK_ENTRIES // (2 * ps.d * ps.nv)
     for start in range(0, samples, block):
-        pairs = []
-        for _ in range(min(block, samples - start)):
-            _, gens_y = pool_y[rng.randrange(len(pool_y))]
-            y = gens_y[rng.randrange(len(gens_y))]
-            _, gens_z = pool_z[rng.randrange(len(pool_z))]
-            z = gens_z[rng.randrange(len(gens_z))]
-            pairs += y.basis + z.basis
-        M = np.fromiter(chain.from_iterable(pairs), dtype=np.int32, count=len(pairs) * ps.nv)
-        _, rank = rref_batch(ps.field, M.reshape(-1, 2 * ps.d, ps.nv))
+        m = min(block, samples - start)
+        pairs = np.concatenate([Y[rng.integers(len(Y), size=m)], Z[rng.integers(len(Z), size=m)]], axis=1)
+        _, rank = rref_batch(ps.field, pairs)
         bad += int((rank == ps.nv).sum())
     return {"ok": bad == 0, "samples": samples, "disjoint_pairs": bad}

@@ -32,14 +32,16 @@ from polarb.extremal import (
 from polarb.ff import field_of_order
 from polarb.geom import (
     Subspace,
+    _bases,
     _space_from_forms,
     enumerate_subspaces_within,
     generators_through,
     intersect_bases,
     polar_space_make,
+    rref_batch,
     subspace_points,
 )
-from polarb.qcount import nbracket
+from polarb.qcount import binom2, gaussian, nbracket, num_generators
 from polarb.scheme import RelationData, SchemeError
 
 def _reference_disjointness_rows(cat):
@@ -776,10 +778,11 @@ def test_generators_through_subspaces_match_generators_through(family, d, q, ks)
     ps = polar_space_make(family, d, q)
     G = tuple(tuple(int(t == i) for t in range(ps.nv)) for i in range(d))
     for k in ks:
-        carried = extremal._generators_through_subspaces(ps, k)
-        assert [sub for sub, _ in carried] == enumerate_subspaces_within(ps, G, k)
-        for sub, gens in carried:
-            assert gens == generators_through(Subspace(sub), ps)
+        subs, images = extremal._generators_through_subspaces(ps, k)
+        assert subs == enumerate_subspaces_within(ps, G, k)
+        assert images.dtype == np.int32 and images.shape[0] == len(subs) and images.shape[2:] == (d, ps.nv)
+        for sub, stack in zip(subs, images):
+            assert sorted(_bases(stack)) == [g.basis for g in generators_through(Subspace(sub), ps)]
 
 
 def test_generators_through_subspaces_rejects_other_models():
@@ -805,13 +808,65 @@ def test_generators_through_subspaces_certifies_the_isometry(doctored, monkeypat
         extremal._generators_through_subspaces(polar_space_make("Hodd", 2, 4), 1)
 
 
+def test_generators_through_subspaces_rejects_a_repeated_image(monkeypatch):
+    # The second rref_batch of a block reduces the images; repeat its first.
+    calls = []
+
+    def repeating(fld, M):
+        R, rank = rref_batch(fld, M)
+        calls.append(len(M))
+        if len(calls) % 2 == 0:
+            R[1] = R[0]
+        return R, rank
+
+    monkeypatch.setattr(extremal, "rref_batch", repeating)
+    with pytest.raises(AssertionError, match="map to one"):
+        extremal._generators_through_subspaces(polar_space_make("Hodd", 2, 4), 1)
+    assert len(calls) == 2
+
+
+def _reference_h7_sizes(q):
+    """|Y| and |Z| by Moebius inversion over the subspace lattice of G: with
+    c[k] generators through each k-subspace and Q = q^2, exactly
+    [4 choose j]_Q sum_m (-1)^m Q^binom(m, 2) [4-j choose m]_Q c[j+m]
+    generators meet G in exactly dimension j."""
+    qq = q * q
+    c = {k: num_generators("Hodd", 4 - k, qq) for k in (2, 3, 4)}
+    exact = {
+        j: gaussian(4, j, qq)
+        * sum((-1) ** m * qq ** binom2(m) * gaussian(4 - j, m, qq) * c[j + m] for m in range(5 - j))
+        for j in (2, 3, 4)
+    }
+    return exact[2] + exact[3] + exact[4], exact[3] + exact[4]
+
+
 def test_example_h7_sizes_match_closed_polynomials():
     size_y, size_z = example_h7_sizes(example_h7_data(2))
     q = 2
     assert size_y == 1 + q + q**3 + q**4 + q**5 + q**6 + q**7 + 2 * q**8 + q**10 + q**12 == 5883
     assert size_z == 1 + q + q**3 + q**5 + q**7 == 171
+    assert (size_y, size_z) == _reference_h7_sizes(2)
+
+
+def test_example_h7_stacks_hold_distinct_canonical_bases():
+    ps, Y, Z = example_h7_data(2)
+    for stack in (Y, Z):
+        assert stack.dtype == np.int32 and stack.shape[1:] == (ps.d, ps.nv)
+        assert len(np.unique(stack.reshape(len(stack), -1), axis=0)) == len(stack)
+        R, rank = rref_batch(ps.field, stack)
+        assert (rank == ps.d).all() and (R == stack).all()
 
 
 def test_example_h7_cross_property_sample():
     rep = example_h7_cross_sample(example_h7_data(2), samples=2000)
     assert rep["ok"] and rep["disjoint_pairs"] == 0
+
+
+def test_example_h7_cross_sample_counts_disjoint_pairs():
+    # Y = {G} and Z = {the opposite generator <e_4..e_7>}: every pair is disjoint.
+    ps = polar_space_make("Hodd", 4, 4)
+    unit = np.eye(ps.nv, dtype=np.int32)
+    rep = example_h7_cross_sample((ps, unit[None, :4], unit[None, 4:]), samples=300)
+    assert rep == {"ok": False, "samples": 300, "disjoint_pairs": 300}
+    with pytest.raises(ValueError, match="negative"):
+        example_h7_cross_sample((ps, unit[None, :4], unit[None, 4:]), samples=-1)
