@@ -16,6 +16,7 @@ failed closure of an ancestor already shows to fail the canonicity test.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import isqrt
@@ -114,6 +115,42 @@ class CrossGraph:
                 c ^= low
         return c
 
+    def meeting_more_than(self, mask: int, t: int) -> int:
+        """The bit set of the vertices j with |nonn[j] & mask| > t.
+
+        "Meets" is symmetric, so j meets member x exactly when bit j of
+        nonn[x] is set, and the counts of all j at once are the column sums
+        of the members' rows.  A bit-sliced counter adds one row at a time
+        (counter[i] holds bit i of every count, and the carry ripples up).
+        A count exceeds t exactly when, at the highest bit where the two
+        differ, the count has a 1 and t a 0; the counts are read from the
+        top bit down.
+        """
+        rows = self.nonn
+        counter = []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            carry = rows[low.bit_length() - 1]
+            i = 0
+            while carry:
+                if i == len(counter):
+                    counter.append(carry)
+                    break
+                c = counter[i]
+                counter[i] = c ^ carry
+                carry &= c
+                i += 1
+        if t >> len(counter):
+            return 0
+        above, equal = 0, self.full  # equal: the counts that agree with t on t's set bits so far
+        for i in reversed(range(len(counter))):
+            if t >> i & 1:
+                equal &= counter[i]
+            else:
+                above |= equal & counter[i]
+        return above
+
     @cached_property
     def latins_greeks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The two codimension-parity classes of a hyperbolic quadric's generators:
@@ -137,8 +174,15 @@ class CrossGraph:
 def cross_graph(cat: GeneratorCatalog) -> CrossGraph:
     """nonn[x] has bit y set exactly when x and y meet: C[x, y] < d for the
     codimension matrix C of build_relations, which raises SchemeError on a
-    geometry that is no association scheme."""
+    geometry that is no association scheme.  The sampled nonn_of filter and
+    the half-lattice search assume that "meets" is symmetric, so a C that
+    differs from C.T, compared in row blocks, raises SchemeError too."""
     rel = build_relations(cat)
+    C, n = rel.codim, len(rel.codim)
+    step = max(1, BLOCK_ENTRIES // n)
+    for r in range(0, n, step):
+        if (C[r : r + step] != C[:, r : r + step].T).any():
+            raise SchemeError("codimension matrix is not symmetric")
     return CrossGraph(rel=rel, nonn=tuple(bits_to_masks(rel.codim < rel.d)))
 
 
@@ -208,17 +252,35 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
     Unique: a kept child C by j of a node P forces P = cl(C below j), and j is
     then C's least index, so every closed set has one parent and is listed once.
 
+    Half lattice: each pair is listed from its smaller side only.  Below a
+    node B only grows and A only shrinks, and three rules cut the rest:
+      1. a kept child is pushed only when |B'| <= |A'|;
+      2. child j is skipped before its closure when |A & nonn[j]| <= |B|,
+         because B' contains B + j, so |B'| > |A'| there and below; one
+         meeting_more_than(A, |B|) finds the other candidates all at once;
+      3. a node with |B| >= |A| - 1 scans no candidates: a j outside
+         B = nonN(A) misses some member of A ("meets" is symmetric), so
+         |A'| <= |A| - 1 <= |B| and rule 2 would skip every child.
+    Still complete: every pair has a side C with |C| <= |nonN(C)|, and every
+    Close-by-One ancestor P of C is contained in C, so
+    |P| <= |C| <= |nonN(C)| <= |nonN(P)|; a child P' of P on the path to C has
+    |P| < |P'| <= |nonN(P')| < |nonN(P)|, so no rule cuts the path and C is
+    reached.  A pair with |A| = |B| can be reached from both sides, so pairs
+    are still kept by key.
+
     FCbO pruning (Outrata and Vychodil 2012): every node carries failed[j], the
     last closure cl(B0 + j) on its path that failed the test, B0 the B of the
     node that computed it (0 where none failed).  Every node below that node
     has B containing B0, so cl(B + j) contains cl(B0 + j); when failed[j] holds
     a vertex below j outside B, so does cl(B + j), and the child by j would be
-    dropped.  It is skipped without its closure.  A node generates all its
-    children before any is pushed, and they share its updated failed tuple:
-    a failure at this node holds for every node under it.  Only dropped
-    children are skipped and the stack order is Close-by-One's, so the closed
-    sets, the order they are popped in and so the 2^limit count are the same.
-    More than 2^limit closed sets, or a negative limit, raise ValueError.
+    dropped.  It is skipped without its closure.  A child skipped by rule 2
+    leaves failed[j] as it was, an older closure that is still a sufficient
+    condition for failure.  A node generates all its children before any is
+    pushed, and they share its updated failed tuple: a failure at this node
+    holds for every node under it.  Only dropped or cut children are skipped,
+    so the visited closed sets are those of Close-by-One under the three rules,
+    popped in its order.  More than 2^limit visited closed sets, or a negative
+    limit, raise ValueError.
     """
     if limit < 0:
         raise ValueError(f"limit {limit} is negative; the search stops past 2^limit closed sets")
@@ -237,9 +299,12 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
         key = (a, b) if a < b else (b, a)
         if key not in pairs:
             pairs[key] = _certificate(g, a, b)
+        nb = b.bit_count()
+        if nb >= a.bit_count() - 1:
+            continue
         children = []
         fresh = None
-        for j in bit_indices((full ^ b) >> j0 << j0):
+        for j in bit_indices(((full ^ b) & g.meeting_more_than(a, nb)) >> j0 << j0):
             low = (1 << j) - 1
             if failed[j] & low & ~b:
                 continue
@@ -249,7 +314,7 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
                 if fresh is None:
                     fresh = list(failed)
                 fresh[j] = b2
-            else:
+            elif b2.bit_count() <= a2.bit_count():
                 children.append((a2, b2, j + 1))
         if fresh is not None:
             failed = tuple(fresh)
@@ -467,11 +532,13 @@ def _dual_blocks(ar, Ainv: np.ndarray) -> np.ndarray:
     return ar.conj[Ainv].transpose(0, 2, 1)[:, ::-1, ::-1]
 
 
-def _generators_through_subspaces(ps: PolarSpace, k: int) -> tuple[list[tuple], np.ndarray]:
-    """(subs, images): subs are the k-subspaces S of G = <e_0..e_(d-1)> in
-    enumerate_subspaces_within order, and images[i] is an int32 (n, d, nv)
-    stack of the canonical bases of the n generators through subs[i], from
-    one quotient enumeration.
+def _generators_through_subspaces(ps: PolarSpace, ks) -> tuple[np.ndarray, list[int]]:
+    """(stack, starts): one int32 (m, d, nv) stack of the canonical bases of
+    the generators X with dim(X ∩ G) in ks, G = <e_0..e_(d-1)>, each exactly
+    once; those with dim(X ∩ G) = ks[i] fill stack[starts[i]:starts[i + 1]].
+    That block is grouped by S = X ∩ G, over the k-subspaces S of G in
+    enumerate_subspaces_within order, in groups of one size, each in the
+    order of the generators through S0 = <e_0..e_(k-1)>.
 
     Both Hermitian models have the antidiagonal Gram matrix J.  For A in
     GL(d, q) let C = J sigma(A^-1)^T J and M = diag(A, C), with a 1 on the
@@ -480,15 +547,18 @@ def _generators_through_subspaces(ps: PolarSpace, k: int) -> tuple[list[tuple], 
     conjugate transpose C J sigma(A)^T = J: M is an isometry.  The first k
     rows of A are S's canonical basis (S lies in G, so they vanish past
     column d) and the others are the unit vectors at S's non-pivot columns,
-    so A is invertible and S0 M = S for S0 = <e_0..e_(k-1)>.  An isometry
-    maps generators to generators and keeps containment, and so does M^-1;
-    hence X -> X M is a bijection from the generators through S0 onto those
-    through S.  Reducing each image by rref_batch gives exactly the bases of
-    generators_through(S), in the order of the generators through S0.
+    so A is invertible and S0 M = S for S0 = <e_0..e_(k-1)>.  M maps G onto
+    itself, so (X ∩ G) M = XM ∩ G.  An isometry maps generators to generators
+    and keeps containment, and so does M^-1; hence X -> X M is a bijection
+    from the generators X through S0 with X ∩ G = S0 onto the generators
+    through S with X ∩ G = S.  Reducing each image by rref_batch gives their
+    canonical bases, in the order of their preimages.
 
-    The generators through S0 are enumerated once; A^-1 comes from one
-    rref_batch of [A | I], the images from _Gathers products, all in blocks
-    of BLOCK_ENTRIES.  Raises ValueError for a form other than the
+    For each k the generators through S0 are enumerated once and kept when
+    X ∩ G = S0, that is when X[:, d:] has rank d - k, from one rref_batch;
+    the group sizes then fix the stack, which is allocated once.  A^-1 comes
+    from one rref_batch of [A | I], the images from _Gathers products, all in
+    blocks of BLOCK_ENTRIES.  Raises ValueError for a form other than the
     antidiagonal Hermitian one, and AssertionError when A J sigma(C)^T != J
     for some S, an image has rank below d, or an S gets a repeated image.
     """
@@ -499,53 +569,58 @@ def _generators_through_subspaces(ps: PolarSpace, k: int) -> tuple[list[tuple], 
     ar = _array_arithmetic(fld)
     unit = anti[::-1]
     eye = np.eye(d, dtype=np.int32)
-    subs = enumerate_subspaces_within(ps, unit[:d], k)
-    W = np.array([g.basis for g in generators_through(Subspace(unit[:k]), ps)], dtype=np.int32)
-    n = len(W)
-    images = np.empty((len(subs), n, d, nv), dtype=np.int32)
-    key = np.dtype((np.void, images.itemsize * d * nv))  # one basis as an opaque key
-    step = max(1, BLOCK_ENTRIES // (n * d * nv))
-    for s in range(0, len(subs), step):
-        block = subs[s : s + step]
-        A = np.zeros((len(block), d, d), dtype=np.int32)
-        for i, sub in enumerate(block):
-            pivots = {next(c for c, x in enumerate(row) if x) for row in sub}
-            A[i] = [row[:d] for row in sub] + [eye[c] for c in range(d) if c not in pivots]
-        inv = rref_batch(fld, np.concatenate([A, np.broadcast_to(eye, A.shape)], axis=2))[0][:, :, d:]
-        C = _dual_blocks(ar, inv)
-        Y = ar.conj[C].transpose(0, 2, 1)[:, ::-1]  # J sigma(C)^T
-        P = 0
-        for t in range(d):
-            P = ar.add(P, ar.mul(A[:, :, t, None], Y[:, None, t, :]))
-        if (P != eye[::-1]).any():
-            raise AssertionError(f"{ps.label}: diag(A, C) is not an isometry for some {k}-subspace")
-        M = np.zeros((len(block), nv, nv), dtype=np.int32)
-        M[:, :d, :d] = A
-        M[:, d : nv - d, d : nv - d] = np.eye(nv - 2 * d, dtype=np.int32)
-        M[:, nv - d :, nv - d :] = C
-        img = 0
-        for t in range(nv):
-            img = ar.add(img, ar.mul(W[None, :, :, t, None], M[:, None, None, t, :]))
-        R, rank = rref_batch(fld, img.reshape(-1, d, nv))
-        if (rank != d).any():
-            raise AssertionError(f"{ps.label}: an image of a generator has rank below {d}")
-        keys = np.sort(R.reshape(len(block), n, d * nv).view(key)[..., 0], axis=1)
-        twice = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
-        if twice.any():
-            raise AssertionError(f"{ps.label}: two generators through S0 map to one through {block[twice.argmax()]}")
-        images[s : s + len(block)] = R.reshape(len(block), n, d, nv)
-    return subs, images
+    parts = []
+    for k in ks:
+        W = np.array([g.basis for g in generators_through(Subspace(unit[:k]), ps)], dtype=np.int32)
+        W = W[rref_batch(fld, W[:, :, d:])[1] == d - k]
+        parts.append((k, enumerate_subspaces_within(ps, unit[:d], k), W))
+    starts = np.cumsum([0] + [len(subs) * len(W) for _, subs, W in parts]).tolist()
+    stack = np.empty((starts[-1], d, nv), dtype=np.int32)
+    key = np.dtype((np.void, stack.itemsize * d * nv))  # one basis as an opaque key
+    for (k, subs, W), at in zip(parts, starts):
+        n = len(W)
+        images = stack[at : at + len(subs) * n].reshape(len(subs), n, d, nv)
+        step = max(1, BLOCK_ENTRIES // (n * d * nv))
+        for s in range(0, len(subs), step):
+            block = subs[s : s + step]
+            A = np.zeros((len(block), d, d), dtype=np.int32)
+            for i, sub in enumerate(block):
+                pivots = {next(c for c, x in enumerate(row) if x) for row in sub}
+                A[i] = [row[:d] for row in sub] + [eye[c] for c in range(d) if c not in pivots]
+            inv = rref_batch(fld, np.concatenate([A, np.broadcast_to(eye, A.shape)], axis=2))[0][:, :, d:]
+            C = _dual_blocks(ar, inv)
+            Y = ar.conj[C].transpose(0, 2, 1)[:, ::-1]  # J sigma(C)^T
+            P = 0
+            for t in range(d):
+                P = ar.add(P, ar.mul(A[:, :, t, None], Y[:, None, t, :]))
+            if (P != eye[::-1]).any():
+                raise AssertionError(f"{ps.label}: diag(A, C) is not an isometry for some {k}-subspace")
+            M = np.zeros((len(block), nv, nv), dtype=np.int32)
+            M[:, :d, :d] = A
+            M[:, d : nv - d, d : nv - d] = np.eye(nv - 2 * d, dtype=np.int32)
+            M[:, nv - d :, nv - d :] = C
+            img = 0
+            for t in range(nv):
+                img = ar.add(img, ar.mul(W[None, :, :, t, None], M[:, None, None, t, :]))
+            R, rank = rref_batch(fld, img.reshape(-1, d, nv))
+            if (rank != d).any():
+                raise AssertionError(f"{ps.label}: an image of a generator has rank below {d}")
+            keys = np.sort(R.reshape(len(block), n, d * nv).view(key)[..., 0], axis=1)
+            twice = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+            if twice.any():
+                raise AssertionError(f"{ps.label}: two generators through S0 map to one through {block[twice.argmax()]}")
+            images[s : s + len(block)] = R.reshape(len(block), n, d, nv)
+    return stack, starts
 
 
 def example_h7_data(q: int):
-    """(H(7, q^2), Y, Z): Y and Z are the int32 (m, 4, 8) stacks of the distinct
-    canonical bases of the generators meeting G = <e_0..e_3> in dimension >= 2,
-    respectively >= 3, that is of the generators through some 2-subspace,
-    respectively 3-subspace, of G."""
+    """(H(7, q^2), Y, Z): Y is the int32 (m, 4, 8) stack of the canonical bases
+    of the generators meeting G = <e_0..e_3> in dimension >= 2, each once, in
+    the order [dimension 2 | dimension 3 | G itself], and Z, those meeting G in
+    dimension >= 3, is a view of its tail."""
     ps = polar_space_make("Hodd", 4, q * q)
-    key = np.dtype((np.void, 4 * 32))  # a basis as one opaque key: np.unique(axis=0) sorts about 10x slower
-    Y, Z = (np.unique(_generators_through_subspaces(ps, k)[1].reshape(-1, 32).view(key)) for k in (2, 3))
-    return ps, Y.view(np.int32).reshape(-1, 4, 8), Z.view(np.int32).reshape(-1, 4, 8)
+    Y, starts = _generators_through_subspaces(ps, (2, 3, 4))
+    return ps, Y, Y[starts[1] :]
 
 
 def example_h7_sizes(data) -> tuple[int, int]:
@@ -554,22 +629,48 @@ def example_h7_sizes(data) -> tuple[int, int]:
     return len(Y), len(Z)
 
 
+def _reduced_ranks(fld, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """rank [y; z] - d for (m, d, nv) stacks y and z, every y a canonical basis.
+
+    z loses its multiples of y's rows at y's pivot columns, one mul/sub pass
+    per row of y (each row of y vanishes at the other pivots, so the order
+    does not matter); the reduced z is zero there, so the rank of [y; z] is d
+    plus that of z on y's nv - d free columns, one (m, d, nv - d) rref_batch.
+    """
+    ar = _array_arithmetic(fld)
+    m, d, nv = y.shape
+    piv = (y != 0).argmax(axis=2)
+    for i in range(d):
+        z = ar.sub(z, ar.mul(np.take_along_axis(z, piv[:, i, None, None], axis=2), y[:, i, None, :]))
+    free = np.ones((m, nv), dtype=bool)
+    np.put_along_axis(free, piv, False, axis=1)
+    cols = free.nonzero()[1].reshape(m, nv - d)
+    return rref_batch(fld, np.take_along_axis(z, cols[:, None, :], axis=2))[1]
+
+
 def example_h7_cross_sample(data, samples: int = 10_000, seed: int = 20260810) -> dict:
     """Random y in Y, z in Z pairs; every one must intersect non-trivially.
 
-    The pairs are drawn in blocks of indices into Y and Z and each block is
-    ranked by one rref_batch; a pair of full rank nv is disjoint.  A negative
-    sample count raises ValueError.
+    The pairs are drawn in blocks of indices into Y and Z, an index below n
+    as floor(u n / 2^32) for 32 random bits u of random.Random(seed) (one
+    getrandbits call per block; each index is drawn with probability within
+    n / 2^32 of 1/n).  A pair is disjoint exactly when z keeps rank d after
+    the reduction by y (_reduced_ranks).  A negative sample count raises
+    ValueError.
     """
     if samples < 0:
         raise ValueError(f"sample count {samples} is negative")
     ps, Y, Z = data
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
+
+    def draw(n: int, m: int) -> np.ndarray:
+        u = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype=np.uint32)
+        return u.astype(np.uint64) * n >> 32
+
     bad = 0
-    block = BLOCK_ENTRIES // (2 * ps.d * ps.nv)
+    block = BLOCK_ENTRIES // (ps.d * ps.nv)
     for start in range(0, samples, block):
         m = min(block, samples - start)
-        pairs = np.concatenate([Y[rng.integers(len(Y), size=m)], Z[rng.integers(len(Z), size=m)]], axis=1)
-        _, rank = rref_batch(ps.field, pairs)
-        bad += int((rank == ps.nv).sum())
+        y, z = Y[draw(len(Y), m)], Z[draw(len(Z), m)]
+        bad += int((_reduced_ranks(ps.field, y, z) == ps.d).sum())
     return {"ok": bad == 0, "samples": samples, "disjoint_pairs": bad}

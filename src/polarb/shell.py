@@ -553,7 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = p.add_subparsers(dest="what", required=True)
     pm = ssub.add_parser("max-pairs")
     add_space_args(pm)
-    pm.add_argument("--limit", type=int, default=22, help="stop with exit 2 past 2^LIMIT closed sets")
+    pm.add_argument(
+        "--limit", type=int, default=22, help="stop with exit 2 past 2^LIMIT visited closed sets (one side of each pair)"
+    )
     pm.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="run one named verification")

@@ -1,9 +1,13 @@
 import dataclasses
+import hashlib
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from functools import cached_property
 from math import isqrt
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +38,7 @@ from polarb.geom import (
     Subspace,
     _bases,
     _space_from_forms,
+    enumerate_generators,
     enumerate_subspaces_within,
     generators_through,
     intersect_bases,
@@ -43,6 +48,7 @@ from polarb.geom import (
 )
 from polarb.qcount import binom2, gaussian, nbracket, num_generators
 from polarb.scheme import RelationData, SchemeError
+from polarb.shell import main
 
 def _reference_disjointness_rows(cat):
     """The popcount loop: bit y of row x set iff generators x and y share no point."""
@@ -153,12 +159,15 @@ def test_sweep_limit_guard(graph):
 
 
 def test_limit_caps_the_closed_sets_at_two_to_the_limit(graph):
-    # H(3,4) has 1253 closed sets: 2^10 = 1024 is passed, 2^11 = 2048 is not.
+    # The half-lattice search visits 1009 of H(3,4)'s 1253 closed sets:
+    # 2^9 = 512 is passed, 2^10 = 1024 is not.
     g = graph("Hodd", 2, 4)
-    with pytest.raises(ValueError, match="2\\^10"):
-        enumerate_maximal_cross_pairs(g, limit=10)
-    certs = enumerate_maximal_cross_pairs(g, limit=11)
-    assert sum(1 if c.y == c.z else 2 for c in certs) == 1253
+    certs, visited = _reference_half_lattice(g)
+    assert len(visited) == 1009
+    assert len(_reference_close_by_one(g)[1]) == 1253
+    with pytest.raises(ValueError, match="2\\^9"):
+        enumerate_maximal_cross_pairs(g, limit=9)
+    assert enumerate_maximal_cross_pairs(g, limit=10) == certs
 
 
 def _reference_nonn(g, mask):
@@ -185,6 +194,21 @@ def _reference_sweep_pairs(g):
 
         sweep(0, full)
     return {frozenset((ymask, _reference_nonn(g, ymask))) for ymask in candidates}
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (("W", "2", "5"), "c85410ea972f2674e659d6fbf9ad1609e0bdb7a8d20ceaa708d70849e68af3fd"),
+        (("Hodd", "2", "9"), "0f728a6ea9996258cc959c465ad97682cc431a54e5224b8fbad81fc777eeb1a0"),
+    ],
+)
+def test_search_output_is_pinned(capsys, monkeypatch, tmp_path, args, digest):
+    # SHA-256 of the --json output of the full Close-by-One listing, which the
+    # half-lattice search must reproduce byte for byte.
+    monkeypatch.setenv("POLARB_CACHE_DIR", str(tmp_path))
+    assert main(["search", "max-pairs", *args, "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def _pair_set(certs):
@@ -224,6 +248,23 @@ def test_close_by_one_matches_brute_force_on_random_graphs(g):
     certs = enumerate_maximal_cross_pairs(g)
     assert len(_pair_set(certs)) == len(certs)
     assert _pair_set(certs) == brute
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_symmetric_graphs(), st.integers(0, 2**12 - 1), st.integers(0, 13))
+def test_meeting_more_than_matches_the_row_counts(g, mask, t):
+    mask &= g.full
+    want = sum(1 << j for j in range(g.n) if (g.nonn[j] & mask).bit_count() > t)
+    assert g.meeting_more_than(mask, t) == want
+
+
+def test_meeting_more_than_on_seed_drawn_sets(graph):
+    g = graph("Hodd", 2, 9)
+    rng = random.Random(20261019)
+    for _ in range(200):
+        mask = _mask(rng.sample(range(g.n), rng.randint(0, g.n)))
+        t = rng.randint(0, mask.bit_count() + 1)
+        assert g.meeting_more_than(mask, t) == sum(1 << j for j in range(g.n) if (g.nonn[j] & mask).bit_count() > t)
 
 
 def _mask(ids):
@@ -274,6 +315,36 @@ def _reference_close_by_one(g):
     return sorted(pairs.values(), key=lambda c: (-c.product, c.y, c.z)), closed
 
 
+def _reference_half_lattice(g):
+    """Plain Close-by-One under the three half-lattice rules: a kept child is
+    pushed only when |B'| <= |A'|, child j is not closed when |A & nonn[j]| <= |B|,
+    and a node with |B| >= |A| - 1 has no candidates.  Returns (certificates,
+    visited nodes (A, B) in pop order)."""
+    full = (1 << g.n) - 1
+    pairs = {}
+    visited = []
+    stack = [(full, _reference_nonn(g, full), 0)]
+    while stack:
+        a, b, j0 = stack.pop()
+        visited.append((a, b))
+        key = (a, b) if a < b else (b, a)
+        if key not in pairs:
+            pairs[key] = _reference_certificate(g, b, a)
+        if b.bit_count() >= a.bit_count() - 1:
+            continue
+        for j in range(j0, g.n):
+            if b >> j & 1:
+                continue
+            a2 = a & g.nonn[j]
+            if a2.bit_count() <= b.bit_count():
+                continue
+            b2 = _reference_nonn(g, a2)
+            low = (1 << j) - 1
+            if b2 & low == b & low and b2.bit_count() <= a2.bit_count():
+                stack.append((a2, b2, j + 1))
+    return sorted(pairs.values(), key=lambda c: (-c.product, c.y, c.z)), visited
+
+
 def _closed_sets(certs):
     return {sum(1 << i for i in side) for c in certs for side in (c.y, c.z)}
 
@@ -285,6 +356,9 @@ def test_fcbo_matches_plain_close_by_one(graph, family, d, q):
     reference, closed = _reference_close_by_one(g)
     assert certs == reference
     assert _closed_sets(certs) == set(closed)
+    half, visited = _reference_half_lattice(g)
+    assert half == certs
+    assert {b for _, b in visited} <= set(closed)
     for seed in [(0,), (0, g.n - 1), tuple(range(0, g.n, 7))]:
         assert cross_closure(seed, g) == _reference_cross_closure(seed, g)
 
@@ -362,13 +436,15 @@ def test_cross_closure_unpacks_only_the_smaller_side(graph, monkeypatch):
 @pytest.mark.parametrize("family,d,q", [("W", 2, 3), ("Qminus", 2, 2)])
 def test_fcbo_children_carry_no_id_tuples(graph, monkeypatch, family, d, q):
     g = graph(family, d, q)
+    _, visited = _reference_half_lattice(g)
     calls = _recording_bit_indices(monkeypatch)
     certs = enumerate_maximal_cross_pairs(g)
     by_caller = Counter(caller for caller, _, _ in calls)
-    # One candidate scan per closed set, none per child closure; the sort key
-    # reads every certificate's y and z once.
-    closed = sum(1 if c.ymask == c.zmask else 2 for c in certs)
-    assert by_caller.pop("enumerate_maximal_cross_pairs") == closed
+    # One candidate scan per visited node with |B| < |A| - 1, none per child
+    # closure; the sort key reads every certificate's y and z once.
+    scanned = sum(b.bit_count() < a.bit_count() - 1 for a, b in visited)
+    assert 0 < scanned < len(visited)
+    assert by_caller.pop("enumerate_maximal_cross_pairs") == scanned
     assert by_caller.pop("y") == by_caller.pop("z") == len(certs)
     assert set(by_caller) <= {"classify_pair", "_pairwise_disjoint"}
     smaller = {c.zmask for c in certs} | {c.ymask for c in certs if c.sizes[0] == c.sizes[1]}
@@ -628,6 +704,13 @@ def _doctored_relations(monkeypatch, rows):
     return cat
 
 
+def test_cross_graph_rejects_an_asymmetric_codimension_matrix(monkeypatch):
+    # The 3-vertex path with one entry changed: C[2, 0] = 1 but C[0, 2] = 2.
+    cat = _doctored_relations(monkeypatch, [[0, 1, 2], [1, 0, 1], [1, 1, 0]])
+    with pytest.raises(SchemeError, match="not symmetric"):
+        cross_graph(cat)
+
+
 def test_bipartition_rejects_a_regular_c_of_broken_parity(monkeypatch):
     # The distance classes of a 5-cycle: regular, but an odd cycle has no bipartition.
     cat = _doctored_relations(monkeypatch, [[min(abs(x - y), 5 - abs(x - y)) for y in range(5)] for x in range(5)])
@@ -775,24 +858,29 @@ def test_maximality_lemma_reports_a_z_missing_a_meet(catalog, relations):
     ],
 )
 def test_generators_through_subspaces_match_generators_through(family, d, q, ks):
+    # Each S gets exactly the generators through S that meet G in S alone.
     ps = polar_space_make(family, d, q)
     G = tuple(tuple(int(t == i) for t in range(ps.nv)) for i in range(d))
-    for k in ks:
-        subs, images = extremal._generators_through_subspaces(ps, k)
-        assert subs == enumerate_subspaces_within(ps, G, k)
-        assert images.dtype == np.int32 and images.shape[0] == len(subs) and images.shape[2:] == (d, ps.nv)
-        for sub, stack in zip(subs, images):
-            assert sorted(_bases(stack)) == [g.basis for g in generators_through(Subspace(sub), ps)]
+    stack, starts = extremal._generators_through_subspaces(ps, ks)
+    assert stack.dtype == np.int32 and stack.shape == (starts[-1], d, ps.nv) and len(starts) == len(ks) + 1
+    for k, at, end in zip(ks, starts, starts[1:]):
+        subs = enumerate_subspaces_within(ps, G, k)
+        images = stack[at:end].reshape(len(subs), -1, d, ps.nv)
+        for sub, group in zip(subs, images):
+            through = [g.basis for g in generators_through(Subspace(sub), ps)]
+            assert sorted(_bases(group)) == [x for x in through if len(intersect_bases(ps.field, x, G)) == k]
+    if ks == tuple(range(d + 1)):  # every generator meets G in some dimension
+        assert sorted(_bases(stack)) == sorted(g.basis for g in enumerate_generators(ps).generators)
 
 
 def test_generators_through_subspaces_rejects_other_models():
     with pytest.raises(ValueError, match="antidiagonal"):
-        extremal._generators_through_subspaces(polar_space_make("W", 2, 4), 1)
+        extremal._generators_through_subspaces(polar_space_make("W", 2, 4), (1,))
     fld = field_of_order(4)
     gram = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
     paired = _space_from_forms("Hodd", 2, fld, gram, None)
     with pytest.raises(ValueError, match="antidiagonal"):
-        extremal._generators_through_subspaces(paired, 1)
+        extremal._generators_through_subspaces(paired, (1,))
 
 
 @pytest.mark.parametrize(
@@ -805,24 +893,25 @@ def test_generators_through_subspaces_rejects_other_models():
 def test_generators_through_subspaces_certifies_the_isometry(doctored, monkeypatch):
     monkeypatch.setattr(extremal, "_dual_blocks", doctored)
     with pytest.raises(AssertionError, match="not an isometry"):
-        extremal._generators_through_subspaces(polar_space_make("Hodd", 2, 4), 1)
+        extremal._generators_through_subspaces(polar_space_make("Hodd", 2, 4), (1,))
 
 
 def test_generators_through_subspaces_rejects_a_repeated_image(monkeypatch):
-    # The second rref_batch of a block reduces the images; repeat its first.
+    # The first rref_batch ranks the generators through S0 off G; then the
+    # second of each block reduces the images: repeat its first.
     calls = []
 
     def repeating(fld, M):
         R, rank = rref_batch(fld, M)
         calls.append(len(M))
-        if len(calls) % 2 == 0:
+        if len(calls) > 1 and len(calls) % 2 == 1:
             R[1] = R[0]
         return R, rank
 
     monkeypatch.setattr(extremal, "rref_batch", repeating)
     with pytest.raises(AssertionError, match="map to one"):
-        extremal._generators_through_subspaces(polar_space_make("Hodd", 2, 4), 1)
-    assert len(calls) == 2
+        extremal._generators_through_subspaces(polar_space_make("Hodd", 2, 4), (1,))
+    assert len(calls) == 3
 
 
 def _reference_h7_sizes(q):
@@ -846,6 +935,51 @@ def test_example_h7_sizes_match_closed_polynomials():
     assert size_y == 1 + q + q**3 + q**4 + q**5 + q**6 + q**7 + 2 * q**8 + q**10 + q**12 == 5883
     assert size_z == 1 + q + q**3 + q**5 + q**7 == 171
     assert (size_y, size_z) == _reference_h7_sizes(2)
+
+
+def _reference_h7_stacks(q):
+    """The union, without repeats, of the generators through each 2-subspace,
+    respectively 3-subspace, of G: Y and Z as sets of canonical bases."""
+    ps = polar_space_make("Hodd", 4, q * q)
+    G = tuple(tuple(int(t == i) for t in range(ps.nv)) for i in range(4))
+    Y, Z = (
+        np.unique(
+            np.array([g.basis for S in enumerate_subspaces_within(ps, G, k) for g in generators_through(Subspace(S), ps)]),
+            axis=0,
+        )
+        for k in (2, 3)
+    )
+    return set(_bases(Y)), set(_bases(Z))
+
+
+def test_example_h7_stacks_match_the_union_of_all_generators_through():
+    ps, Y, Z = example_h7_data(2)
+    assert (set(_bases(Y)), set(_bases(Z))) == _reference_h7_stacks(2)
+    # Z is the tail of Y, not a copy; G itself is the last row.
+    assert Z.base is not None and np.shares_memory(Y, Z)
+    assert Z.__array_interface__["data"][0] == Y[len(Y) - len(Z) :].__array_interface__["data"][0]
+    assert (Y[-1] == np.eye(4, 8, dtype=np.int32)).all()
+
+
+def test_reduced_rank_matches_the_full_rank():
+    ps, Y, _ = example_h7_data(2)
+    rng = random.Random(20261019)
+    i, j = (rng.choices(range(len(Y)), k=3000) for _ in range(2))
+    y, z = Y[i], Y[j]
+    full = rref_batch(ps.field, np.concatenate([y, z], axis=1))[1]
+    reduced = extremal._reduced_ranks(ps.field, y, z)
+    assert (full == ps.d + reduced).all()
+    assert Counter((reduced == ps.d).tolist())[True] >= 300  # many disjoint pairs
+
+
+def test_example21_leaves_numpy_random_unimported():
+    code = (
+        "import sys; from polarb.checks import check_example21; "
+        "assert check_example21(2, samples=5)['status'] == 'pass'; print('numpy.random' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    assert out == "False\n"
 
 
 def test_example_h7_stacks_hold_distinct_canonical_bases():
