@@ -427,7 +427,7 @@ def subspace_points(ps: PolarSpace, basis: tuple[Vector, ...]) -> list[Vector]:
 
 
 # Entries per numpy temporary in blocked loops (128 KiB of int32): keeps the
-# peak memory of orthogonality masks, line tables and relations near O(npts + n).
+# peak memory of orthogonality masks and relations near O(npts + n).
 BLOCK_ENTRIES = 1 << 15
 
 
@@ -453,14 +453,6 @@ def bits_to_masks(bits) -> list[int]:
     """Pack each row of a 0/1 matrix into an int whose bit j is column j."""
     packed = np.packbits(np.asarray(bits, dtype=bool), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def masks_to_bits(masks, width: int) -> np.ndarray:
-    """The len(masks) x width 0/1 uint8 matrix whose row i holds the bits of masks[i]."""
-    nbytes = (width + 7) // 8
-    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes), axis=1, bitorder="little")
-    return bits[:, :width]
 
 
 class _Gathers(NamedTuple):
@@ -562,11 +554,6 @@ def _places(ps: PolarSpace) -> np.ndarray:
     return ps.q ** np.arange(ps.nv - 1, -1, -1, dtype=np.int64)
 
 
-def _point_keys(ps: PolarSpace, A: np.ndarray) -> np.ndarray:
-    """Base-q value of each row of A; increasing exactly when the rows are lexicographically increasing."""
-    return A @ _places(ps)
-
-
 def _orth_masks(ps: PolarSpace, pts) -> list[int]:
     """orth[i] has bit j iff B(pts[i], pts[j]) = 0; symmetric, since the form is reflexive."""
     ar = _array_arithmetic(ps.field)
@@ -582,100 +569,52 @@ def _orth_masks(ps: PolarSpace, pts) -> list[int]:
     return orth
 
 
-def _line_table(ps: PolarSpace, pts, orth) -> list[list[int]]:
-    """line[a][b] = point mask of the line through pts[a] and pts[b] for every
-    b != a with bit b of orth[a], else 0.
+def _orderly_subspaces(ps: PolarSpace, pts, orth, k: int) -> list[tuple[int, ...]]:
+    """The canonical bases of the k-dimensional subspaces spanned by k
+    pairwise orthogonal points of ``pts``, each exactly once, as tuples of
+    point indices, rows by increasing pivot.
 
-    ``pts`` must be lexicographically sorted and contain every point of those
-    lines.  Each line's mask is one int, shared by the (q+1)q ordered pairs of
-    its points.
+    ``pts`` are lexicographically sorted normalized points; bit j of orth[i]
+    says pts[i] and pts[j] are orthogonal.  The reduced row-echelon rows of
+    a subspace are normalized points x_1..x_k with leading positions
+    (pivots) c_1 < .. < c_k, each 0 at the other rows' pivots; x_i is 0
+    before c_i anyway, so the condition is that x_i vanish at c_(i+1)..c_k.
+    The search picks the rows from x_k down.  A state holds the rows chosen
+    so far and the mask of the points that may come next: orthogonal to
+    every chosen row, with leading position below the last chosen pivot and
+    0 at every chosen pivot.  Choosing p ANDs that mask with step[p], the
+    points orthogonal to p, with leading position below p's and 0 there.
+    So every state is a distinct echelon form, and there is no span to
+    grow, no seen-set and no rejected candidate (orderly generation, R. C.
+    Read 1978, with the echelon form as the canonical form).  x_i needs
+    i - 1 pivots below its own, so only points whose leading position is
+    i - 1 or more are taken for it.
     """
-    q, npts = ps.q, len(pts)
-    ar = _array_arithmetic(ps.field)
+    if k == 0:
+        return [()]
     A = _point_array(ps, pts)
-    keys = _point_keys(ps, A)
-    scalars = np.arange(1, q, dtype=np.int32)[None, :, None]
-    line = [[0] * npts for _ in range(npts)]
-    step = max(1, BLOCK_ENTRIES // max(1, npts * (q - 1) * ps.nv))
-    for r in range(0, npts, step):
-        I, J = np.nonzero(masks_to_bits(orth[r : r + step], npts))
-        I += r
-        I, J = I[J > I], J[J > I]
-        # The other q-1 points of line(i, j): p_i + c p_j for c != 0, normalized.
-        V = ar.add(A[I, None, :], ar.mul(scalars, A[J, None, :]))
-        lead = np.take_along_axis(V, (V != 0).argmax(axis=2)[:, :, None], axis=2)
-        V = ar.mul(ar.inv[lead], V)
-        key = _point_keys(ps, V)
-        idx = np.minimum(np.searchsorted(keys, key), npts - 1)
-        if not np.array_equal(keys[idx], key):
-            raise ValueError(f"{ps.label}: a line through two orthogonal points leaves the point list")
-        # Build each line once, from its two least points i < j.
-        first = (idx > J[:, None]).all(axis=1)
-        for members in np.column_stack([I, J, idx])[first].tolist():
-            mask = 0
-            for x in members:
-                mask |= 1 << x
-            for a in members:
-                row = line[a]
-                for b in members:
-                    row[b] = mask
-                row[a] = 0
-    return line
-
-
-def _orderly_subspaces(ps: PolarSpace, pts, orth, k: int) -> np.ndarray:
-    """The k-dimensional subspaces spanned by k pairwise orthogonal points of
-    ``pts``, each exactly once, as an (L, k, nv) stack of spanning points.
-
-    ``pts`` are lexicographically sorted normalized points, closed under the
-    lines through orthogonal pairs; bit j of orth[i] says pts[i] and pts[j]
-    are orthogonal.  A search state is a chain of chosen indices, its span
-    mask and its perp mask (the points orthogonal to the whole span).  Point
-    p extends it when p lies in the perp, outside the span and above the
-    last chosen index, and when no point it adds to the span, span | p |
-    line(p, s) for s in the span, has an index below p.  That admits exactly
-    the greedy bases, b_1 the least point and b_(i+1) the least point outside
-    span(b_1..b_i), so every subspace is reached once (orderly generation,
-    R. C. Read 1978) and no seen-set is needed.  Each leaf chain gives its
-    k points; _canonical_bases reduces them all in one rref_batch.
-    """
-    line = _line_table(ps, pts, orth) if k > 1 else None
-    leaves: list[tuple[int, ...]] = []
-    stack = [((), 0, (), (1 << len(pts)) - 1)]  # chain, span, points of span, perp
+    lead = (A != 0).argmax(axis=1)
+    zero_at = bits_to_masks((A == 0).T)  # zero_at[c]: the points with coordinate c equal to 0
+    lead_below = bits_to_masks(lead < np.arange(ps.nv)[:, None])  # lead_below[c]: leading position below c
+    lead_from = bits_to_masks(lead >= np.arange(k)[:, None])  # lead_from[m]: leading position m or more
+    step = [orth[p] & lead_below[c] & zero_at[c] for p, c in enumerate(lead.tolist())]
+    bases = []
+    stack = [((), (1 << len(pts)) - 1)]  # the rows chosen so far, the points that may come next
     while stack:
-        chain, span, members, perp = stack.pop()
-        if len(chain) == k:
-            leaves.append(chain)
-            continue
-        above = chain[-1] + 1 if chain else 0
-        cand = (perp & ~span) >> above << above
-        while cand:
-            low = cand & -cand
-            p = low.bit_length() - 1
-            new = span | low
-            if span:
-                row = line[p]
-                for s in members:
-                    new |= row[s]
-            # Every point of new outside span gives the same subspace: try it once.
-            cand &= ~new
-            if (new ^ span) & (low - 1):
-                continue
-            stack.append((chain + (p,), new, members + bit_indices(new ^ span), perp & orth[p]))
-    chains = np.array(leaves, dtype=np.intp).reshape(len(leaves), k)
-    return _point_array(ps, pts)[chains]
+        rows, cand = stack.pop()
+        nexts = bit_indices(cand & lead_from[k - 1 - len(rows)])
+        if len(rows) == k - 1:
+            bases += [(p,) + rows for p in nexts]
+        else:
+            stack += [((p,) + rows, cand & step[p]) for p in nexts]
+    return bases
 
 
-def _canonical_bases(fld: FieldSpec, spans: np.ndarray) -> list[tuple[Vector, ...]]:
-    """Sorted canonical bases of the row spaces of a stack of independent rows."""
-    R, rank = rref_batch(fld, spans)
-    if (rank != spans.shape[1]).any():
-        raise AssertionError("enumeration bug: the spanning rows of a generator are dependent")
-    return sorted(_bases(R))
+def _generator_rows(ps: PolarSpace, limit: int):
+    """(points, orth masks, the sorted point indices of every generator's canonical basis).
 
-
-def _generator_spans(ps: PolarSpace, limit: int):
-    """(points, orth masks, spanning points of every generator) of ps."""
+    pts is sorted, so sorting the index tuples sorts the bases.
+    """
     expected = num_generators(ps.family, ps.d, ps.q)
     if expected > limit:
         raise ValueError(
@@ -683,12 +622,12 @@ def _generator_spans(ps: PolarSpace, limit: int):
         )
     pts = enumerate_points(ps)
     orth = _orth_masks(ps, pts)
-    spans = _orderly_subspaces(ps, pts, orth, ps.d)
-    if len(spans) != expected:
+    rows = _orderly_subspaces(ps, pts, orth, ps.d)
+    if len(rows) != expected:
         raise AssertionError(
-            f"enumeration bug: found {len(spans)} generators of {ps.label}, expected {expected}"
+            f"enumeration bug: found {len(rows)} generators of {ps.label}, expected {expected}"
         )
-    return pts, orth, spans
+    return pts, orth, sorted(rows)
 
 
 def enumerate_subspaces_within(ps: PolarSpace, basis, k: int) -> list[tuple[Vector, ...]]:
@@ -750,8 +689,8 @@ class GeneratorCatalog:
 
 
 def enumerate_generators(ps: PolarSpace, limit: int = ENUM_LIMIT_DEFAULT) -> GeneratorCatalog:
-    pts, orth, spans = _generator_spans(ps, limit)
-    return _catalog(ps, pts, orth, _canonical_bases(ps.field, spans))
+    pts, orth, rows = _generator_rows(ps, limit)
+    return _catalog(ps, pts, orth, [tuple(map(pts.__getitem__, r)) for r in rows])
 
 
 def catalog_from_bases(ps: PolarSpace, bases) -> GeneratorCatalog:
@@ -838,9 +777,9 @@ def quotient_geometry(L: Subspace, ps: PolarSpace) -> QuotientGeometry:
 def generators_through(S: Subspace, ps: PolarSpace, limit: int = ENUM_LIMIT_DEFAULT) -> list[Subspace]:
     """All generators containing S, via enumeration of the quotient polar space.
 
-    The spanning points w of each quotient generator lift to w . lift_rows;
-    with S's rows prepended, one rref_batch gives the canonical bases of the
-    lifts.
+    The canonical basis rows w of each quotient generator, as the
+    row-echelon search lists them, lift to w . lift_rows; with S's rows
+    prepended, one rref_batch gives the canonical bases of the lifts.
     """
     if not is_totally_isotropic(S, ps):
         raise ValueError("generators_through requires a totally isotropic subspace")
@@ -848,10 +787,14 @@ def generators_through(S: Subspace, ps: PolarSpace, limit: int = ENUM_LIMIT_DEFA
         return [S]
     qg = quotient_geometry(S, ps)
     ar = _array_arithmetic(ps.field)
-    W = _generator_spans(qg.space, limit)[2]
+    qpts, _, rows = _generator_rows(qg.space, limit)
+    W = _point_array(qg.space, qpts)[np.array(rows, dtype=np.intp)]
     M = np.zeros((len(W), ps.d, ps.nv), dtype=np.int32)
     if S.dim:
         M[:, : S.dim] = S.basis
     for t, row in enumerate(qg.lift_rows):
         M[:, S.dim :] = ar.add(M[:, S.dim :], ar.mul(W[:, :, t, None], np.array(row, dtype=np.int32)))
-    return [Subspace(b) for b in _canonical_bases(ps.field, M)]
+    R, rank = rref_batch(ps.field, M)
+    if (rank != ps.d).any():
+        raise AssertionError("enumeration bug: the lifted rows of a generator are dependent")
+    return [Subspace(b) for b in sorted(_bases(R))]

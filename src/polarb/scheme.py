@@ -25,8 +25,9 @@ from .qcount import EigenData, nbracket
 # Every integer of absolute value below 2^63 is an int64.
 _INT64_EXACT = 1 << 63
 # Bytes of the numpy temporaries of one block in this module's row-blocked loops:
-# a uint64 AND, a uint8 popcount and an int32 sum per common point count, or the
-# certificate's gathered neighbour rows (at least one row's k_1 x n digits).
+# a uint64 AND, a uint8 popcount and an int32 sum per common point count, a bool
+# per entry of C in the degree count, or the certificate's gathered neighbour
+# rows (at least one row's k_1 x n digits).
 _BLOCK_BYTES = 1 << 19
 
 
@@ -52,21 +53,24 @@ class RelationData:
 
 
 def common_point_counts(cat: GeneratorCatalog):
-    """Row blocks of the common point counts, as int32 arrays in row order.
+    """Row blocks of the upper triangle of the common point counts, as int32
+    arrays in row order: the block of rows r..r+m-1 holds columns r..n-1.
 
     Entry [x, y] is the number of points generators x and y share, the
-    popcount of pm[x] & pm[y].  The point masks are packed once into a
-    words x n uint64 array, one row per 64 points; each block sums the
-    popcounts word by word, so every partial sum is an integer at most npts.
+    popcount of pm[x] & pm[y], which is symmetric, so each pair is counted
+    from its lower index only (the block's leading m x m square holds both
+    orders).  The point masks are packed once into a words x n uint64 array,
+    one row per 64 points; each block sums the popcounts word by word, so
+    every partial sum is an integer at most npts.
     """
     n, nwords = cat.n, (len(cat.points) + 63) // 64
     raw = b"".join(m.to_bytes(8 * nwords, "little") for m in cat.point_masks)
     words = np.frombuffer(raw, dtype="<u8").reshape(n, nwords).T.copy()
     step = max(1, _BLOCK_BYTES // (13 * max(1, n)))  # 8 + 1 + 4 bytes per count
     for r in range(0, n, step):
-        acc = np.zeros((min(step, n - r), n), dtype=np.int32)
+        acc = np.zeros((min(step, n - r), n - r), dtype=np.int32)
         for w in words:
-            acc += np.bitwise_count(w[r : r + step, None] & w)
+            acc += np.bitwise_count(w[r : r + step, None] & w[r:])
         yield acc
 
 
@@ -76,8 +80,10 @@ def build_relations(cat: GeneratorCatalog) -> RelationData:
     Two generators meeting in dimension j share [j]_q points, so a count
     [j]_q decodes to codimension d - j.  This is the only place where a
     count is decoded; every other reader of intersection dimensions reads C.
-    A count that is no [j]_q, a relation that is not regular or an A_0 that
-    is not the identity raises SchemeError.
+    Each block of rows r..r+m-1 fills C[r:r+m, r:] and its transpose beyond
+    the block's leading square, C[r+m:, r:r+m]; the degrees are then read
+    from C in row blocks.  A count that is no [j]_q, a relation that is not
+    regular or an A_0 that is not the identity raises SchemeError.
     """
     n = cat.n
     d, q = cat.space.d, cat.space.q
@@ -85,16 +91,20 @@ def build_relations(cat: GeneratorCatalog) -> RelationData:
     for j in range(d + 1):
         codim_of[nbracket(j, q)] = d - j
     C = np.empty((n, n), dtype=np.int8)
-    degrees = np.empty((d + 1, n), dtype=np.int64)  # degrees[i, x] = |R_i(x)|
     r = 0
     for counts in common_point_counts(cat):
-        block = C[r : r + len(counts)]
-        block[...] = codim_of[counts]  # take() would copy counts to intp first
+        m = len(counts)
+        block = codim_of[counts]  # take() would copy counts to intp first
         if (block < 0).any():
             raise SchemeError("two generators share a number of points that is no [j]_q")
+        C[r : r + m, r:] = block
+        C[r + m :, r : r + m] = block[:, m:].T
+        r += m
+    degrees = np.empty((d + 1, n), dtype=np.int64)  # degrees[i, x] = |R_i(x)|
+    step = max(1, _BLOCK_BYTES // max(1, n))  # one bool per entry
+    for r in range(0, n, step):
         for i in range(d + 1):
-            degrees[i, r : r + len(block)] = (block == i).sum(axis=1)
-        r += len(block)
+            degrees[i, r : r + step] = (C[r : r + step] == i).sum(axis=1)
     for i in range(d + 1):
         if (degrees[i] != degrees[i, 0]).any():
             raise SchemeError(f"relation {i} is not regular")

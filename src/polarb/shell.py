@@ -403,11 +403,12 @@ def cmd_search(args) -> int:
             lab: {"count": slot["count"], "products": sorted(slot["products"])}
             for lab, slot in sorted(by_label.items())
         },
-        "certificates": [
+    }
+    if args.json:  # the text lines name no pair, so only --json pays for the id lists
+        payload["certificates"] = [
             {"y": list(c.y), "z": list(c.z), "sizes": list(c.sizes), "product": c.product, "label": c.label}
             for c in certs
-        ],
-    }
+        ]
     lines = [f"{cat.space.label}: {len(certs)} maximal pairs, max product {best}"]
     for lab, slot in sorted(by_label.items()):
         lines.append(f"  {lab}: {slot['count']} pairs, products {sorted(slot['products'])}")
@@ -575,8 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  A rank below 1, a bad argument value or an OS error
-    such as an unwritable cache directory exits 2; a failed verification 1."""
+    """Run one command.  A rank below 1, a bad argument value, an OS error
+    such as an unwritable cache directory or an allocation that fails
+    (MemoryError) exits 2; a failed verification 1."""
     args = build_parser().parse_args(argv)
     try:
         if (hasattr(args, "family") or args.command == "summary") and args.d < 1:
@@ -587,6 +589,10 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -12,6 +12,7 @@ from polarb.ff import field_of_order
 from polarb.geom import (
     Subspace,
     bilinear,
+    catalog_from_bases,
     enumerate_generators,
     enumerate_points,
     generators_through,
@@ -467,7 +468,7 @@ REFERENCE_SPACES = [
 ]
 
 
-@pytest.mark.parametrize("family,d,q", REFERENCE_SPACES)
+@pytest.mark.parametrize("family,d,q", REFERENCE_SPACES + [("W", 3, 2), ("Qparabolic", 3, 2)])  # and rank 3
 def test_enumeration_matches_seen_set_reference(family, d, q):
     _assert_matches_reference(family, d, q)
 
@@ -524,6 +525,39 @@ def test_enumeration_matches_reference_on_drawn_spaces(space):
     family, d, q = space
     assume(num_generators(family, d, q) <= 300)
     _assert_matches_reference(family, d, q)
+
+
+def test_rank_4_bases_are_canonical_distinct_and_complete():
+    # At Q+(7,2), where the seen-set reference is slow: strictly increasing
+    # canonical bases of num_generators generators, each accepted by the
+    # catalog validator with the same mask, are all of them.
+    ps = polar_space_make("Qplus", 4, 2)
+    cat = enumerate_generators(ps)
+    bases = [g.basis for g in cat.generators]
+    assert len(bases) == num_generators("Qplus", 4, 2)
+    assert all(a < b for a, b in zip(bases, bases[1:]))
+    assert catalog_from_bases(ps, bases).point_masks == cat.point_masks
+    for basis, mask in zip(bases, cat.point_masks):
+        assert rref(ps.field, [cat.points[i] for i in geom.bit_indices(mask)]) == basis
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.sampled_from([("W", 1), ("Qparabolic", 1), ("W", 2), ("Qparabolic", 2), ("W", 3)]),
+    st.sampled_from([2, 3, 4, 5, 7, 8, 9]),
+    st.data(),
+)
+def test_echelon_search_lists_every_subspace_once(space, q, data):
+    # Over every point of the ambient space, all of them pairwise
+    # "orthogonal", the search must list each k-subspace's canonical basis.
+    family, d = space
+    ps = polar_space_make(family, d, q)
+    assume(q**ps.nv <= 4096)
+    pts = tuple(v for v in product(range(q), repeat=ps.nv) if next((c for c in v if c), None) == 1)
+    k = data.draw(st.integers(0, ps.nv), label="k")
+    bases = sorted(geom._orderly_subspaces(ps, pts, [(1 << len(pts)) - 1] * len(pts), k))
+    identity = tuple(tuple(int(i == j) for j in range(ps.nv)) for i in range(ps.nv))
+    assert [tuple(pts[i] for i in b) for b in bases] == enumerate_subspaces_within(ps, identity, k)
 
 
 # ---------------------------------------------------------------------------

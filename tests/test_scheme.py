@@ -108,8 +108,11 @@ def test_common_point_counts_match_popcount_reference(catalog, monkeypatch):
     blocks = list(scheme.common_point_counts(cat))
     assert {len(b) for b in blocks} == {5, cat.n % 5}
     assert all(b.dtype == np.int32 for b in blocks)
-    pm = cat.point_masks
-    assert np.vstack(blocks).tolist() == [[(a & b).bit_count() for b in pm] for a in pm]
+    pm, n = cat.point_masks, cat.n
+    # Each block holds its rows' counts from the column of its first row on.
+    assert [b.tolist() for b in blocks] == [
+        [[(pm[x] & pm[y]).bit_count() for y in range(r, n)] for x in range(r, min(r + 5, n))] for r in range(0, n, 5)
+    ]
 
 
 def test_intersection_numbers_w33(relations):
@@ -483,9 +486,22 @@ def test_codim_matrix_reads_the_rows(relations):
 
 
 def _doctored_counts(monkeypatch, edit):
-    """Make build_relations read ``edit`` of the full common point count matrix."""
+    """Make build_relations read ``edit`` of the full common point count matrix.
+
+    The matrix is mirrored from the triangle blocks and handed over as one
+    block: a block from row 0 holds every column, and its leading square is
+    the whole matrix, so build_relations mirrors none of it."""
     counts = scheme.common_point_counts
-    monkeypatch.setattr(scheme, "common_point_counts", lambda cat: [edit(np.vstack(list(counts(cat))))])
+
+    def full(cat):
+        M, r = np.empty((cat.n, cat.n), dtype=np.int32), 0
+        for block in counts(cat):
+            M[r : r + len(block), r:] = block
+            M[r:, r : r + len(block)] = block.T
+            r += len(block)
+        return M
+
+    monkeypatch.setattr(scheme, "common_point_counts", lambda cat: [edit(full(cat))])
 
 
 def test_build_relations_rejects_an_irregular_relation(catalog, monkeypatch):

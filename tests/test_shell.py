@@ -1,5 +1,6 @@
 import ast
 import errno
+import hashlib
 import importlib
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from polarb import checks, ff, geom, scheme, shell
+from polarb import checks, extremal, ff, geom, scheme, shell
 from polarb.geom import enumerate_generators, polar_space_make
 from polarb.qcount import eigen_data, nbracket
 from polarb.scheme import SchemeError, build_relations, verify_spectrum
@@ -321,6 +322,22 @@ def test_cache_error_is_not_a_usage_error(capsys):
     assert str(path) in captured.err and "truncated generator payload" in captured.err
 
 
+# The .plb digests of enumerations the benchmark's grid does not reach: a
+# change of the generator search must write these files byte for byte.
+@pytest.mark.parametrize(
+    "space,digest",
+    [
+        (("W", "2", "7"), "8c6e6cf8d3fd044d3d506adfffd3e348f085604328da55d0ce19f0e308e14746"),
+        (("Hodd", "2", "16"), "ea720d4eb8518fc3c5a0ad0e99fe8126bd1c673e4dda6ead8fa481000ec7090f"),
+        (("Hodd", "3", "4"), "8fbf71382630f690e5a0c978ea33e5ecdfb08cd9bf8bc11ee971ad132e51f035"),
+    ],
+)
+def test_enum_cache_file_digest(space, digest):
+    assert main(["enum", *space]) == 0
+    path = shell.cache_path(space[0], int(space[1]), int(space[2]))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_cli_info(capsys):
     assert main(["info", "W", "2", "3"]) == 0
     out = capsys.readouterr().out
@@ -446,6 +463,42 @@ def test_cli_search_max_pairs(capsys):
     assert payload["maximal_pairs"] == 649
     fams = payload["families"]
     assert fams["single-line-star"] == {"count": 27, "products": [11]}
+
+
+def test_cli_search_text_reads_no_certificate_ids(capsys, monkeypatch):
+    assert main(["search", "max-pairs", "Hodd", "2", "4", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+
+    class IdFree(extremal.CrossPairCertificate):
+        __slots__ = ()
+
+        @property
+        def y(self):
+            raise AssertionError("the text output read a certificate's ids")
+
+        z = y
+
+    search = shell.enumerate_maximal_cross_pairs
+    monkeypatch.setattr(
+        shell,
+        "enumerate_maximal_cross_pairs",
+        lambda g, limit: [IdFree(c.ymask, c.zmask, c.maximal, c.label) for c in search(g, limit)],
+    )
+    assert main(["search", "max-pairs", "Hodd", "2", "4"]) == 0
+    lines = [f"H(3,4): {payload['maximal_pairs']} maximal pairs, max product {payload['max_product']}"]
+    lines += [f"  {lab}: {f['count']} pairs, products {f['products']}" for lab, f in payload["families"].items()]
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+
+def test_cli_memory_error_exits_2(capsys, monkeypatch):
+    def no_memory(cat):
+        raise MemoryError
+
+    monkeypatch.setattr(shell, "cross_graph", no_memory)
+    assert main(["search", "max-pairs", "W", "2", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
 
 
 def test_cli_search_negative_limit_is_a_usage_error(capsys):
