@@ -1,4 +1,4 @@
-"""Command line interface, JSON report serialization, and the catalog cache.
+"""Command line interface, JSON report serialization, and the catalog file.
 
 Exit-code contract: 0 = success / verification passed, 1 = a verification
 failed, 2 = usage error.  JSON output carries exact values as decimal strings
@@ -28,11 +28,8 @@ from .geom import (
     ENUM_LIMIT_DEFAULT,
     GeneratorCatalog,
     PolarSpace,
-    _bases,
-    catalog_from_bases,
     enumerate_generators,
     polar_space_make,
-    rref_batch,
 )
 from .qcount import (
     disjointness_eigenvalue,
@@ -46,17 +43,16 @@ from .specbound import classical_bound, hermitian_cross_report, hermitian_ekr_bo
 
 MAGIC = b"POLARB1"
 _FAMILY_CODE = {"Qplus": 0, "Qparabolic": 1, "Qminus": 2, "W": 3, "Hodd": 4, "Heven": 5}
-_FAMILY_FROM_CODE = {v: k for k, v in _FAMILY_CODE.items()}
 _HEADER = struct.Struct("<BHHHQB")
 
 
 class CacheError(Exception):
-    """Corrupt, truncated or mismatching cache file.  Not a ValueError, so a
-    file that escapes load_catalog's fallback can never pass for a usage error."""
+    """A catalog file whose bytes are not the ones enum writes.  Not a
+    ValueError, so it can never pass for a usage error."""
 
 
 # ---------------------------------------------------------------------------
-# Cache file format
+# Catalog file format
 # ---------------------------------------------------------------------------
 
 
@@ -79,21 +75,17 @@ def _pack_bases(ps: PolarSpace, codes: np.ndarray) -> bytes:
     return b"".join(int(v).to_bytes(width, "little") for v in values)
 
 
-def _unpack_bases(ps: PolarSpace, raw: bytes, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The inverse of _pack_bases on the first ``count`` payloads of raw.
-
-    Returns the (count, d nv) int32 codes and a boolean per payload that is
-    True when a nonzero quotient is left after the last digit: the payload
-    has digits beyond its d x nv entries.
-    """
-    width = _payload_width(ps)
-    starts = range(0, count * width, width)
-    values = np.array([int.from_bytes(raw[i : i + width], "little") for i in starts], dtype=object)
-    codes = np.empty((count, ps.d * ps.nv), dtype=np.int32)
-    for c in range(codes.shape[1]):
-        codes[:, c] = values % ps.q
-        values //= ps.q
-    return codes, values != 0
+def _file_bytes(cat: GeneratorCatalog, rel: RelationData | None) -> bytes:
+    """The catalog file of cat: magic, header, one payload per basis and,
+    when rel is given, its relation section."""
+    ps = cat.space
+    out = [MAGIC, _HEADER.pack(_FAMILY_CODE[ps.family], ps.d, ps.field.p, ps.field.k, cat.n, 1 if rel else 0)]
+    codes = np.array([g.basis for g in cat.generators], dtype=np.int64).reshape(cat.n, ps.d * ps.nv)
+    out.append(_pack_bases(ps, codes))
+    if rel is not None:
+        for i in range(ps.d + 1):
+            out.append(np.packbits(rel.codim == i, axis=1, bitorder="little").tobytes())
+    return b"".join(out)
 
 
 def cache_dir() -> Path:
@@ -105,122 +97,60 @@ def cache_path(family: str, d: int, q: int) -> Path:
 
 
 def cache_write(cat: GeneratorCatalog, path=None, rel: RelationData | None = None) -> Path:
-    """Write the cache file atomically: a temporary file in the same directory,
-    then os.replace, so a failed write leaves any previous file intact."""
+    """Write the catalog file atomically: a temporary file in the same
+    directory, then os.replace, so a failed write leaves any previous file intact."""
     ps = cat.space
     if path is None:
         path = cache_path(ps.family, ps.d, ps.q)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    out = [MAGIC]
-    out.append(
-        _HEADER.pack(
-            _FAMILY_CODE[ps.family], ps.d, ps.field.p, ps.field.k, cat.n, 1 if rel else 0
-        )
-    )
-    codes = np.array([g.basis for g in cat.generators], dtype=np.int64).reshape(cat.n, ps.d * ps.nv)
-    out.append(_pack_bases(ps, codes))
-    if rel is not None:
-        for i in range(ps.d + 1):
-            out.append(np.packbits(rel.codim == i, axis=1, bitorder="little").tobytes())
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(b"".join(out))
+            fh.write(_file_bytes(cat, rel))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
     return path
 
 
-def cache_read(path, expected: tuple[str, int, int, int]):
-    """Read a cache file's catalog; ``expected`` is (family, d, p, k).
+def cache_read(path, expected: tuple[str, int, int, int]) -> GeneratorCatalog:
+    """The enumerated catalog of ``expected`` = (family, d, p, k), once the
+    file at path holds exactly the bytes cache_write writes for it, with the
+    relation section when the file's flag byte is 1.
 
-    A relation section (flag byte 1) is length-checked and skipped: no
-    command reads it.  Refuses descriptor mismatches, a flag byte other than
-    0 or 1, truncated payloads and trailing bytes, and every generator list
-    that enumeration could not have written: a basis whose bytes are not its
-    encoding (digits beyond its d x nv entries), that is not canonical
-    reduced row-echelon form of dimension d, whose rows are not pairwise
-    orthogonal singular points or whose point set is not [d]_q points, and
-    bases that are not strictly increasing.  The first offending basis is
-    named.
-
-    All bases are checked together: one base-q digit unpack of the payload
-    array (_unpack_bases), one rref_batch whose forms and ranks must equal
-    the bases and d, and one comparison of each pair of consecutive bases at
-    the first column where they differ.  A file that cannot be read
-    (OSError) is refused too.
+    Raises CacheError naming the file and the first region that differs
+    (the header, basis i or the relation section) or the length; a file
+    that cannot be read (OSError) is refused too.  Errors of enumeration
+    itself, such as the generator limit, propagate unchanged.
     """
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
         raise CacheError(f"{path}: {exc.strerror or exc}") from exc
-    if blob[: len(MAGIC)] != MAGIC:
-        raise CacheError(f"{path}: bad magic")
-    off = len(MAGIC)
-    try:
-        fam_code, d, p, k, count, has_rel = _HEADER.unpack_from(blob, off)
-    except struct.error as exc:
-        raise CacheError(f"{path}: truncated header") from exc
-    off += _HEADER.size
-    family = _FAMILY_FROM_CODE.get(fam_code)
-    if (family, d, p, k) != expected:
-        raise CacheError(
-            f"{path}: descriptor {(family, d, p, k)} does not match expected {expected}"
-        )
-    if has_rel not in (0, 1):
-        raise CacheError(f"{path}: relation flag {has_rel} is neither 0 nor 1")
-    ps = polar_space_make(family, d, p**k)
-    if count != num_generators(family, d, ps.q):
-        raise CacheError(f"{path}: generator count {count} contradicts the closed formula")
-    need = off + count * _payload_width(ps)
-    if len(blob) < need:
-        raise CacheError(f"{path}: truncated generator payload")
-    codes, beyond = _unpack_bases(ps, memoryview(blob)[off:need], count)
-    stack = codes.reshape(count, d, ps.nv)
-    R, rank = rref_batch(ps.field, stack)
-    canonical = (rank == d) & (R == stack).all(axis=(1, 2))
-    increasing = np.ones(count, dtype=bool)
-    if count > 1:  # basis i is above basis i - 1 where the first column they differ in is larger
-        later, earlier = codes[1:], codes[:-1]
-        differ = later != earlier
-        rows, first = np.arange(count - 1), differ.argmax(axis=1)
-        increasing[1:] = differ[rows, first] & (later[rows, first] > earlier[rows, first])
-    bad = np.flatnonzero(beyond | ~canonical | ~increasing)
-    if bad.size:
-        i = int(bad[0])
-        if beyond[i]:
-            raise CacheError(f"{path}: basis {i} has digits beyond its {d} x {ps.nv} entries")
-        if not canonical[i]:
-            raise CacheError(f"{path}: basis {i} is not canonical reduced row-echelon form of dimension {d}")
-        raise CacheError(f"{path}: bases are not strictly increasing at basis {i}")
-    try:
-        cat = catalog_from_bases(ps, _bases(stack))
-    except ValueError as exc:
-        raise CacheError(f"{path}: {exc}") from exc
-    if has_rel:
-        need += (d + 1) * count * ((count + 7) // 8)
-        if len(blob) < need:
-            raise CacheError(f"{path}: truncated relation section")
-    if len(blob) != need:
-        raise CacheError(f"{path}: {len(blob) - need} trailing bytes")
-    return cat
+    family, d, p, k = expected
+    cat = enumerate_generators(polar_space_make(family, d, p**k))
+    flag_at = len(MAGIC) + _HEADER.size - 1
+    want = _file_bytes(cat, build_relations(cat) if blob[flag_at : flag_at + 1] == b"\x01" else None)
+    if blob == want:
+        return cat
+    common = min(len(blob), len(want))
+    differ = np.flatnonzero(np.frombuffer(blob, np.uint8, common) != np.frombuffer(want, np.uint8, common))
+    if not differ.size:
+        raise CacheError(f"{path}: length {len(blob)} differs from the {len(want)} bytes enum writes")
+    off, width = int(differ[0]) - flag_at - 1, _payload_width(cat.space)  # off: bytes past the header
+    if off < 0:
+        region = "header"
+    elif off < cat.n * width:
+        region = f"basis {off // width}"
+    else:
+        region = "relation section"
+    raise CacheError(f"{path}: {region} differs from what enum writes for {cat.space.label}")
 
 
-def load_catalog(family: str, d: int, q: int, limit: int = ENUM_LIMIT_DEFAULT):
-    """Catalog from the cache when a valid file exists, else fresh enumeration.
-
-    A rejected cache file is named on stderr with the reason; stdout is not touched.
-    """
-    ps = polar_space_make(family, d, q)
-    path = cache_path(family, d, q)
-    if path.exists():
-        try:
-            return cache_read(path, (family, d, ps.field.p, ps.field.k))
-        except CacheError as exc:
-            print(f"warning: ignoring cache file {exc}; enumerating instead", file=sys.stderr)
-    return enumerate_generators(ps, limit)
+def load_catalog(family: str, d: int, q: int, limit: int = ENUM_LIMIT_DEFAULT) -> GeneratorCatalog:
+    """The catalog of the space, enumerated: no command reads a catalog file."""
+    return enumerate_generators(polar_space_make(family, d, q), limit)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_space_args(p)
     p.set_defaults(func=cmd_info)
 
-    p = sub.add_parser("enum", help="enumerate the generator catalog and cache it")
+    p = sub.add_parser("enum", help="enumerate the generator catalog and write its file")
     add_space_args(p)
     p.add_argument("--limit", type=int, default=ENUM_LIMIT_DEFAULT)
-    p.add_argument("--relations", action="store_true", help="also cache the relation bit-rows")
+    p.add_argument("--relations", action="store_true", help="also write the relation bit-rows")
     p.set_defaults(func=cmd_enum)
 
     p = sub.add_parser("scheme", help="build relations; --check verifies axioms and spectrum")

@@ -85,7 +85,7 @@ def test_cache_rejects_a_relation_flag_other_than_0_or_1(catalog, tmp_path, flag
     blob = bytearray(path.read_bytes())
     blob[len(shell.MAGIC) + shell._HEADER.size - 1] = flag
     path.write_bytes(bytes(blob))
-    with pytest.raises(CacheError, match=f"relation flag {flag} is neither 0 nor 1"):
+    with pytest.raises(CacheError, match="q42.plb: header differs"):
         cache_read(path, descriptor(cat))
 
 
@@ -93,7 +93,7 @@ def test_cache_rejects_a_truncated_relation_section(catalog, tmp_path):
     cat = catalog("Qparabolic", 2, 2)
     path = cache_write(cat, tmp_path / "q42.plb", rel=build_relations(cat))
     path.write_bytes(path.read_bytes()[:-1])
-    with pytest.raises(CacheError, match="truncated relation section"):
+    with pytest.raises(CacheError, match="q42.plb: length 142 differs from the 143 bytes"):
         cache_read(path, descriptor(cat))
 
 
@@ -101,7 +101,7 @@ def test_cache_rejects_descriptor_mismatch(catalog, tmp_path):
     cat = catalog("W", 2, 3)
     path = tmp_path / "w23.plb"
     cache_write(cat, path)
-    with pytest.raises(CacheError):
+    with pytest.raises(CacheError, match="header differs from what enum writes for W\\(3,2\\)"):
         cache_read(path, ("W", 2, 2, 1))
 
 
@@ -112,12 +112,16 @@ def test_cache_rejects_corruption(catalog, tmp_path):
     blob = path.read_bytes()
     trunc = tmp_path / "trunc.plb"
     trunc.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(CacheError):
+    with pytest.raises(CacheError, match="trunc.plb: length"):
         cache_read(trunc, descriptor(cat))
     bad = tmp_path / "bad.plb"
     bad.write_bytes(b"NOTMAGIC" + blob[8:])
-    with pytest.raises(CacheError):
+    with pytest.raises(CacheError, match="bad.plb: header"):
         cache_read(bad, descriptor(cat))
+    folder = tmp_path / "folder.plb"
+    folder.mkdir()
+    with pytest.raises(CacheError, match="folder.plb"):
+        cache_read(folder, descriptor(cat))
 
 
 def _reference_payload(ps, basis):
@@ -156,18 +160,11 @@ def _write_bases(cat, bases, path):
 )
 def test_payload_codec_round_trip(space):
     ps = geom.polar_space_make(*space)
-    width, digits = shell._payload_width(ps), ps.d * ps.nv
     rng = np.random.default_rng(len(repr(space)) * ps.q)
-    codes = rng.integers(0, ps.q, size=(40, digits))
+    codes = rng.integers(0, ps.q, size=(40, ps.d * ps.nv))
     codes[0], codes[1] = 0, ps.q - 1
     raw = shell._pack_bases(ps, codes)
     assert raw == b"".join(_reference_payload(ps, row.reshape(ps.d, ps.nv).tolist()) for row in codes)
-    back, beyond = shell._unpack_bases(ps, raw, len(codes))
-    assert back.tolist() == codes.tolist() and not beyond.any()
-    if 256**width > ps.q**digits:  # a payload of all ones lies past the last digit
-        flipped = b"\xff" * width + raw[width:]
-        _, beyond = shell._unpack_bases(ps, flipped, len(codes))
-        assert beyond.tolist() == [True] + [False] * (len(codes) - 1)
 
 
 def _swap_first_two(bases):
@@ -181,12 +178,12 @@ def _replace_last(bad):
 @pytest.mark.parametrize(
     "space, edit, reason",
     [
-        (("W", 2, 3), lambda b: [tuple(reversed(b[0]))] + b[1:], "not canonical"),
-        (("W", 2, 3), lambda b: [(b[0][0], b[0][0])] + b[1:], "not canonical"),
-        (("W", 2, 3), _swap_first_two, "not strictly increasing"),
-        (("W", 2, 3), lambda b: [b[0]] + b[:-1], "not strictly increasing"),
-        (("Qparabolic", 2, 2), _replace_last(((1, 0, 0, 0, 0), (0, 0, 0, 1, 0))), "not a singular point"),
-        (("W", 2, 3), _replace_last(((1, 0, 0, 0), (0, 1, 0, 0))), "not pairwise orthogonal"),
+        (("W", 2, 3), lambda b: [tuple(reversed(b[0]))] + b[1:], "basis 0 differs"),
+        (("W", 2, 3), lambda b: [(b[0][0], b[0][0])] + b[1:], "basis 0 differs"),
+        (("W", 2, 3), _swap_first_two, "basis 0 differs"),
+        (("W", 2, 3), lambda b: [b[0]] + b[:-1], "basis 1 differs"),
+        (("Qparabolic", 2, 2), _replace_last(((1, 0, 0, 0, 0), (0, 0, 0, 1, 0))), "basis 6 differs"),
+        (("W", 2, 3), _replace_last(((1, 0, 0, 0), (0, 1, 0, 0))), "basis 8 differs"),
     ],
     ids=["unreduced", "dependent-rows", "unsorted", "duplicate", "non-singular-row", "non-orthogonal-rows"],
 )
@@ -205,18 +202,24 @@ def test_cache_rejects_digits_beyond_the_basis(catalog, tmp_path):
     blob = bytearray(path.read_bytes())
     blob[len(shell.MAGIC) + shell._HEADER.size + 1] |= 0x80
     path.write_bytes(bytes(blob))
-    with pytest.raises(CacheError, match="digits beyond"):
+    with pytest.raises(CacheError, match="basis 0 differs"):
         cache_read(path, descriptor(cat))
 
 
 def test_cache_rejects_a_point_set_of_the_wrong_size(catalog, tmp_path, monkeypatch):
+    """The point-count check lives in geom._catalog, so enumeration and
+    catalog_from_bases both raise its ValueError, and a file read passes it on."""
     cat = catalog("W", 2, 3)
-    path = tmp_path / "w23.plb"
-    cache_write(cat, path)
+    path = cache_write(cat, tmp_path / "w23.plb")
     orth_masks = geom._orth_masks
     monkeypatch.setattr(geom, "_orth_masks", lambda ps, pts: [m | 1 for m in orth_masks(ps, pts)])
-    with pytest.raises(CacheError, match="expected \\[2\\]_q = 4"):
-        cache_read(path, descriptor(cat))
+    for build in (
+        lambda: geom.catalog_from_bases(cat.space, [g.basis for g in cat.generators]),
+        lambda: enumerate_generators(cat.space),
+        lambda: cache_read(path, descriptor(cat)),
+    ):
+        with pytest.raises(ValueError, match="expected \\[2\\]_q = 4"):
+            build()
 
 
 def test_failed_cache_write_keeps_the_previous_file(catalog, tmp_path, monkeypatch):
@@ -258,7 +261,7 @@ def test_cache_rejects_trailing_bytes(catalog, tmp_path, with_relations):
     path = tmp_path / "q42.plb"
     cache_write(cat, path, rel=build_relations(cat) if with_relations else None)
     path.write_bytes(path.read_bytes() + b"\0")
-    with pytest.raises(CacheError, match="1 trailing bytes"):
+    with pytest.raises(CacheError, match="q42.plb: length"):
         cache_read(path, descriptor(cat))
 
 
@@ -270,11 +273,10 @@ def test_cache_rejects_trailing_bytes(catalog, tmp_path, with_relations):
 @pytest.mark.parametrize("with_relations", [False, True])
 @pytest.mark.parametrize("space", _PROPERTY_SPACES)
 def test_cache_with_one_changed_byte_is_rejected_or_the_whole_catalog(graph, tmp_path, space, with_relations, data):
-    """An accepted file holds the closed-form count of strictly increasing,
-    valid generators, so it is every generator: a changed byte is either
-    rejected or leaves the catalog as enumeration made it.  Every generator
-    list has one encoding, so only a change in the relation section, which
-    is skipped, can be accepted."""
+    """A file is accepted only when it is byte for byte the file enum writes
+    for the space, with the relation section exactly when its flag byte is
+    1: every changed byte is rejected, those in the relation section too.
+    A changed flag byte asks for a file of another length."""
     g = graph(*space)
     cat, n = g.rel.cat, g.n
     blob = bytearray(cache_write(cat, tmp_path / "c.plb", rel=g.rel if with_relations else None).read_bytes())
@@ -282,44 +284,63 @@ def test_cache_with_one_changed_byte_is_rejected_or_the_whole_catalog(graph, tmp
     at = data.draw(st.integers(0, len(blob) - 1), label="byte")
     blob[at] = data.draw(st.integers(0, 255).filter(lambda v: v != blob[at]), label="value")
     (tmp_path / "c.plb").write_bytes(bytes(blob))
-    try:
-        read = cache_read(tmp_path / "c.plb", descriptor(cat))
-    except CacheError:
-        event("rejected")
-        return
-    event("accepted")
-    assert [x.basis for x in read.generators] == [x.basis for x in cat.generators]
-    assert at >= relation_section
+    region = "relation section" if at >= relation_section else ""
+    event(region or "catalog")
+    with pytest.raises(CacheError, match=f"c.plb: {region}"):
+        cache_read(tmp_path / "c.plb", descriptor(cat))
 
 
-def test_cli_flipped_cache_bit_is_rejected_and_reenumerated(capsys):
+def _flip_a_bit(path):
+    blob = bytearray(path.read_bytes())
+    blob[-5] ^= 1
+    path.write_bytes(bytes(blob))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+def _make_a_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+_COMMANDS_OF_A_CATALOG = (["scheme", "W", "2", "3", "--json"], ["search", "max-pairs", "W", "2", "3", "--json"])
+
+
+@pytest.mark.parametrize("damage", [_flip_a_bit, _truncate, _make_a_directory], ids=["flipped-bit", "truncated", "directory"])
+def test_cli_output_does_not_depend_on_the_catalog_file(capsys, damage):
+    """Commands enumerate their catalog: the file enum wrote, damaged or
+    not, changes no output and draws no warning."""
+    assert not issubclass(CacheError, ValueError)
+    fresh = []
+    for argv in _COMMANDS_OF_A_CATALOG:
+        assert main(argv) == 0
+        fresh.append(capsys.readouterr())
     assert main(["enum", "W", "2", "3"]) == 0
     capsys.readouterr()
-    assert main(["search", "max-pairs", "W", "2", "3", "--json"]) == 0
-    intact = capsys.readouterr()
-    assert intact.err == ""
-    path = shell.cache_path("W", 2, 3)
-    blob = bytearray(path.read_bytes())
-    blob[-5] ^= 1  # basis 37 becomes ((2,0,2,0), (0,1,1,0)): unreduced and out of order
-    path.write_bytes(bytes(blob))
-    assert main(["search", "max-pairs", "W", "2", "3", "--json"]) == 0
-    flipped = capsys.readouterr()
-    assert json.loads(flipped.out)["max_product"] == 16
-    assert flipped.out == intact.out
-    assert flipped.err.count("\n") == 1
-    assert str(path) in flipped.err and "basis 37 is not canonical" in flipped.err
+    damage(shell.cache_path("W", 2, 3))
+    for argv, want in zip(_COMMANDS_OF_A_CATALOG, fresh):
+        assert main(argv) == 0
+        assert capsys.readouterr() == want
+    assert [c.err for c in fresh] == ["", ""]
+    assert json.loads(fresh[1].out)["max_product"] == 16
 
 
-def test_cache_error_is_not_a_usage_error(capsys):
-    assert not issubclass(CacheError, ValueError)
-    assert main(["enum", "W", "2", "2"]) == 0
-    capsys.readouterr()
-    path = shell.cache_path("W", 2, 2)
-    path.write_bytes(path.read_bytes()[:-1])
-    assert main(["search", "max-pairs", "W", "2", "2", "--json"]) == 0
-    captured = capsys.readouterr()
-    assert json.loads(captured.out)["max_product"] == 9
-    assert str(path) in captured.err and "truncated generator payload" in captured.err
+def test_no_command_reads_a_catalog_file(capsys, monkeypatch):
+    readers = (shell.cache_read, geom.catalog_from_bases)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command read a catalog file")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("polarb")]:
+        for attr, value in list(vars(module).items()):
+            if any(value is reader for reader in readers):
+                monkeypatch.setattr(module, attr, refuse)
+    assert main(["enum", "W", "2", "2"]) == 0 and shell.cache_path("W", 2, 2).exists()
+    for argv in (["scheme", "W", "2", "2", "--check"], ["search", "max-pairs", "W", "2", "2"], ["verify", "thm15"]):
+        assert main(argv) == 0, argv
+    assert capsys.readouterr().err == ""
 
 
 # The .plb digests of enumerations the benchmark's grid does not reach: a
@@ -433,18 +454,6 @@ def test_cli_enum_into_a_cache_dir_that_is_a_file_is_a_usage_error(capsys, monke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-
-def test_cli_unreadable_cache_file_is_ignored_and_reenumerated(capsys):
-    path = shell.cache_path("W", 2, 2)
-    path.mkdir(parents=True)
-    with pytest.raises(CacheError, match="W_2_2.plb"):
-        cache_read(path, ("W", 2, 2, 1))
-    assert main(["scheme", "W", "2", "2", "--json"]) == 0
-    captured = capsys.readouterr()
-    assert json.loads(captured.out)["valencies"] == [1, 6, 8]
-    assert captured.err.startswith(f"warning: ignoring cache file {path}: ")
-    assert captured.err.endswith("; enumerating instead\n") and captured.err.count("\n") == 1
 
 
 def test_cli_scheme_failed_certificate_exits_1(capsys, monkeypatch):
