@@ -13,7 +13,7 @@ byte-for-byte.  All dimensions are vector space dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Callable, NamedTuple
 
@@ -611,9 +611,8 @@ def _orderly_subspaces(ps: PolarSpace, pts, orth, k: int) -> list[tuple[int, ...
 
 
 def _generator_rows(ps: PolarSpace, limit: int):
-    """(points, orth masks, the sorted point indices of every generator's canonical basis).
-
-    pts is sorted, so sorting the index tuples sorts the bases.
+    """(points, orth masks, the (n, d) int32 point indices of every generator's
+    canonical basis).  pts is sorted, so sorting the index tuples sorts the bases.
     """
     expected = num_generators(ps.family, ps.d, ps.q)
     if expected > limit:
@@ -627,7 +626,7 @@ def _generator_rows(ps: PolarSpace, limit: int):
         raise AssertionError(
             f"enumeration bug: found {len(rows)} generators of {ps.label}, expected {expected}"
         )
-    return pts, orth, sorted(rows)
+    return pts, orth, np.array(sorted(rows), dtype=np.int32).reshape(len(rows), ps.d)
 
 
 def enumerate_subspaces_within(ps: PolarSpace, basis, k: int) -> list[tuple[Vector, ...]]:
@@ -663,18 +662,25 @@ def enumerate_subspaces_within(ps: PolarSpace, basis, k: int) -> list[tuple[Vect
 class GeneratorCatalog:
     """Complete, deterministically ordered catalog of the generators of one space.
 
-    ``point_masks[i]`` is the bitmask (over the point list) of the points of
-    generator i.
+    ``rows[i]`` (read-only, int32) holds the indices into ``points`` of the
+    canonical basis rows of generator i, strictly decreasing (pivots
+    increase, points are sorted); the rows increase.  ``point_masks[i]`` is
+    the bitmask (over the point list) of the points of generator i.
     """
 
     space: PolarSpace
-    generators: tuple[Subspace, ...]
+    rows: np.ndarray
     points: tuple[Vector, ...]
     point_masks: tuple[int, ...]
 
     @property
     def n(self) -> int:
-        return len(self.generators)
+        return len(self.rows)
+
+    @cached_property
+    def generators(self) -> tuple[Subspace, ...]:
+        """The generators as Subspaces, built the first time they are read."""
+        return tuple(Subspace(tuple(map(self.points.__getitem__, r))) for r in self.rows.tolist())
 
     def mask_of_points_in_span(self, basis: tuple[Vector, ...]) -> int:
         """Bitmask of the catalog points in the span of the independent rows
@@ -689,8 +695,7 @@ class GeneratorCatalog:
 
 
 def enumerate_generators(ps: PolarSpace, limit: int = ENUM_LIMIT_DEFAULT) -> GeneratorCatalog:
-    pts, orth, rows = _generator_rows(ps, limit)
-    return _catalog(ps, pts, orth, [tuple(map(pts.__getitem__, r)) for r in rows])
+    return _catalog(ps, *_generator_rows(ps, limit))
 
 
 def catalog_from_bases(ps: PolarSpace, bases) -> GeneratorCatalog:
@@ -700,37 +705,42 @@ def catalog_from_bases(ps: PolarSpace, bases) -> GeneratorCatalog:
     the singular points of G^perp: a singular point x in G^perp with x not in
     G would span a larger totally isotropic subspace with G, so that set is G
     itself (the nucleus of a characteristic-2 parabolic quadric lies in every
-    G^perp but is not singular).  Raises ValueError when a row is not a
-    singular point, the rows are not pairwise orthogonal, or the mask does
-    not have [d]_q points.
+    G^perp but is not singular).  Raises ValueError when a basis does not
+    have d rows, a row is not a singular point, the rows are not pairwise
+    orthogonal, or the mask does not have [d]_q points.
     """
     pts = enumerate_points(ps)
-    return _catalog(ps, pts, _orth_masks(ps, pts), bases)
-
-
-def _catalog(ps: PolarSpace, pts, orth, bases) -> GeneratorCatalog:
     pt_index = {v: i for i, v in enumerate(pts)}
+    rows = []
+    for g, basis in enumerate(bases):
+        if len(basis) != ps.d:
+            raise ValueError(f"basis {g}: {len(basis)} rows, expected {ps.d}")
+        idx = [pt_index.get(row) for row in basis]
+        if None in idx:
+            raise ValueError(f"basis {g}: row {basis[idx.index(None)]} is not a singular point")
+        rows.append(idx)
+    return _catalog(ps, pts, _orth_masks(ps, pts), np.array(rows, dtype=np.int32).reshape(len(rows), ps.d))
+
+
+def _catalog(ps: PolarSpace, pts, orth, rows: np.ndarray) -> GeneratorCatalog:
     npoints_expected = num_points(ps.family, ps.d, ps.q) if ps.d > 0 else 0
     if ps.d > 0 and len(pts) != npoints_expected:
         raise AssertionError(
             f"point count mismatch for {ps.label}: {len(pts)} vs {npoints_expected}"
         )
     size = nbracket(ps.d, ps.q)
+    rows.flags.writeable = False
     masks = []
-    for g, basis in enumerate(bases):
-        rows = [pt_index.get(row) for row in basis]
-        if None in rows:
-            raise ValueError(f"basis {g}: row {basis[rows.index(None)]} is not a singular point")
+    for g, idx in enumerate(rows.tolist()):
         mask = (1 << len(pts)) - 1
-        for i in rows:
+        for i in idx:
             mask &= orth[i]
-        if not all(mask >> i & 1 for i in rows):
+        if not all(mask >> i & 1 for i in idx):
             raise ValueError(f"basis {g}: rows are not pairwise orthogonal")
         if mask.bit_count() != size:
             raise ValueError(f"basis {g}: {mask.bit_count()} points, expected [{ps.d}]_q = {size}")
         masks.append(mask)
-    gens = tuple(Subspace(b) for b in bases)
-    return GeneratorCatalog(space=ps, generators=gens, points=pts, point_masks=tuple(masks))
+    return GeneratorCatalog(space=ps, rows=rows, points=pts, point_masks=tuple(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +798,7 @@ def generators_through(S: Subspace, ps: PolarSpace, limit: int = ENUM_LIMIT_DEFA
     qg = quotient_geometry(S, ps)
     ar = _array_arithmetic(ps.field)
     qpts, _, rows = _generator_rows(qg.space, limit)
-    W = _point_array(qg.space, qpts)[np.array(rows, dtype=np.intp)]
+    W = _point_array(qg.space, qpts)[rows]
     M = np.zeros((len(W), ps.d, ps.nv), dtype=np.int32)
     if S.dim:
         M[:, : S.dim] = S.basis

@@ -16,6 +16,7 @@ import struct
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +81,8 @@ def _file_bytes(cat: GeneratorCatalog, rel: RelationData | None) -> bytes:
     when rel is given, its relation section."""
     ps = cat.space
     out = [MAGIC, _HEADER.pack(_FAMILY_CODE[ps.family], ps.d, ps.field.p, ps.field.k, cat.n, 1 if rel else 0)]
-    codes = np.array([g.basis for g in cat.generators], dtype=np.int64).reshape(cat.n, ps.d * ps.nv)
-    out.append(_pack_bases(ps, codes))
+    codes = np.array(cat.points, dtype=np.int32).reshape(len(cat.points), ps.nv)[cat.rows]
+    out.append(_pack_bases(ps, codes.reshape(cat.n, ps.d * ps.nv)))
     if rel is not None:
         for i in range(ps.d + 1):
             out.append(np.packbits(rel.codim == i, axis=1, bitorder="little").tobytes())
@@ -164,8 +165,11 @@ def exact_json(x) -> dict:
 
 
 def emit(payload: dict, as_json: bool, lines) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+    if as_json:  # in batches of encoder chunks, never the whole document as one string
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+        while batch := "".join(islice(chunks, 1 << 14)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     else:
         for line in lines:
             print(line)

@@ -448,6 +448,16 @@ def _assert_matches_reference(family, d, q):
     assert bases == _reference_generator_bases(ps)
     assert len(bases) == num_generators(family, d, q)
     assert cat.point_masks == _reference_point_masks(ps, bases, cat.points)
+    # The catalog stores the point indices of the basis rows: strictly
+    # decreasing within a row (pivots increase, points are sorted), the rows
+    # in increasing order, and the bases are built from them.
+    rows = cat.rows
+    assert rows.shape == (cat.n, d) and rows.dtype == np.int32 and not rows.flags.writeable
+    assert (np.diff(rows, axis=1) < 0).all()
+    listed = rows.tolist()
+    assert all(a < b for a, b in zip(listed, listed[1:]))
+    assert bases == [tuple(cat.points[j] for j in r) for r in listed]
+    assert np.array_equal(catalog_from_bases(ps, bases).rows, rows)
 
 
 REFERENCE_SPACES = [

@@ -195,6 +195,28 @@ def test_cache_rejects_bases_enumeration_cannot_write(catalog, tmp_path, space, 
         cache_read(path, descriptor(cat))
 
 
+@pytest.mark.parametrize(
+    "space, edit, reason",
+    [
+        (
+            ("Qparabolic", 2, 2),
+            _replace_last(((1, 0, 0, 0, 0), (0, 0, 0, 1, 0))),
+            r"basis 6: row \(1, 0, 0, 0, 0\) is not a singular point",
+        ),
+        (("W", 2, 3), _replace_last(((1, 0, 0, 0), (0, 1, 0, 0))), "basis 8: rows are not pairwise orthogonal"),
+        (("W", 2, 3), lambda b: [(b[0][0], b[0][0])] + b[1:], r"basis 0: 13 points, expected \[2\]_q = 4"),
+        # basis 1's first row lies on generator 0's line: three dependent rows
+        (("W", 2, 3), lambda b: [b[0] + b[1][:1]] + b[1:], "basis 0: 3 rows, expected 2"),
+        (("W", 2, 3), lambda b: [b[0][:1]] + b[1:], "basis 0: 1 rows, expected 2"),
+    ],
+    ids=["non-singular-row", "non-orthogonal-rows", "dependent-rows", "one-row-too-many", "one-row-too-few"],
+)
+def test_catalog_from_bases_names_the_first_invalid_basis(catalog, space, edit, reason):
+    cat = catalog(*space)
+    with pytest.raises(ValueError, match=reason):
+        geom.catalog_from_bases(cat.space, edit([g.basis for g in cat.generators]))
+
+
 def test_cache_rejects_digits_beyond_the_basis(catalog, tmp_path):
     cat = catalog("W", 2, 3)  # 8 base-3 digits per basis fill 13 of its 16 bits
     path = tmp_path / "w23.plb"
@@ -343,6 +365,24 @@ def test_no_command_reads_a_catalog_file(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+def test_commands_that_read_no_basis_build_no_subspace(capsys, monkeypatch):
+    """The catalog holds point-index rows; Subspaces are built only when a
+    caller reads cat.generators, which enum, scheme and search do not."""
+    argvs = (["enum", "W", "2", "3"], ["scheme", "W", "2", "3", "--check"], ["search", "max-pairs", "W", "2", "3"])
+    outs = []
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        outs.append(capsys.readouterr().out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Subspace was built")
+
+    monkeypatch.setattr(geom, "Subspace", refuse)
+    for argv, out in zip(argvs, outs):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == out
+
+
 # The .plb digests of enumerations the benchmark's grid does not reach: a
 # change of the generator search must write these files byte for byte.
 @pytest.mark.parametrize(
@@ -357,6 +397,13 @@ def test_enum_cache_file_digest(space, digest):
     assert main(["enum", *space]) == 0
     path = shell.cache_path(space[0], int(space[1]), int(space[2]))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_emit_writes_json_in_batches_equal_to_one_dump(capsys):
+    payload = {"n": 6000, "certificates": [{"y": list(range(i % 5)), "z": [i], "label": f"L{i % 3}"} for i in range(6000)]}
+    assert sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)) > 3 << 14  # several batches
+    shell.emit(payload, True, ["not printed"])
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_cli_info(capsys):
