@@ -252,21 +252,22 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
     Unique: a kept child C by j of a node P forces P = cl(C below j), and j is
     then C's least index, so every closed set has one parent and is listed once.
 
-    Half lattice: each pair is listed from its smaller side only.  Below a
-    node B only grows and A only shrinks, and three rules cut the rest:
-      1. a kept child is pushed only when |B'| <= |A'|;
+    Half lattice: each pair is listed from its smaller side only, sides ordered
+    by (|X|, X) with bit sets compared as ints.  Below a node B only grows and
+    A only shrinks, and three rules cut the rest:
+      1. a kept child is pushed only when (|B'|, B') <= (|A'|, A');
       2. child j is skipped before its closure when |A & nonn[j]| <= |B|,
          because B' contains B + j, so |B'| > |A'| there and below; one
          meeting_more_than(A, |B|) finds the other candidates all at once;
       3. a node with |B| >= |A| - 1 scans no candidates: a j outside
          B = nonN(A) misses some member of A ("meets" is symmetric), so
          |A'| <= |A| - 1 <= |B| and rule 2 would skip every child.
-    Still complete: every pair has a side C with |C| <= |nonN(C)|, and every
-    Close-by-One ancestor P of C is contained in C, so
-    |P| <= |C| <= |nonN(C)| <= |nonN(P)|; a child P' of P on the path to C has
-    |P| < |P'| <= |nonN(P')| < |nonN(P)|, so no rule cuts the path and C is
-    reached.  A pair with |A| = |B| can be reached from both sides, so pairs
-    are still kept by key.
+    Still complete: every Close-by-One ancestor P of a pair's smaller side C
+    is a proper subset of C, so |P| < |C| <= |nonN(C)| <= |nonN(P)| and P
+    passes rule 1 strictly, as C passes it by its choice.  Rules 2 and 3 cut
+    only children with |B'| > |A'|, so no tie reaches them and no rule cuts
+    the path to C.  Unique: every visited node, the root too (A is all), has
+    (|B|, B) <= (|A|, A), so each visited closed set is a new pair.
 
     FCbO pruning (Outrata and Vychodil 2012): every node carries failed[j], the
     last closure cl(B0 + j) on its path that failed the test, B0 the B of the
@@ -284,21 +285,15 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
     """
     if limit < 0:
         raise ValueError(f"limit {limit} is negative; the search stops past 2^limit closed sets")
-    nonn = g.nonn
-    nonn_of = g.nonn_of
+    nonn, nonn_of, full = g.nonn, g.nonn_of, g.full
     cap = 1 << limit
-    pairs = {}
-    full = g.full
+    out = []
     stack = [(full, nonn_of(full, sample=True), 0, (0,) * g.n)]
-    closed = 0
     while stack:
         a, b, j0, failed = stack.pop()
-        closed += 1
-        if closed > cap:
+        if len(out) == cap:
             raise ValueError(f"more than 2^{limit} closed sets; raise the limit or close chosen seeds")
-        key = (a, b) if a < b else (b, a)
-        if key not in pairs:
-            pairs[key] = _certificate(g, a, b)
+        out.append(_certificate(g, a, b))
         nb = b.bit_count()
         if nb >= a.bit_count() - 1:
             continue
@@ -314,12 +309,11 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
                 if fresh is None:
                     fresh = list(failed)
                 fresh[j] = b2
-            elif b2.bit_count() <= a2.bit_count():
+            elif (b2.bit_count(), b2) <= (a2.bit_count(), a2):
                 children.append((a2, b2, j + 1))
         if fresh is not None:
             failed = tuple(fresh)
         stack.extend((a2, b2, j1, failed) for a2, b2, j1 in children)
-    out = list(pairs.values())
     out.sort(key=lambda c: (-c.product, c.y, c.z))
     return out
 

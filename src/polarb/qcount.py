@@ -152,6 +152,8 @@ def eigen_data(family: str, d: int, q: int) -> EigenData:
     Q[i][j] = m_j P[j][i] / k_i with m_j = n / sum_i P[j][i]^2 / k_i and k_i =
     P[0][i]; the exact check PQ = QP = nI below proves Q = n P^(-1).
     """
+    if d < 0:
+        raise ValueError(f"rank must be >= 0, got {d}")
     tau = TAU[family]
     n = num_generators(family, d, q)
     P = eigenmatrix_P(family, d, q)

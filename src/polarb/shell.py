@@ -29,6 +29,7 @@ from .geom import (
     ENUM_LIMIT_DEFAULT,
     GeneratorCatalog,
     PolarSpace,
+    _places,
     enumerate_generators,
     polar_space_make,
 )
@@ -67,12 +68,14 @@ def _pack_bases(ps: PolarSpace, codes: np.ndarray) -> bytes:
 
     Payload b is sum_c codes[b, c] q^c, that is the base-p digits of every
     code of the basis, row-major and lowest first, in _payload_width
-    little-endian bytes, built on Python ints (object dtype).
+    little-endian bytes: one exact int64 key per basis row (_places refuses
+    q^nv >= 2^63), then the d keys in base q^nv on Python ints.
     """
     width = _payload_width(ps)
+    keys = codes.reshape(len(codes), ps.d, ps.nv) @ _places(ps)[::-1]
     values = np.zeros(len(codes), dtype=object)
-    for col in codes.T[::-1].astype(object):
-        values = values * ps.q + col
+    for col in keys.T[::-1].astype(object):
+        values = values * ps.q**ps.nv + col
     return b"".join(int(v).to_bytes(width, "little") for v in values)
 
 
@@ -489,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = ssub.add_parser("max-pairs")
     add_space_args(pm)
     pm.add_argument(
-        "--limit", type=int, default=22, help="stop with exit 2 past 2^LIMIT visited closed sets (one side of each pair)"
+        "--limit", type=int, default=22, help="stop with exit 2 past 2^LIMIT visited closed sets (one per maximal pair)"
     )
     pm.set_defaults(func=cmd_search)
 

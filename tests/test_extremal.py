@@ -159,11 +159,11 @@ def test_sweep_limit_guard(graph):
 
 
 def test_limit_caps_the_closed_sets_at_two_to_the_limit(graph):
-    # The half-lattice search visits 1009 of H(3,4)'s 1253 closed sets:
-    # 2^9 = 512 is passed, 2^10 = 1024 is not.
+    # The half-lattice search visits 649 of H(3,4)'s 1253 closed sets, one per
+    # maximal pair: 2^9 = 512 is passed, 2^10 = 1024 is not.
     g = graph("Hodd", 2, 4)
     certs, visited = _reference_half_lattice(g)
-    assert len(visited) == 1009
+    assert len(visited) == len(certs) == 649
     assert len(_reference_close_by_one(g)[1]) == 1253
     with pytest.raises(ValueError, match="2\\^9"):
         enumerate_maximal_cross_pairs(g, limit=9)
@@ -317,19 +317,18 @@ def _reference_close_by_one(g):
 
 def _reference_half_lattice(g):
     """Plain Close-by-One under the three half-lattice rules: a kept child is
-    pushed only when |B'| <= |A'|, child j is not closed when |A & nonn[j]| <= |B|,
-    and a node with |B| >= |A| - 1 has no candidates.  Returns (certificates,
-    visited nodes (A, B) in pop order)."""
+    pushed only when (|B'|, B') <= (|A'|, A'), child j is not closed when
+    |A & nonn[j]| <= |B|, and a node with |B| >= |A| - 1 has no candidates.
+    Every visited node is kept as a pair, with no dedupe.  Returns
+    (certificates, visited nodes (A, B) in pop order)."""
     full = (1 << g.n) - 1
-    pairs = {}
+    certs = []
     visited = []
     stack = [(full, _reference_nonn(g, full), 0)]
     while stack:
         a, b, j0 = stack.pop()
         visited.append((a, b))
-        key = (a, b) if a < b else (b, a)
-        if key not in pairs:
-            pairs[key] = _reference_certificate(g, b, a)
+        certs.append(_reference_certificate(g, b, a))
         if b.bit_count() >= a.bit_count() - 1:
             continue
         for j in range(j0, g.n):
@@ -340,9 +339,9 @@ def _reference_half_lattice(g):
                 continue
             b2 = _reference_nonn(g, a2)
             low = (1 << j) - 1
-            if b2 & low == b & low and b2.bit_count() <= a2.bit_count():
+            if b2 & low == b & low and (b2.bit_count(), b2) <= (a2.bit_count(), a2):
                 stack.append((a2, b2, j + 1))
-    return sorted(pairs.values(), key=lambda c: (-c.product, c.y, c.z)), visited
+    return sorted(certs, key=lambda c: (-c.product, c.y, c.z)), visited
 
 
 def _closed_sets(certs):
@@ -361,6 +360,38 @@ def test_fcbo_matches_plain_close_by_one(graph, family, d, q):
     assert {b for _, b in visited} <= set(closed)
     for seed in [(0,), (0, g.n - 1), tuple(range(0, g.n, 7))]:
         assert cross_closure(seed, g) == _reference_cross_closure(seed, g)
+
+
+# The acceptance grid's spaces of rank 2 and Q+(5,2), and H(3,9), with their
+# maximal pair counts.  The grid's other rank-3 spaces are left out: W(5,2) and
+# Q(6,2) take about 6 s each (CI checks W(5,2)'s --json digest), and Q+(7,2)
+# and H(5,4) are out of reach.
+_SEARCHED = [
+    ("Qplus", 2, 2, 17),
+    ("Qparabolic", 2, 2, 41),
+    ("Qparabolic", 2, 3, 126),
+    ("Qminus", 2, 2, 193),
+    ("W", 2, 2, 41),
+    ("W", 2, 3, 621),
+    ("Hodd", 2, 4, 649),
+    ("Heven", 2, 4, 101_839),
+    ("Qplus", 3, 2, 2278),
+    ("Hodd", 2, 9, 16_269),
+]
+
+
+@pytest.mark.parametrize("family,d,q,pairs", _SEARCHED)
+def test_every_visited_closed_set_is_a_new_pair(graph, monkeypatch, family, d, q, pairs):
+    # Each visited node builds exactly one certificate, no two are equal, and
+    # the search passes at the least limit with 2^limit >= pairs.  Listing a
+    # tied pair from both sides would visit 165 199 closed sets at H(4,4),
+    # past 2^17, and 27 609 at H(3,9), past 2^14.
+    g = graph(family, d, q)
+    calls = []
+    certificate = extremal._certificate
+    monkeypatch.setattr(extremal, "_certificate", lambda *args: calls.append(1) or certificate(*args))
+    certs = enumerate_maximal_cross_pairs(g, limit=(pairs - 1).bit_length())
+    assert len(calls) == len(certs) == len(set(certs)) == len(_pair_set(certs)) == pairs
 
 
 def _counting_nonn_of(monkeypatch):

@@ -203,6 +203,12 @@ def test_eigen_data_h54_q_column():
     assert ed.Q[3][1] < 0
 
 
+@pytest.mark.parametrize("d", [-1, -2])
+def test_eigen_data_rejects_a_negative_rank(d):
+    with pytest.raises(ValueError, match=f"rank must be >= 0, got {d}"):
+        eigen_data("Hodd", d, 4)
+
+
 def test_lemma_bound_gens_examples():
     assert lemma_bound_gens_check(2, 1)
     assert lemma_bound_gens_check(2, 4)

@@ -564,6 +564,24 @@ def test_cli_search_negative_limit_is_a_usage_error(capsys):
     assert captured.err == "error: limit -1 is negative; the search stops past 2^limit closed sets\n"
 
 
+def test_cli_search_limit_boundary_at_h34(capsys):
+    # H(3,4) has 649 maximal pairs, one visited closed set each: 2^9 < 649 <= 2^10.
+    assert main(["search", "max-pairs", "Hodd", "2", "4", "--limit", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: more than 2^9 closed sets; raise the limit or close chosen seeds\n"
+    assert main(["search", "max-pairs", "Hodd", "2", "4", "--limit", "10"]) == 0
+    assert capsys.readouterr().out.startswith("H(3,4): 649 maximal pairs")
+
+
+@pytest.mark.parametrize("d", ["-1", "-2", "-3"])
+def test_cli_verify_negative_rank_is_a_usage_error(capsys, d):
+    assert main(["verify", "q-col-signs", "--d", d]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: rank must be >= 0, got {d}\n"
+
+
 def test_cli_search_geometry_bug_exits_1(capsys, monkeypatch):
     counts = scheme.common_point_counts
 
