@@ -292,7 +292,7 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
     while stack:
         a, b, j0, failed = stack.pop()
         if len(out) == cap:
-            raise ValueError(f"more than 2^{limit} closed sets; raise the limit or close chosen seeds")
+            raise ValueError(f"more than 2^{limit} closed sets; raise the limit")
         out.append(_certificate(g, a, b))
         nb = b.bit_count()
         if nb >= a.bit_count() - 1:

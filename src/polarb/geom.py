@@ -427,7 +427,7 @@ def subspace_points(ps: PolarSpace, basis: tuple[Vector, ...]) -> list[Vector]:
 
 
 # Entries per numpy temporary in blocked loops (128 KiB of int32): keeps the
-# peak memory of orthogonality masks and relations near O(npts + n).
+# peak memory of the point scan, rref_batch and relation reads near O(npts + n).
 BLOCK_ENTRIES = 1 << 15
 
 
@@ -554,18 +554,81 @@ def _places(ps: PolarSpace) -> np.ndarray:
     return ps.q ** np.arange(ps.nv - 1, -1, -1, dtype=np.int64)
 
 
+# Float products of non-negative integers are exact while the result stays
+# below 2^24 (float32) or 2^53 (float64): every term and partial sum is then
+# an integer no larger than the result.
+_FLOAT32_EXACT = 1 << 24
+_FLOAT64_EXACT = 1 << 53
+# Bytes per row block of _orth_masks, the float product and its int64 copy:
+# 512 KiB keeps a block's temporaries in a core's cache.
+_ORTH_BLOCK_BYTES = 1 << 19
+
+
+def _orth_gate(fld: FieldSpec, nv: int, npts: int) -> tuple[int, int]:
+    """(M, g) for _orth_masks, checked in Python ints before any product.
+
+    M = nv k (p-1)^2 + 1 bounds every digit sum; g is the number of digit
+    sums one float32 product packs, the largest g <= k with M^g < 2^24 and
+    M^g <= npts^2, so that the product is exact and the table that decodes
+    it is no larger than the masks.  g = 0 when even M fails those bounds.
+    Raises ValueError when M >= 2^53, past float64's exact integers.
+    """
+    M = nv * fld.k * (fld.p - 1) ** 2 + 1
+    if M >= _FLOAT64_EXACT:
+        raise ValueError(f"digit sums up to {M} are not exact in float64")
+    room = min(_FLOAT32_EXACT, npts * npts + 1)
+    g = 0
+    while g < fld.k and M ** (g + 1) < room:
+        g += 1
+    return M, g
+
+
 def _orth_masks(ps: PolarSpace, pts) -> list[int]:
-    """orth[i] has bit j iff B(pts[i], pts[j]) = 0; symmetric, since the form is reflexive."""
-    ar = _array_arithmetic(ps.field)
+    """orth[i] has bit j iff B(pts[i], pts[j]) = 0; symmetric, since the form is reflexive.
+
+    B(u, v) = sum_t u_t T(v)_t (T = _gram_image) runs on base-p digits.  With
+    u_t = sum_a u_(t,a) x^a, T(v)_t = sum_b T_(t,b) x^b and c[a, b, e] digit e
+    of x^a x^b (read from FieldSpec.mul), digit e of B(u, v) is S_e mod p,
+    where S_e = sum_(t,b) L_e[u, (t,b)] R[v, (t,b)], L_e = (sum_a u_(t,a)
+    c[a, b, e]) mod p and R holds the digits of T.  Each S_e sums nv k
+    products of integers in 0..p-1, so 0 <= S_e < M = nv k (p-1)^2 + 1.
+
+    The digit sums are packed g at a time (see _orth_gate): one float32
+    product of L = sum_e L_e M^(e-e0) over a group e0 <= e < e0 + g with R
+    gives sum_e S_e M^(e-e0) < M^g < 2^24.  It is exact, because every
+    term and partial sum is a non-negative integer below 2^24, and no
+    base-M digit carries into the next.  Its int64 copy indexes a bool
+    table of the M^g values whose base-M digits are all divisible by p.
+    When g = 0, each digit gets its own product, with values below M
+    (float64 when M >= 2^24), tested by S_e % p == 0.  No float decides a
+    bit: each is read off an exact integer.
+    """
+    fld = ps.field
+    p, k, npts = fld.p, fld.k, len(pts)
+    M, g = _orth_gate(fld, ps.nv, npts)
     A = _point_array(ps, pts)
-    T = _gram_image(ps, A, ar)
+    T = _gram_image(ps, A, _array_arithmetic(fld))
+    place = p ** np.arange(k)
+    c = np.array([[fld.mul(p**a, p**b) for b in range(k)] for a in range(k)])[..., None] // place % p
+    L = np.einsum("uta,abe->utbe", A[..., None] // place % p, c) % p  # npts, nv, k (b), k (e)
+    R = (T[..., None] // place % p).reshape(npts, ps.nv * k)
+    ftype = np.float32 if g or M < _FLOAT32_EXACT else np.float64
+    groups = [L[..., e : e + max(g, 1)] for e in range(0, k, max(g, 1))]
+    Ls = [(Le @ M ** np.arange(Le.shape[-1])).reshape(npts, ps.nv * k).astype(ftype) for Le in groups]
+    R = R.astype(ftype)
+    if g:
+        ok = np.arange(M) % p == 0
+        table = ok
+        for _ in range(g - 1):
+            table = (ok[:, None] & table).ravel()  # index S_hi M^e + (the lower digits)
+    step = max(8, _ORTH_BLOCK_BYTES // ((R.itemsize + 8) * max(1, npts)))
     orth: list[int] = []
-    step = max(1, BLOCK_ENTRIES // max(1, len(pts)))
-    for r in range(0, len(pts), step):
-        acc = 0
-        for t in range(ps.nv):
-            acc = ar.add(acc, ar.mul(A[r : r + step, t, None], T[None, :, t]))
-        orth += bits_to_masks(acc == 0)
+    for r in range(0, npts, step):
+        bits = True
+        for Le in Ls:
+            S = (Le[r : r + step] @ R.T).astype(np.int64)
+            bits = bits & (table.take(S) if g else S % p == 0)
+        orth += bits_to_masks(bits)
     return orth
 
 
@@ -730,12 +793,14 @@ def _catalog(ps: PolarSpace, pts, orth, rows: np.ndarray) -> GeneratorCatalog:
         )
     size = nbracket(ps.d, ps.q)
     rows.flags.writeable = False
+    full = (1 << len(pts)) - 1
     masks = []
     for g, idx in enumerate(rows.tolist()):
-        mask = (1 << len(pts)) - 1
+        mask, sel = full, 0
         for i in idx:
             mask &= orth[i]
-        if not all(mask >> i & 1 for i in idx):
+            sel |= 1 << i
+        if mask & sel != sel:
             raise ValueError(f"basis {g}: rows are not pairwise orthogonal")
         if mask.bit_count() != size:
             raise ValueError(f"basis {g}: {mask.bit_count()} points, expected [{ps.d}]_q = {size}")

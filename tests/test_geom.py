@@ -571,6 +571,75 @@ def test_echelon_search_lists_every_subspace_once(space, q, data):
 
 
 # ---------------------------------------------------------------------------
+# The packed orthogonality masks against the scalar form
+# ---------------------------------------------------------------------------
+
+
+def _reference_orth_rows(ps, pts, rows):
+    """Rows of the orthogonality masks from the scalar form: bit j iff B(pts[i], pts[j]) = 0."""
+    return [sum(1 << j for j, v in enumerate(pts) if bilinear(ps, pts[i], v) == 0) for i in rows]
+
+
+# Every space of rank 1 to 3 over these orders with at most 300 points: odd
+# prime powers (9, 25, 27, 49) and powers of 2 up to 64 among them.
+_MASK_SPACES = [
+    (family, d, q)
+    for family in ("W", "Qplus", "Qparabolic", "Qminus", "Hodd", "Heven")
+    for d in (1, 2, 3)
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64)
+    if (family not in ("Hodd", "Heven") or q in (4, 9, 16, 25, 49, 64)) and 0 < num_points(family, d, q) <= 300
+]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(_MASK_SPACES))
+def test_orth_masks_match_the_scalar_form(space):
+    ps = polar_space_make(*space)
+    pts = enumerate_points(ps)
+    assert geom._orth_masks(ps, pts) == _reference_orth_rows(ps, pts, range(len(pts)))
+
+
+@pytest.mark.parametrize(
+    "space, gate, rows",
+    [
+        # M = 5·2·(3-1)^2 + 1 = 41: both GF(9) digits in one product, 41^2 < 2^24
+        (("Heven", 2, 9), (41, 2), range(0, 2440, 40)),
+        # M = 3·6·1 + 1 = 19 and 19^6 > 2^24: the six GF(64) digits in two
+        # products, 19^4 <= 513^2 < 19^5
+        (("Heven", 1, 64), (19, 4), None),
+        # M = 13 and 13^2 > 9^2: one product per GF(64) digit
+        (("Hodd", 1, 64), (13, 1), None),
+        # 145 > 8^2: no table; one product per GF(49) digit, S % 7 == 0
+        (("Hodd", 1, 49), (145, 0), None),
+    ],
+    ids=["packed-H(4,9)", "two-groups-H(2,64)", "per-digit-H(1,64)", "per-digit-mod-H(1,49)"],
+)
+def test_orth_masks_on_each_side_of_the_gate(space, gate, rows):
+    ps = polar_space_make(*space)
+    pts = enumerate_points(ps)
+    assert geom._orth_gate(ps.field, ps.nv, len(pts)) == gate
+    rows = range(len(pts)) if rows is None else rows
+    masks = geom._orth_masks(ps, pts)
+    assert [masks[i] for i in rows] == _reference_orth_rows(ps, pts, rows)
+
+
+def test_orth_masks_in_float64():
+    # Over GF(65521), M = 3·65520^2 + 1 >= 2^24: the products run in float64
+    # and S % 65521 decides.  On the conic x0^2 + x1 x2 = 0 a point's perp is
+    # its tangent, which meets the conic in that point only.  Digit sums
+    # reach 2·65520^2, so float32 would round them and lose even the
+    # diagonal bits.
+    ps = polar_space_make("Qparabolic", 1, 65521)
+    fld = ps.field
+    pts = [(1, a, fld.neg(fld.inv(a))) for a in range(1, 65521, 163)]
+    assert all(is_singular(v, ps) for v in pts)
+    assert geom._orth_gate(fld, ps.nv, len(pts)) == (3 * 65520**2 + 1, 0)
+    masks = geom._orth_masks(ps, pts)
+    assert masks == [1 << i for i in range(len(pts))]
+    assert masks == _reference_orth_rows(ps, pts, range(len(pts)))
+
+
+# ---------------------------------------------------------------------------
 # The batched elimination against the scalar rref
 # ---------------------------------------------------------------------------
 

@@ -569,7 +569,7 @@ def test_cli_search_limit_boundary_at_h34(capsys):
     assert main(["search", "max-pairs", "Hodd", "2", "4", "--limit", "9"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: more than 2^9 closed sets; raise the limit or close chosen seeds\n"
+    assert captured.err == "error: more than 2^9 closed sets; raise the limit\n"
     assert main(["search", "max-pairs", "Hodd", "2", "4", "--limit", "10"]) == 0
     assert capsys.readouterr().out.startswith("H(3,4): 649 maximal pairs")
 
