@@ -95,7 +95,8 @@ def check_thm5_support(q: int = 2) -> dict:
     g = _graph("Qplus", 4, q)
     eig = eigen_data("Qplus", 4, q)
     x1, x2 = g.latins_greeks
-    chi_x1 = [1 if i in set(x1) else 0 for i in range(g.n)]
+    sx1 = set(x1)
+    chi_x1 = [1 if i in sx1 else 0 for i in range(g.n)]
     sup = eigenspace_support(chi_x1, g.rel, eig)
     good = sup == {0, 4}
     details.append(f"Q+(7,{q}) chi_latins support: {sorted(sup)} (expected [0, 4])")

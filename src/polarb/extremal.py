@@ -25,7 +25,6 @@ from operator import and_, or_
 import numpy as np
 
 from .geom import (
-    BLOCK_ENTRIES,
     GeneratorCatalog,
     PolarSpace,
     Subspace,
@@ -37,6 +36,7 @@ from .geom import (
     intersect_bases,
     perp,
     polar_space_make,
+    row_blocks,
     rref,
     rref_batch,
 )
@@ -161,9 +161,8 @@ class CrossGraph:
             raise ValueError("latins/greeks exist on hyperbolic quadrics only")
         C, n = self.rel.codim, self.n
         cls = C[0] & 1
-        step = max(1, BLOCK_ENTRIES // n)
-        for r in range(0, n, step):
-            if ((C[r : r + step] & 1) != (cls[r : r + step, None] ^ cls)).any():
+        for s in row_blocks(n, 3 * n):  # two int8 parities and a bool per entry
+            if ((C[s] & 1) != (cls[s, None] ^ cls)).any():
                 raise SchemeError("codimension parity is not a bipartition; geometry bug")
         x1, x2 = (tuple(np.flatnonzero(cls == c).tolist()) for c in (0, 1))
         if len(x1) != len(x2):
@@ -176,14 +175,16 @@ def cross_graph(cat: GeneratorCatalog) -> CrossGraph:
     codimension matrix C of build_relations, which raises SchemeError on a
     geometry that is no association scheme.  The sampled nonn_of filter and
     the half-lattice search assume that "meets" is symmetric, so a C that
-    differs from C.T, compared in row blocks, raises SchemeError too."""
+    differs from C.T, compared in the row blocks that nonn is packed from,
+    raises SchemeError too."""
     rel = build_relations(cat)
     C, n = rel.codim, len(rel.codim)
-    step = max(1, BLOCK_ENTRIES // n)
-    for r in range(0, n, step):
-        if (C[r : r + step] != C[:, r : r + step].T).any():
+    nonn: list[int] = []
+    for s in row_blocks(n, 2 * n):  # two bools per entry
+        if (C[s] != C[:, s].T).any():
             raise SchemeError("codimension matrix is not symmetric")
-    return CrossGraph(rel=rel, nonn=tuple(bits_to_masks(rel.codim < rel.d)))
+        nonn += bits_to_masks(C[s] < rel.d)
+    return CrossGraph(rel=rel, nonn=tuple(nonn))
 
 
 @dataclass(frozen=True, slots=True)
@@ -552,7 +553,7 @@ def _generators_through_subspaces(ps: PolarSpace, ks) -> tuple[np.ndarray, list[
     X ∩ G = S0, that is when X[:, d:] has rank d - k, from one rref_batch;
     the group sizes then fix the stack, which is allocated once.  A^-1 comes
     from one rref_batch of [A | I], the images from _Gathers products, all in
-    blocks of BLOCK_ENTRIES.  Raises ValueError for a form other than the
+    row_blocks of subspaces.  Raises ValueError for a form other than the
     antidiagonal Hermitian one, and AssertionError when A J sigma(C)^T != J
     for some S, an image has rank below d, or an S gets a repeated image.
     """
@@ -574,9 +575,8 @@ def _generators_through_subspaces(ps: PolarSpace, ks) -> tuple[np.ndarray, list[
     for (k, subs, W), at in zip(parts, starts):
         n = len(W)
         images = stack[at : at + len(subs) * n].reshape(len(subs), n, d, nv)
-        step = max(1, BLOCK_ENTRIES // (n * d * nv))
-        for s in range(0, len(subs), step):
-            block = subs[s : s + step]
+        for s in row_blocks(len(subs), 16 * n * d * nv):  # the images, their rref copy and two gathers
+            block = subs[s]
             A = np.zeros((len(block), d, d), dtype=np.int32)
             for i, sub in enumerate(block):
                 pivots = {next(c for c, x in enumerate(row) if x) for row in sub}
@@ -603,7 +603,7 @@ def _generators_through_subspaces(ps: PolarSpace, ks) -> tuple[np.ndarray, list[
             twice = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
             if twice.any():
                 raise AssertionError(f"{ps.label}: two generators through S0 map to one through {block[twice.argmax()]}")
-            images[s : s + len(block)] = R.reshape(len(block), n, d, nv)
+            images[s] = R.reshape(len(block), n, d, nv)
     return stack, starts
 
 
@@ -645,12 +645,14 @@ def _reduced_ranks(fld, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 def example_h7_cross_sample(data, samples: int = 10_000, seed: int = 20260810) -> dict:
     """Random y in Y, z in Z pairs; every one must intersect non-trivially.
 
-    The pairs are drawn in blocks of indices into Y and Z, an index below n
-    as floor(u n / 2^32) for 32 random bits u of random.Random(seed) (one
-    getrandbits call per block; each index is drawn with probability within
-    n / 2^32 of 1/n).  A pair is disjoint exactly when z keeps rank d after
-    the reduction by y (_reduced_ranks).  A negative sample count raises
-    ValueError.
+    The pairs are drawn in row_blocks of 16 d nv bytes per pair (y, z, the
+    reduced z and a product), 1024 pairs at H(7, q^2).  Each block draws its
+    indices into Y and Z, an index below n as floor(u n / 2^32) for 32 random
+    bits u of random.Random(seed) (one getrandbits call per block and side;
+    each index is drawn with probability within n / 2^32 of 1/n), so the
+    block size fixes which pairs are sampled.  A pair is disjoint exactly
+    when z keeps rank d after the reduction by y (_reduced_ranks).  A
+    negative sample count raises ValueError.
     """
     if samples < 0:
         raise ValueError(f"sample count {samples} is negative")
@@ -662,9 +664,8 @@ def example_h7_cross_sample(data, samples: int = 10_000, seed: int = 20260810) -
         return u.astype(np.uint64) * n >> 32
 
     bad = 0
-    block = BLOCK_ENTRIES // (ps.d * ps.nv)
-    for start in range(0, samples, block):
-        m = min(block, samples - start)
+    for s in row_blocks(samples, 16 * ps.d * ps.nv):
+        m = s.stop - s.start
         y, z = Y[draw(len(Y), m)], Z[draw(len(Z), m)]
         bad += int((_reduced_ranks(ps.field, y, z) == ps.d).sum())
     return {"ok": bad == 0, "samples": samples, "disjoint_pairs": bad}

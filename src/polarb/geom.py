@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -370,10 +370,9 @@ def enumerate_points(ps: PolarSpace) -> tuple[Vector, ...]:
     start = np.cumsum([0] + [q**i for i in range(nv)])
     total = int(start[-1])
     ar = _array_arithmetic(ps.field)
-    step = max(1, BLOCK_ENTRIES // max(1, nv))
     out: list[list[int]] = []
-    for s in range(0, total, step):
-        idx = np.arange(s, min(total, s + step), dtype=np.int64)
+    for s in row_blocks(total, 16 * nv):  # the int64 quotient and remainder of each coordinate
+        idx = np.arange(s.start, s.stop, dtype=np.int64)
         group = np.searchsorted(start, idx, side="right") - 1
         V = ((idx - start[group])[:, None] // place % q).astype(np.int32)
         V[np.arange(idx.size), nv - 1 - group] = 1
@@ -426,9 +425,19 @@ def subspace_points(ps: PolarSpace, basis: tuple[Vector, ...]) -> list[Vector]:
     return out
 
 
-# Entries per numpy temporary in blocked loops (128 KiB of int32): keeps the
-# peak memory of the point scan, rref_batch and relation reads near O(npts + n).
-BLOCK_ENTRIES = 1 << 15
+# Bytes of the numpy temporaries one block of a row-blocked loop holds at once.
+# 512 KiB keeps a block in a core's cache and the peak memory of every blocked
+# kernel near that of its inputs and outputs.
+BLOCK_BYTES = 1 << 19
+
+
+def row_blocks(n: int, row_bytes: int, least: int = 1) -> Iterator[slice]:
+    """The slices r:r+m that cover rows 0..n-1 in order: m is as many rows of
+    row_bytes as fit BLOCK_BYTES, and never fewer than least (the last block
+    may be shorter).  row_bytes counts every temporary one row of a block holds."""
+    step = max(least, BLOCK_BYTES // max(1, row_bytes))
+    for r in range(0, n, step):
+        yield slice(r, min(n, r + step))
 
 
 def bit_indices(mask: int) -> tuple[int, ...]:
@@ -503,7 +512,7 @@ def rref_batch(fld: FieldSpec, M) -> tuple[np.ndarray, np.ndarray]:
     together, column by column: the pivot is the first row at or below the
     current rank with a nonzero entry; it is swapped into place, normalized
     by the inv gather, and every other row loses its multiple of it.  Integer
-    gathers only, in blocks of BLOCK_ENTRIES // (r c) matrices.
+    gathers only, in row_blocks of matrices.
     """
     R = np.array(M, dtype=np.int32)
     if R.ndim != 3:
@@ -512,9 +521,8 @@ def rref_batch(fld: FieldSpec, M) -> tuple[np.ndarray, np.ndarray]:
     ar = _array_arithmetic(fld)
     rank = np.zeros(B, dtype=np.int64)
     rows = np.arange(r)
-    step = max(1, BLOCK_ENTRIES // max(1, r * c))
-    for s in range(0, B, step):
-        Rb, rk = R[s : s + step], rank[s : s + step]  # views
+    for s in row_blocks(B, 16 * r * c):  # a product's two gathers, its difference and a row copy
+        Rb, rk = R[s], rank[s]  # views
         for col in range(c):
             if rk.min() == r:
                 break
@@ -559,9 +567,6 @@ def _places(ps: PolarSpace) -> np.ndarray:
 # an integer no larger than the result.
 _FLOAT32_EXACT = 1 << 24
 _FLOAT64_EXACT = 1 << 53
-# Bytes per row block of _orth_masks, the float product and its int64 copy:
-# 512 KiB keeps a block's temporaries in a core's cache.
-_ORTH_BLOCK_BYTES = 1 << 19
 
 
 def _orth_gate(fld: FieldSpec, nv: int, npts: int) -> tuple[int, int]:
@@ -621,12 +626,11 @@ def _orth_masks(ps: PolarSpace, pts) -> list[int]:
         table = ok
         for _ in range(g - 1):
             table = (ok[:, None] & table).ravel()  # index S_hi M^e + (the lower digits)
-    step = max(8, _ORTH_BLOCK_BYTES // ((R.itemsize + 8) * max(1, npts)))
     orth: list[int] = []
-    for r in range(0, npts, step):
+    for s in row_blocks(npts, (R.itemsize + 8) * npts, least=8):  # the float product and its int64 copy
         bits = True
         for Le in Ls:
-            S = (Le[r : r + step] @ R.T).astype(np.int64)
+            S = (Le[s] @ R.T).astype(np.int64)
             bits = bits & (table.take(S) if g else S % p == 0)
         orth += bits_to_masks(bits)
     return orth
@@ -856,9 +860,9 @@ def generators_through(S: Subspace, ps: PolarSpace, limit: int = ENUM_LIMIT_DEFA
     row-echelon search lists them, lift to w . lift_rows; with S's rows
     prepended, one rref_batch gives the canonical bases of the lifts.
     """
-    if not is_totally_isotropic(S, ps):
-        raise ValueError("generators_through requires a totally isotropic subspace")
-    if S.dim == ps.d:
+    if S.dim == ps.d:  # quotient_geometry checks S otherwise
+        if not is_totally_isotropic(S, ps):
+            raise ValueError("generators_through requires a totally isotropic subspace")
         return [S]
     qg = quotient_geometry(S, ps)
     ar = _array_arithmetic(ps.field)

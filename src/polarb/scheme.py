@@ -19,16 +19,11 @@ from math import lcm
 
 import numpy as np
 
-from .geom import BLOCK_ENTRIES, GeneratorCatalog
+from .geom import GeneratorCatalog, row_blocks
 from .qcount import EigenData, nbracket
 
 # Every integer of absolute value below 2^63 is an int64.
 _INT64_EXACT = 1 << 63
-# Bytes of the numpy temporaries of one block in this module's row-blocked loops:
-# a uint64 AND, a uint8 popcount and an int32 sum per common point count, a bool
-# per entry of C in the degree count, or the certificate's gathered neighbour
-# rows (at least one row's k_1 x n digits).
-_BLOCK_BYTES = 1 << 19
 
 
 class SchemeError(ValueError):
@@ -66,11 +61,10 @@ def common_point_counts(cat: GeneratorCatalog):
     n, nwords = cat.n, (len(cat.points) + 63) // 64
     raw = b"".join(m.to_bytes(8 * nwords, "little") for m in cat.point_masks)
     words = np.frombuffer(raw, dtype="<u8").reshape(n, nwords).T.copy()
-    step = max(1, _BLOCK_BYTES // (13 * max(1, n)))  # 8 + 1 + 4 bytes per count
-    for r in range(0, n, step):
-        acc = np.zeros((min(step, n - r), n - r), dtype=np.int32)
+    for s in row_blocks(n, 13 * n):  # a uint64 AND, a uint8 popcount and an int32 sum per count
+        acc = np.zeros((s.stop - s.start, n - s.start), dtype=np.int32)
         for w in words:
-            acc += np.bitwise_count(w[r : r + step, None] & w[r:])
+            acc += np.bitwise_count(w[s, None] & w[s.start :])
         yield acc
 
 
@@ -101,10 +95,9 @@ def build_relations(cat: GeneratorCatalog) -> RelationData:
         C[r + m :, r : r + m] = block[:, m:].T
         r += m
     degrees = np.empty((d + 1, n), dtype=np.int64)  # degrees[i, x] = |R_i(x)|
-    step = max(1, _BLOCK_BYTES // max(1, n))  # one bool per entry
-    for r in range(0, n, step):
+    for s in row_blocks(n, n):  # one bool per entry
         for i in range(d + 1):
-            degrees[i, r : r + step] = (C[r : r + step] == i).sum(axis=1)
+            degrees[i, s] = (C[s] == i).sum(axis=1)
     for i in range(d + 1):
         if (degrees[i] != degrees[i, 0]).any():
             raise SchemeError(f"relation {i} is not regular")
@@ -175,10 +168,9 @@ def _intersection_array(rel: RelationData) -> list[tuple[int, int, int]]:
     P = (1 << (bits * np.arange(d + 1))).astype(dtype)[C]  # take() would copy C to intp first
     witness = _witnesses(rel)
     EXP = P[N[0]].sum(axis=0, dtype=dtype)[witness]
-    step = max(1, _BLOCK_BYTES // (P.itemsize * k * n))
-    for r in range(0, n, step):
-        H = P[N[r : r + step]].sum(axis=1, dtype=dtype)
-        if (H != EXP[C[r : r + step]]).any():
+    for s in row_blocks(n, P.itemsize * k * n):  # a row's k_1 gathered rows of P
+        H = P[N[s]].sum(axis=1, dtype=dtype)
+        if (H != EXP[C[s]]).any():
             raise SchemeError(
                 "some A_1 A_i is not constant on a relation: the relations are not an association scheme"
             )
@@ -250,7 +242,7 @@ def eigenspace_support(v, rel: RelationData, eig: EigenData) -> frozenset[int]:
     S[j] = D den n E_j v: the support is the set of nonzero rows of S.  Also
     checks sum_j S[j] = D n w (sum_j E_j v = v), which must hold identically.
     D and D Q come from eig.scaled_Q, computed once per EigenData.  The
-    images A_i w are read off rel.codim in row blocks of BLOCK_ENTRIES.
+    images A_i w are read off rel.codim in row_blocks.
 
     Entrywise sum_i |A_i w| <= n max|w|, so every entry and partial sum is at
     most max|w| n (d+1) max(D, max|D Q|) in absolute value; below 2^63 the
@@ -270,9 +262,8 @@ def eigenspace_support(v, rel: RelationData, eig: EigenData) -> frozenset[int]:
     C = rel.codim
     ids = np.arange(d + 1, dtype=np.int8)[:, None, None]
     images = np.empty((d + 1, n), dtype=dtype)
-    step = max(1, BLOCK_ENTRIES // (n * (d + 1)))
-    for r in range(0, n, step):
-        images[:, r : r + step] = np.where(C[None, r : r + step] == ids, W, 0).sum(axis=2)
+    for s in row_blocks(n, 9 * (d + 1) * n):  # a bool and an 8-byte term per entry of each A_i
+        images[:, s] = np.where(C[None, s] == ids, W, 0).sum(axis=2)
     S = np.array(DQ, dtype=dtype).T @ images
     if (S.sum(axis=0) != W * (D * n)).any():
         raise SchemeError("sum of idempotent projections does not reproduce the vector")

@@ -16,6 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import polarb.extremal as extremal
+import polarb.geom as geom
 from polarb.checks import check_thm20
 from polarb.extremal import (
     CrossGraph,
@@ -37,8 +38,10 @@ from polarb.ff import field_of_order
 from polarb.geom import (
     Subspace,
     _bases,
+    _orth_masks,
     _space_from_forms,
     enumerate_generators,
+    enumerate_points,
     enumerate_subspaces_within,
     generators_through,
     intersect_bases,
@@ -46,8 +49,8 @@ from polarb.geom import (
     rref_batch,
     subspace_points,
 )
-from polarb.qcount import binom2, gaussian, nbracket, num_generators
-from polarb.scheme import RelationData, SchemeError
+from polarb.qcount import binom2, eigen_data, gaussian, nbracket, num_generators
+from polarb.scheme import RelationData, SchemeError, eigenspace_support, verify_spectrum
 from polarb.shell import main
 
 def _reference_disjointness_rows(cat):
@@ -1035,3 +1038,34 @@ def test_example_h7_cross_sample_counts_disjoint_pairs():
     assert rep == {"ok": False, "samples": 300, "disjoint_pairs": 300}
     with pytest.raises(ValueError, match="negative"):
         example_h7_cross_sample((ps, unit[None, :4], unit[None, 4:]), samples=-1)
+
+
+def _blocked_kernel_results():
+    """What every row-blocked kernel returns on small spaces, computed afresh
+    (the per-space memo would hand back results of the other budget)."""
+    out = []
+    for family, d, q in (("W", 2, 3), ("Qplus", 3, 2), ("Hodd", 2, 4)):
+        ps = polar_space_make(family, d, q)
+        pts = enumerate_points(ps)
+        cat = enumerate_generators(ps)
+        g = cross_graph(cat)
+        eig = eigen_data(family, d, q)
+        pencil = [cat.point_masks[i] & 1 for i in range(cat.n)]
+        out.append((
+            pts, _orth_masks(ps, pts), cat.rows.tolist(), g.rel.codim.tolist(), g.rel.valencies, g.nonn,
+            verify_spectrum(g.rel, eig), eigenspace_support(pencil, g.rel, eig),
+            eigenspace_support([i % 3 - 1 for i in range(cat.n)], g.rel, eig),
+        ))
+        if family == "Qplus":
+            out.append(g.latins_greeks)
+    M = np.random.default_rng(3).integers(0, 9, size=(40, 3, 5), dtype=np.int32)
+    out.append([a.tolist() for a in rref_batch(field_of_order(9), M)])
+    out.append(example_h7_sizes(example_h7_data(2)))
+    return out
+
+
+def test_every_blocked_kernel_gives_the_same_results_on_one_row_blocks(monkeypatch):
+    want = _blocked_kernel_results()
+    monkeypatch.setattr(geom, "BLOCK_BYTES", 1)  # one row per block, eight for the orthogonality masks
+    assert [s.stop - s.start for s in geom.row_blocks(20, 1 << 20, least=8)] == [8, 8, 4]
+    assert _blocked_kernel_results() == want

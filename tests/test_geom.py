@@ -690,7 +690,7 @@ def test_rref_batch_matches_rref(stack):
 def test_rref_batch_on_a_stack_of_several_blocks():
     fld = field_of_order(4)
     r, c = 8, 9
-    per_block = geom.BLOCK_ENTRIES // (r * c)
+    per_block = geom.BLOCK_BYTES // (16 * r * c)  # rref_batch counts 16 bytes per entry
     rng = np.random.default_rng(5)
     M = rng.integers(0, 4, size=(2 * per_block + 7, r, c), dtype=np.int32)
     M[::3, 5:] = M[::3, :3]  # rank-deficient matrices: repeated rows

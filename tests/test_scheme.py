@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarb import scheme
+from polarb import geom, scheme
 from polarb.checks import ACCEPTANCE_INSTANCES
 from polarb.geom import bits_to_masks
 from polarb.qcount import eigen_data, nbracket
@@ -104,7 +104,7 @@ def test_unknown_intersection_size_is_a_scheme_error(catalog):
 def test_common_point_counts_match_popcount_reference(catalog, monkeypatch):
     cat = catalog("Hodd", 2, 9)  # 280 points: five words, the last one partly filled
     assert len(cat.points) > 64 and len(cat.points) % 64
-    monkeypatch.setattr(scheme, "_BLOCK_BYTES", 5 * 13 * cat.n)  # blocks of 5 rows, then 2
+    monkeypatch.setattr(geom, "BLOCK_BYTES", 5 * 13 * cat.n)  # blocks of 5 rows, then 2
     blocks = list(scheme.common_point_counts(cat))
     assert {len(b) for b in blocks} == {5, cat.n % 5}
     assert all(b.dtype == np.int32 for b in blocks)
