@@ -1,5 +1,5 @@
 """Maximal cross-intersecting pairs by complete bit-vector search, plus the
-computational verifications of the classification statements.
+generator stacks of Example 21 on H(7, q^2).
 
 The graph keeps the codimension matrix C of scheme.build_relations and the
 packed bit rows of one relation, "x meets y", read off it as C < d; two
@@ -16,7 +16,6 @@ failed closure of an ancestor already shows to fail the canonicity test.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import isqrt
@@ -33,14 +32,10 @@ from .geom import (
     bits_to_masks,
     enumerate_subspaces_within,
     generators_through,
-    intersect_bases,
-    perp,
     polar_space_make,
     row_blocks,
-    rref,
     rref_batch,
 )
-from .qcount import binom2, gaussian, nbracket, num_generators, num_points
 from .scheme import RelationData, SchemeError, build_relations
 
 
@@ -194,7 +189,6 @@ class CrossPairCertificate:
 
     ymask: int
     zmask: int
-    maximal: bool
     label: str
 
     @property
@@ -235,7 +229,7 @@ def _certificate(g: CrossGraph, ymask: int, zmask: int) -> CrossPairCertificate:
     ny, nz = ymask.bit_count(), zmask.bit_count()
     if ny < nz or (ny == nz and ymask > zmask):
         ymask, zmask = zmask, ymask
-    return CrossPairCertificate(ymask, zmask, True, classify_pair(ymask, zmask, g))
+    return CrossPairCertificate(ymask, zmask, classify_pair(ymask, zmask, g))
 
 
 def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossPairCertificate]:
@@ -364,158 +358,6 @@ def bipartition_latins_greeks(cat: GeneratorCatalog) -> tuple[tuple[int, ...], t
     """CrossGraph.latins_greeks of the catalog's graph."""
     return cross_graph(cat).latins_greeks
 
-# ---------------------------------------------------------------------------
-# Verification of the classification statements
-# ---------------------------------------------------------------------------
-
-
-def _dims_to(rel: RelationData, gidx: int, ids) -> list[int]:
-    """Histogram of dim(g ∩ h) = d - C[g, h] over h in ids, indexed by dimension 0..d."""
-    return np.bincount(rel.d - rel.codim[gidx, list(ids)], minlength=rel.d + 1).tolist()
-
-
-def verify_prop10_counts(rel: RelationData, pair: CrossPairCertificate, gidx: int) -> dict:
-    """Intersection-dimension counts from a fixed G in Y of a maximum non-EKR pair.
-
-    For each s: if d-s is even G meets 0 elements of Z and [d,s] q^C(d-s,2)
-    elements of Y in dimension exactly s, and the other way around for d-s
-    odd.  Also Y and Z must be disjoint as sets.
-    """
-    d, q = rel.d, rel.cat.space.q
-    if gidx not in pair.y:
-        raise ValueError("G must belong to the Y side")
-    if pair.ymask & pair.zmask:
-        return {"ok": False, "details": ["Y and Z are not disjoint as sets"]}
-    hist_y = _dims_to(rel, gidx, pair.y)
-    hist_z = _dims_to(rel, gidx, pair.z)
-    details = []
-    ok = True
-    for s in range(d + 1):
-        expected = gaussian(d, s, q) * q ** binom2(d - s)
-        ny = hist_y[s]
-        nz = hist_z[s]
-        if (d - s) % 2 == 0:
-            good = nz == 0 and ny == expected
-            want = f"Y:{expected} Z:0"
-        else:
-            good = ny == 0 and nz == expected
-            want = f"Y:0 Z:{expected}"
-        details.append(f"s={s}: Y:{ny} Z:{nz} (expected {want})")
-        ok &= good
-    return {"ok": ok, "details": details}
-
-
-def verify_zgh(rel: RelationData, pair: CrossPairCertificate, gidx: int, hidx: int) -> dict:
-    """The Z_{G,H} construction: hyperplane-by-hyperplane recovery of the
-    [d]_q elements of Z meeting G in dimension d-1."""
-    cat, C = rel.cat, rel.codim
-    ps = cat.space
-    fld = ps.field
-    d, q = ps.d, ps.q
-    if C[gidx, hidx] != d:
-        raise ValueError("G and H must be disjoint")
-    G = cat.generators[gidx]
-    H = cat.generators[hidx]
-    expected = nbracket(d, q)
-    z_meet = [z for z in pair.z if C[gidx, z] == 1]  # dim(G ∩ z) = d - 1
-    details = [f"elements of Z meeting G in dim {d - 1}: {len(z_meet)} (expected {expected})"]
-    ok = len(z_meet) == expected
-    built = set()
-    single_points = True
-    for pi in enumerate_subspaces_within(ps, G.basis, d - 1):
-        trace = intersect_bases(fld, perp(Subspace(pi), ps).basis, H.basis)
-        single_points &= len(trace) == 1
-        span = rref(fld, list(pi) + list(trace))
-        built.add(span)
-    details.append(f"perp traces on H are single points: {single_points}")
-    ok &= single_points
-    z_bases = {cat.generators[z].basis for z in z_meet}
-    same = built == z_bases
-    details.append(f"{{<pi, perp(pi) ∩ H>}} equals the Z-slice: {same}")
-    ok &= same
-    pairwise = all(C[a, b] > 1 for i, a in enumerate(z_meet) for b in z_meet[i + 1 :])
-    details.append(f"pairwise dim(z_i ∩ z_j) < {d - 1}: {pairwise}")
-    ok &= pairwise
-    return {"ok": ok, "details": details}
-
-
-def verify_hyperplane_section(rel: RelationData, gidx: int, hidx: int) -> dict:
-    """span(G, H) cuts a hyperbolic polar space of the same rank out of Q(2d, q)."""
-    cat = rel.cat
-    ps = cat.space
-    if ps.family != "Qparabolic":
-        raise ValueError("hyperplane sections are checked on parabolic quadrics")
-    fld = ps.field
-    if rel.codim[gidx, hidx] != rel.d:
-        raise ValueError("G and H must be disjoint generators")
-    d, q = ps.d, ps.q
-    h = rref(fld, list(cat.generators[gidx].basis) + list(cat.generators[hidx].basis))
-    details = [f"dim span(G,H) = {len(h)} (expected {2 * d})"]
-    ok = len(h) == 2 * d
-    hmask = cat.mask_of_points_in_span(h)
-    npts = hmask.bit_count()
-    want_pts = num_points("Qplus", d, q)
-    details.append(f"singular points in the section: {npts} (expected {want_pts})")
-    ok &= npts == want_pts
-    ngens = sum(1 for m in cat.point_masks if m & ~hmask == 0)
-    want_gens = num_generators("Qplus", d, q)
-    details.append(f"generators inside the section: {ngens} (expected {want_gens})")
-    ok &= ngens == want_gens
-    return {"ok": ok, "details": details}
-
-
-def verify_w3_triples(g: CrossGraph) -> dict:
-    """Transversal counts over all pairwise disjoint line triples of W(3, q).
-
-    For q odd the count must be 0 or 2 everywhere; for q even the observed
-    distribution is reported without judgement (the statement excludes it).
-    """
-    ps = g.rel.cat.space
-    if (ps.family, ps.d) != ("W", 2):
-        raise ValueError(f"{ps.label}: the triples are counted on W(3, q)")
-    n, nonn, full = g.n, g.nonn, g.full
-    counts: dict[int, int] = {}
-    for a in range(n):
-        rest_a = (full ^ nonn[a]) >> (a + 1) << (a + 1)
-        for b in bit_indices(rest_a):
-            for c in bit_indices(rest_a & ~nonn[b] >> (b + 1) << (b + 1)):
-                t = (nonn[a] & nonn[b] & nonn[c]).bit_count()
-                counts[t] = counts.get(t, 0) + 1
-    triples = sum(counts.values())
-    details = [f"disjoint triples: {triples}", f"transversal counts: {dict(sorted(counts.items()))}"]
-    if ps.q % 2 == 1:
-        ok = set(counts) <= {0, 2}
-        details.append(f"all counts in {{0, 2}}: {ok}")
-    else:
-        ok = True
-        details.append("q even: outside the statement, distribution reported only")
-    return {"ok": ok, "details": details, "counts": counts}
-
-
-def verify_maximality_lemma(rel: RelationData, pair: CrossPairCertificate) -> dict:
-    """Whenever y1, y2 in Y meet in dimension d-1, every z in Z meets y1 ∩ y2.
-
-    y1 ∩ y2 is totally isotropic, so each of its points is a singular point
-    of the catalog and its point mask is pm[y1] & pm[y2]; z meets it exactly
-    when pm[z] & pm[y1] & pm[y2] is nonzero.
-    """
-    if not pair.maximal:
-        raise ValueError("the statement applies to maximal pairs only")
-    C = rel.codim
-    pm = rel.cat.point_masks
-    ys, zs = pair.y, pair.z
-    tested = 0
-    ok = True
-    for i, y1 in enumerate(ys):
-        for y2 in ys[i + 1 :]:
-            if C[y1, y2] != 1:  # dim(y1 ∩ y2) = d - 1
-                continue
-            meet = pm[y1] & pm[y2]
-            tested += 1
-            if not all(pm[z] & meet for z in zs):
-                ok = False
-    return {"ok": ok, "details": [f"(d-1)-meeting pairs tested: {tested}", f"all Z elements hit: {ok}"]}
-
 
 # ---------------------------------------------------------------------------
 # Example sizes on H(7, q^2)
@@ -621,51 +463,3 @@ def example_h7_sizes(data) -> tuple[int, int]:
     """|Y| and |Z| of the large H(7, q^2) example, counted on its stacks."""
     _, Y, Z = data
     return len(Y), len(Z)
-
-
-def _reduced_ranks(fld, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """rank [y; z] - d for (m, d, nv) stacks y and z, every y a canonical basis.
-
-    z loses its multiples of y's rows at y's pivot columns, one mul/sub pass
-    per row of y (each row of y vanishes at the other pivots, so the order
-    does not matter); the reduced z is zero there, so the rank of [y; z] is d
-    plus that of z on y's nv - d free columns, one (m, d, nv - d) rref_batch.
-    """
-    ar = _array_arithmetic(fld)
-    m, d, nv = y.shape
-    piv = (y != 0).argmax(axis=2)
-    for i in range(d):
-        z = ar.sub(z, ar.mul(np.take_along_axis(z, piv[:, i, None, None], axis=2), y[:, i, None, :]))
-    free = np.ones((m, nv), dtype=bool)
-    np.put_along_axis(free, piv, False, axis=1)
-    cols = free.nonzero()[1].reshape(m, nv - d)
-    return rref_batch(fld, np.take_along_axis(z, cols[:, None, :], axis=2))[1]
-
-
-def example_h7_cross_sample(data, samples: int = 10_000, seed: int = 20260810) -> dict:
-    """Random y in Y, z in Z pairs; every one must intersect non-trivially.
-
-    The pairs are drawn in row_blocks of 16 d nv bytes per pair (y, z, the
-    reduced z and a product), 1024 pairs at H(7, q^2).  Each block draws its
-    indices into Y and Z, an index below n as floor(u n / 2^32) for 32 random
-    bits u of random.Random(seed) (one getrandbits call per block and side;
-    each index is drawn with probability within n / 2^32 of 1/n), so the
-    block size fixes which pairs are sampled.  A pair is disjoint exactly
-    when z keeps rank d after the reduction by y (_reduced_ranks).  A
-    negative sample count raises ValueError.
-    """
-    if samples < 0:
-        raise ValueError(f"sample count {samples} is negative")
-    ps, Y, Z = data
-    rng = random.Random(seed)
-
-    def draw(n: int, m: int) -> np.ndarray:
-        u = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype=np.uint32)
-        return u.astype(np.uint64) * n >> 32
-
-    bad = 0
-    for s in row_blocks(samples, 16 * ps.d * ps.nv):
-        m = s.stop - s.start
-        y, z = Y[draw(len(Y), m)], Z[draw(len(Z), m)]
-        bad += int((_reduced_ranks(ps.field, y, z) == ps.d).sum())
-    return {"ok": bad == 0, "samples": samples, "disjoint_pairs": bad}

@@ -93,9 +93,9 @@ class FieldSpec:
     tail, so every index log[a] + log[b] with a or b zero lands on a 0.
     ``places`` are the digit place values 1, p, .., p^(k-1).
 
-    add, sub and neg are XOR in characteristic 2 and one base-p digit loop
-    otherwise; the same operators make them valid on Python ints and
-    elementwise on int arrays of codes alike.
+    add and sub are XOR in characteristic 2 and one base-p digit loop
+    otherwise (sub(0, a) negates); the same operators make them valid on
+    Python ints and elementwise on int arrays of codes alike.
     """
 
     p: int
@@ -121,14 +121,6 @@ class FieldSpec:
         out = 0
         for pe in self.places:
             out += (a // pe - b // pe) % self.p * pe
-        return out
-
-    def neg(self, a):
-        if self.p == 2:
-            return a
-        out = 0
-        for pe in self.places:
-            out += -(a // pe) % self.p * pe
         return out
 
     def mul(self, a: int, b: int) -> int:

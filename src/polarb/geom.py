@@ -120,7 +120,7 @@ def nullspace(fld: FieldSpec, rows, ncols: int) -> tuple[Vector, ...]:
         v = [0] * ncols
         v[f] = 1
         for row, p in zip(R, pivots):
-            v[p] = fld.neg(row[f])
+            v[p] = fld.sub(0, row[f])
         basis.append(tuple(v))
     return rref(fld, basis)
 
@@ -323,7 +323,7 @@ def polar_space_make(family: str, d: int, q: int) -> PolarSpace:
         gram = [row[:] for row in z]
         for i in range(d):
             gram[2 * i][2 * i + 1] = 1
-            gram[2 * i + 1][2 * i] = fld.neg(1)
+            gram[2 * i + 1][2 * i] = fld.sub(0, 1)
         return _space_from_forms(family, d, fld, gram, None)
 
     if family in HERMITIAN:
@@ -853,7 +853,7 @@ def quotient_geometry(L: Subspace, ps: PolarSpace) -> QuotientGeometry:
     return QuotientGeometry(lift_rows=comp_t, space=qs)
 
 
-def generators_through(S: Subspace, ps: PolarSpace, limit: int = ENUM_LIMIT_DEFAULT) -> list[Subspace]:
+def generators_through(S: Subspace, ps: PolarSpace) -> list[Subspace]:
     """All generators containing S, via enumeration of the quotient polar space.
 
     The canonical basis rows w of each quotient generator, as the
@@ -866,7 +866,7 @@ def generators_through(S: Subspace, ps: PolarSpace, limit: int = ENUM_LIMIT_DEFA
         return [S]
     qg = quotient_geometry(S, ps)
     ar = _array_arithmetic(ps.field)
-    qpts, _, rows = _generator_rows(qg.space, limit)
+    qpts, _, rows = _generator_rows(qg.space, ENUM_LIMIT_DEFAULT)
     W = _point_array(qg.space, qpts)[rows]
     M = np.zeros((len(W), ps.d, ps.nv), dtype=np.int32)
     if S.dim:

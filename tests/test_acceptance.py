@@ -5,6 +5,7 @@ assertions carry the same conditions.  Stated runtime ceilings are asserted
 with time.perf_counter around the relevant computation.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -15,16 +16,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import polarb
-from polarb.checks import ACCEPTANCE_INSTANCES, check_q_col_signs, check_thm5_support
-from polarb.extremal import (
-    enumerate_maximal_cross_pairs,
-    example_h7_cross_sample,
-    example_h7_data,
-    example_h7_sizes,
-    verify_prop10_counts,
-    verify_w3_triples,
-    verify_zgh,
+from polarb.checks import (
+    ACCEPTANCE_INSTANCES,
+    check_example21,
+    check_lemma11,
+    check_prop10,
+    check_q_col_signs,
+    check_thm5_support,
+    check_thm16,
 )
+from polarb.extremal import enumerate_maximal_cross_pairs
 from polarb.geom import enumerate_generators, polar_space_make
 from polarb.qcount import eigen_data, lemma_bound_gens_check, num_generators
 from polarb.scheme import verify_spectrum
@@ -34,6 +35,12 @@ from polarb.specbound import classical_bound
 def _verdict(num: int, ok: bool, text: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {text}")
     assert ok, f"criterion {num}: {text}"
+
+
+def _detail(report, prefix: str) -> str:
+    """The rest of the report's one detail line that starts with prefix."""
+    (rest,) = (line[len(prefix) :] for line in report["details"] if line.startswith(prefix))
+    return rest
 
 
 def test_criterion_1_generator_counts():
@@ -117,21 +124,17 @@ def test_criterion_5_h34_classification(graph):
                     f"27/5 squared confirmed non-tight ({elapsed:.1f}s)")
 
 
-def test_criterion_6_prop10_lemma11(graph):
-    g = graph("Qparabolic", 2, 2)
-    pair = next(c for c in enumerate_maximal_cross_pairs(g) if c.label == "hyperbolic-subgeometry")
-    rel = g.rel
-    r1 = verify_prop10_counts(rel, pair, pair.y[0])
-    r2 = verify_zgh(rel, pair, pair.y[0], pair.y[1])
-    ok = r1["ok"] and r2["ok"]
+def test_criterion_6_prop10_lemma11():
+    ok = check_prop10(2)["status"] == "pass" and check_lemma11(2)["status"] == "pass"
     _verdict(6, ok, "all four parity count cases (prop10) and the z-slice reconstruction (lemma11) verify")
 
 
-def test_criterion_7_w33_triples(graph):
+def test_criterion_7_w33_triples():
     t0 = time.perf_counter()
-    rep = verify_w3_triples(graph("W", 2, 3))
+    rep = check_thm16(3)
     elapsed = time.perf_counter() - t0
-    ok = rep["ok"] and set(rep["counts"]) <= {0, 2} and elapsed < 60
+    counts = ast.literal_eval(_detail(rep, "transversal counts: "))
+    ok = rep["status"] == "pass" and set(counts) <= {0, 2} and elapsed < 60
     _verdict(7, ok, f"transversal counts of disjoint triples in {{0,2}} ({elapsed:.1f}s)")
 
 
@@ -148,11 +151,11 @@ def test_criterion_9_hermitian_machinery():
 
 def test_criterion_10_example_h7():
     t0 = time.perf_counter()
-    data = example_h7_data(2)
-    size_y, size_z = example_h7_sizes(data)
-    sample = example_h7_cross_sample(data, samples=10_000)
+    rep = check_example21(2, samples=10_000)
     elapsed = time.perf_counter() - t0
-    ok = size_y == 5883 and size_z == 171 and sample["ok"] and elapsed < 600
+    size_y, size_z = (int(_detail(rep, f"|{side}| = ").split()[0]) for side in "YZ")
+    bad = int(_detail(rep, "10000 random (y, z) samples, disjoint pairs: "))
+    ok = size_y == 5883 and size_z == 171 and bad == 0 and elapsed < 600
     _verdict(10, ok, f"|Y| = {size_y}, |Z| = {size_z}; 10^4 samples all intersect "
                      f"({elapsed:.1f}s)")
 

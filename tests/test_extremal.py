@@ -15,9 +15,17 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import polarb.checks as checks
 import polarb.extremal as extremal
 import polarb.geom as geom
-from polarb.checks import check_thm20
+from polarb.checks import (
+    check_lemma11,
+    check_lemma12,
+    check_prop10,
+    check_thm16,
+    check_thm20,
+    example_h7_cross_sample,
+)
 from polarb.extremal import (
     CrossGraph,
     CrossPairCertificate,
@@ -25,14 +33,8 @@ from polarb.extremal import (
     cross_closure,
     cross_graph,
     enumerate_maximal_cross_pairs,
-    example_h7_cross_sample,
     example_h7_data,
     example_h7_sizes,
-    verify_hyperplane_section,
-    verify_maximality_lemma,
-    verify_prop10_counts,
-    verify_w3_triples,
-    verify_zgh,
 )
 from polarb.ff import field_of_order
 from polarb.geom import (
@@ -123,9 +125,9 @@ def test_certificates_compare_and_hash_as_their_id_tuples(graph):
     certs += again
 
     def as_tuples(c):
-        return c.y, c.z, c.product, c.maximal, c.label
+        return c.y, c.z, c.product, c.label
 
-    assert not hasattr(certs[0], "__dict__")  # slotted: two ints, a bool and a str
+    assert not hasattr(certs[0], "__dict__")  # slotted: two ints and a str
     assert len(set(certs)) == len({as_tuples(c) for c in certs}) < len(certs)
     rng = random.Random(5)
     for a, b in (rng.sample(certs, 2) for _ in range(2000)):
@@ -287,9 +289,7 @@ def _reference_certificate(g, ymask, zmask):
         raise AssertionError("edge between the two sides")
     if ymask.bit_count() < zmask.bit_count() or (ymask.bit_count() == zmask.bit_count() and ymask > zmask):
         ymask, zmask = zmask, ymask
-    return CrossPairCertificate(
-        ymask=ymask, zmask=zmask, maximal=True, label=extremal.classify_pair(ymask, zmask, g)
-    )
+    return CrossPairCertificate(ymask=ymask, zmask=zmask, label=extremal.classify_pair(ymask, zmask, g))
 
 
 def _reference_cross_closure(z, g):
@@ -759,59 +759,55 @@ def test_bipartition_rejects_classes_of_unequal_size(monkeypatch):
         bipartition_latins_greeks(cat)
 
 
-def _grid(graph):
-    g = graph("Qparabolic", 2, 2)
-    return g.rel, next(c for c in enumerate_maximal_cross_pairs(g) if c.label == "hyperbolic-subgeometry")
+def _doctored_grid_pair(monkeypatch, ymask, zmask):
+    """check_prop10 and check_lemma11 read the pair (Y, Z) given as bit sets instead of the grid pair."""
+    rel = checks._graph("Qparabolic", 2, 2).rel
+    monkeypatch.setattr(checks, "_grid_pair", lambda q: (rel, CrossPairCertificate(ymask, zmask, "other")))
 
 
-def test_prop10_on_grid_pair(graph):
-    rel, pair = _grid(graph)
-    rep = verify_prop10_counts(rel, pair, pair.y[0])
-    assert rep["ok"], rep["details"]
+def test_prop10_on_grid_pair():
+    rep = check_prop10(2)
+    assert rep["status"] == "pass", rep["details"]
 
 
-def test_prop10_rejects_foreign_generator(graph):
-    rel, pair = _grid(graph)
-    with pytest.raises(ValueError):
-        verify_prop10_counts(rel, pair, pair.z[0])
+def test_prop10_fails_sides_that_share_a_generator(monkeypatch):
+    _doctored_grid_pair(monkeypatch, 0b11, 0b110)
+    rep = check_prop10(2)
+    assert rep["status"] == "fail"
+    assert rep["details"] == ["pair Y=(0, 1) Z=(1, 2)", "Y and Z are not disjoint as sets"]
 
 
-def test_zgh_on_grid_pair(graph):
-    rel, pair = _grid(graph)
-    rep = verify_zgh(rel, pair, pair.y[0], pair.y[1])
-    assert rep["ok"], rep["details"]
+def test_zgh_on_grid_pair():
+    rep = check_lemma11(2)
+    assert rep["status"] == "pass", rep["details"]
 
 
-def test_zgh_requires_disjoint_generators(graph):
-    rel, pair = _grid(graph)
-    with pytest.raises(ValueError):
-        verify_zgh(rel, pair, pair.y[0], pair.y[0])
+def test_zgh_requires_disjoint_generators(monkeypatch):
+    # Y[0] and Y[1] of a hyperbolic-subgeometry pair are disjoint by its label;
+    # a pair whose first two generators meet is an internal fault, exit 1.
+    rel = checks._graph("Qparabolic", 2, 2).rel
+    h = next(j for j in range(1, rel.n) if rel.codim[0, j] < rel.d)
+    _doctored_grid_pair(monkeypatch, 1 | 1 << h, 0)
+    with pytest.raises(SchemeError, match="meet"):
+        check_lemma11(2)
+    assert main(["verify", "lemma11"]) == 1
 
 
 def test_hyperplane_sections(relations):
+    rep = check_lemma12(2)
+    assert rep["status"] == "pass", rep["details"]
     for d in (2, 3):
-        rel = relations("Qparabolic", d, 2)
-        pm = rel.cat.point_masks
-        hidx = next(j for j in range(rel.n) if pm[0] & pm[j] == 0)
-        rep = verify_hyperplane_section(rel, 0, hidx)
-        assert rep["ok"], rep["details"]
+        pm = relations("Qparabolic", d, 2).cat.point_masks
+        hidx = next(j for j in range(len(pm)) if pm[0] & pm[j] == 0)
+        assert f"Q({2 * d},2) with G=0, H={hidx}:" in rep["details"]
 
 
-def test_hyperplane_section_rejects_meeting_generators(relations):
-    rel = relations("Qparabolic", 2, 2)
-    with pytest.raises(ValueError):
-        verify_hyperplane_section(rel, 0, 0)
-
-
-def test_w3_triples_odd_and_even(graph):
-    rep3 = verify_w3_triples(graph("W", 2, 3))
-    assert rep3["ok"]
-    assert rep3["counts"] == {0: 1080, 2: 2160}
-    rep2 = verify_w3_triples(graph("W", 2, 2))  # q even: outside the statement, report only
-    assert rep2["ok"]
-    assert rep2["counts"] == {1: 60, 3: 20}
-    with pytest.raises(ValueError, match="W\\(3, q\\)"):
-        verify_w3_triples(graph("Hodd", 2, 4))
+def test_w3_triples_odd_and_even():
+    for q, want in ((3, {0: 1080, 2: 2160}), (2, {1: 60, 3: 20})):  # q even: outside the statement, report only
+        rep = check_thm16(q)
+        assert rep["status"] == "pass", rep["details"]
+        (counts,) = (line for line in rep["details"] if line.startswith("transversal counts: "))
+        assert counts == f"transversal counts: {want}"
 
 
 def test_thm20_at_q3():
@@ -827,18 +823,13 @@ def test_maximality_lemma_on_h34_certificates(graph, relations):
     star = next(c for c in certs if c.label == "single-line-star")
     pencil = next(c for c in certs if c.label == "point-pencil-EKR")
     rel = relations("Hodd", 2, 4)
-    assert verify_maximality_lemma(rel, star)["ok"]
-    assert verify_maximality_lemma(rel, pencil)["ok"]
-
-
-def test_maximality_lemma_rejects_non_maximal(relations):
-    fake = CrossPairCertificate(ymask=0b1, zmask=0b10, maximal=False, label="other")
-    with pytest.raises(ValueError):
-        verify_maximality_lemma(relations("Hodd", 2, 4), fake)
+    assert checks._maximality_lemma(rel, star)[1]
+    assert checks._maximality_lemma(rel, pencil)[1]
 
 
 def _reference_maximality_lemma(cat, pair):
-    """The scalar route: Zassenhaus intersection of y1 and y2, then the catalog points of its span."""
+    """(tested, ok) by the scalar route: Zassenhaus intersection of y1 and y2,
+    then the catalog points of its span."""
     d = cat.space.d
     pm = cat.point_masks
     dim_of = _dim_of_count(cat)
@@ -858,7 +849,7 @@ def _reference_maximality_lemma(cat, pair):
             for z in pair.z:
                 if pm[z] & smask == 0:
                     ok = False
-    return {"ok": ok, "details": [f"(d-1)-meeting pairs tested: {tested}", f"all Z elements hit: {ok}"]}
+    return tested, ok
 
 
 @pytest.mark.parametrize("family,d,q", [("Hodd", 2, 4), ("W", 2, 3), ("Qparabolic", 2, 2)])
@@ -866,7 +857,7 @@ def test_maximality_lemma_matches_intersection_reference(family, d, q, graph, re
     g = graph(family, d, q)
     rel = relations(family, d, q)
     for cert in enumerate_maximal_cross_pairs(g):
-        assert verify_maximality_lemma(rel, cert) == _reference_maximality_lemma(g.rel.cat, cert)
+        assert checks._maximality_lemma(rel, cert) == _reference_maximality_lemma(g.rel.cat, cert)
 
 
 def test_maximality_lemma_reports_a_z_missing_a_meet(catalog, relations):
@@ -875,10 +866,10 @@ def test_maximality_lemma_reports_a_z_missing_a_meet(catalog, relations):
     pm = cat.point_masks
     y2 = next(x for x in range(1, cat.n) if pm[0] & pm[x])
     z = next(x for x in range(cat.n) if pm[x] & pm[0] and not pm[x] & pm[0] & pm[y2])
-    doctored = CrossPairCertificate(ymask=1 | 1 << y2, zmask=1 << z, maximal=True, label="other")
+    doctored = CrossPairCertificate(ymask=1 | 1 << y2, zmask=1 << z, label="other")
     assert (doctored.y, doctored.z, doctored.product) == ((0, y2), (z,), 2)
-    for route, data in ((verify_maximality_lemma, relations("Hodd", 2, 4)), (_reference_maximality_lemma, cat)):
-        assert route(data, doctored)["details"] == ["(d-1)-meeting pairs tested: 1", "all Z elements hit: False"]
+    for route, data in ((checks._maximality_lemma, relations("Hodd", 2, 4)), (_reference_maximality_lemma, cat)):
+        assert route(data, doctored) == (1, False)
 
 
 @pytest.mark.parametrize(
@@ -1001,7 +992,7 @@ def test_reduced_rank_matches_the_full_rank():
     i, j = (rng.choices(range(len(Y)), k=3000) for _ in range(2))
     y, z = Y[i], Y[j]
     full = rref_batch(ps.field, np.concatenate([y, z], axis=1))[1]
-    reduced = extremal._reduced_ranks(ps.field, y, z)
+    reduced = checks._reduced_ranks(ps.field, y, z)
     assert (full == ps.d + reduced).all()
     assert Counter((reduced == ps.d).tolist())[True] >= 300  # many disjoint pairs
 
@@ -1026,16 +1017,14 @@ def test_example_h7_stacks_hold_distinct_canonical_bases():
 
 
 def test_example_h7_cross_property_sample():
-    rep = example_h7_cross_sample(example_h7_data(2), samples=2000)
-    assert rep["ok"] and rep["disjoint_pairs"] == 0
+    assert example_h7_cross_sample(example_h7_data(2), samples=2000) == 0
 
 
 def test_example_h7_cross_sample_counts_disjoint_pairs():
     # Y = {G} and Z = {the opposite generator <e_4..e_7>}: every pair is disjoint.
     ps = polar_space_make("Hodd", 4, 4)
     unit = np.eye(ps.nv, dtype=np.int32)
-    rep = example_h7_cross_sample((ps, unit[None, :4], unit[None, 4:]), samples=300)
-    assert rep == {"ok": False, "samples": 300, "disjoint_pairs": 300}
+    assert example_h7_cross_sample((ps, unit[None, :4], unit[None, 4:]), samples=300) == 300
     with pytest.raises(ValueError, match="negative"):
         example_h7_cross_sample((ps, unit[None, :4], unit[None, 4:]), samples=-1)
 

@@ -538,7 +538,7 @@ def test_cli_search_text_reads_no_certificate_ids(capsys, monkeypatch):
     monkeypatch.setattr(
         shell,
         "enumerate_maximal_cross_pairs",
-        lambda g, limit: [IdFree(c.ymask, c.zmask, c.maximal, c.label) for c in search(g, limit)],
+        lambda g, limit: [IdFree(c.ymask, c.zmask, c.label) for c in search(g, limit)],
     )
     assert main(["search", "max-pairs", "Hodd", "2", "4"]) == 0
     lines = [f"H(3,4): {payload['maximal_pairs']} maximal pairs, max product {payload['max_product']}"]
@@ -701,7 +701,7 @@ def test_cli_verify_internal_type_error_propagates(monkeypatch):
 @pytest.mark.parametrize(
     "name, stub, claim",
     [
-        ("verify_maximality_lemma", lambda cat, cert: {"ok": False}, "maximality lemma holds"),
+        ("_maximality_lemma", lambda rel, cert: (0, False), "maximality lemma holds"),
         ("classical_bound", lambda *a: SimpleNamespace(bound=Fraction(3)), "confirmed non-tight"),
     ],
     ids=["lemma", "bound"],
@@ -712,6 +712,26 @@ def test_cli_verify_thm20_failure_is_not_reported_as_holding(capsys, monkeypatch
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "fail"
     assert all(claim not in line for line in payload["details"])
+
+
+# Every check at its defaults (q = 2, thm16 q = 3, q-col-signs d = 3), and
+# at the other small q or d it takes.  Left out as too large for the suite:
+# thm5-support and thm7 at q = 4 (Q+(7,4), 11 050 generators, 176 MB peak),
+# thm20 at q = 4 (H(3,16)) and example21 at q = 4 (H(7,16)).
+_PASS_REPORT_RUNS = (
+    [(cid, {}) for cid in checks.CHECKS]
+    + [(cid, {"q": q}) for cid in ("prop10", "lemma11", "lemma12") for q in (3, 4)]
+    + [("thm16", {"q": q}) for q in (2, 4)]
+    + [(cid, {"q": 3}) for cid in ("thm5-support", "thm7", "thm20", "example21")]
+    + [("q-col-signs", {"d": 5})]
+)
+
+
+@pytest.mark.parametrize("check_id, kwargs", _PASS_REPORT_RUNS, ids=str)
+def test_a_passing_report_states_no_false_detail(check_id, kwargs):
+    rep = checks.run_check(check_id, **kwargs)
+    if rep["status"] == "pass":
+        assert not [line for line in rep["details"] if line.endswith(": False")], rep["details"]
 
 
 def test_cli_summary(capsys):
