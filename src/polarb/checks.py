@@ -1,7 +1,9 @@
 """Named verifications, one per classification statement.
 
 Each check computes its statement and writes its whole report, a plain dict
-(check_id, space, status, details and optionally an exact value); the CLI
+(check_id, space, status, details and optionally an exact value), from a
+list of (text, holds) claims: a report passes exactly when all its claims
+hold, and a line that only reports a value is a note that holds.  The CLI
 serializes these and maps status to the exit code.  All checks are
 deterministic.
 """
@@ -70,12 +72,14 @@ def _graph(family: str, d: int, q: int):
     return cross_graph(enumerate_generators(polar_space_make(family, d, q)))
 
 
-def _report(check_id, ok, details, space=None, exact=None) -> dict:
+def _report(check_id, lines, space=None, exact=None) -> dict:
+    """The report of lines, a list of (text, holds) claims; a note is (text, True).
+    It passes exactly when every claim holds, and its details are the texts in order."""
     rep = {
         "check_id": check_id,
         "space": space,
-        "status": "pass" if ok else "fail",
-        "details": list(details),
+        "status": "pass" if all(holds for _, holds in lines) else "fail",
+        "details": [text for text, _ in lines],
     }
     if exact is not None:
         f = Fraction(exact)
@@ -84,14 +88,18 @@ def _report(check_id, ok, details, space=None, exact=None) -> dict:
     return rep
 
 
+def _verdict(text: str, holds) -> tuple[str, bool]:
+    """A claim that prints its own verdict after text."""
+    return f"{text}: {holds}", holds
+
+
 def _space(family, d, q) -> dict:
     return {"family": family, "d": d, "q": q}
 
 
 def check_thm5_support(q: int = 2) -> dict:
     """Per-family ratio bounds plus eigenspace supports of constructed extremal pairs."""
-    details = []
-    ok = True
+    lines = []
     for family, d, qq in ACCEPTANCE_INSTANCES:
         rep = classical_bound(family, d, qq)
         if family == "Qplus":
@@ -100,11 +108,10 @@ def check_thm5_support(q: int = 2) -> dict:
             continue  # excluded from the statement
         else:
             want = Fraction(generators_on_point(family, d, qq))
-        good = rep.bound == want
-        if rep.family_support is not None:
-            good &= rep.support == rep.family_support
-        details.append(f"{rep.label}: bound {rep.bound} (expected {want}), support {rep.support}")
-        ok &= good
+        lines.append((
+            f"{rep.label}: bound {rep.bound} (expected {want}), support {rep.support}",
+            rep.bound == want and (rep.family_support is None or rep.support == rep.family_support),
+        ))
 
     g = _graph("Qplus", 4, q)
     eig = eigen_data("Qplus", 4, q)
@@ -112,27 +119,26 @@ def check_thm5_support(q: int = 2) -> dict:
     sx1 = set(x1)
     chi_x1 = [1 if i in sx1 else 0 for i in range(g.n)]
     sup = eigenspace_support(chi_x1, g.rel, eig)
-    good = sup == {0, 4}
-    details.append(f"Q+(7,{q}) chi_latins support: {sorted(sup)} (expected [0, 4])")
-    ok &= good
     bound = classical_bound("Qplus", 4, q).bound
-    good = len(x1) * len(x2) == bound * bound
-    details.append(f"latins x greeks product {len(x1) * len(x2)} attains bound^2 {bound * bound}")
-    ok &= good
+    lines += [
+        (f"Q+(7,{q}) chi_latins support: {sorted(sup)} (expected [0, 4])", sup == {0, 4}),
+        (
+            f"latins x greeks product {len(x1) * len(x2)} attains bound^2 {bound * bound}",
+            len(x1) * len(x2) == bound * bound,
+        ),
+    ]
 
     rel42 = _graph("Qparabolic", 2, q).rel
     cat42 = rel42.cat
     eig42 = eigen_data("Qparabolic", 2, q)
     pencil = [1 if (cat42.point_masks[i] >> 0) & 1 else 0 for i in range(cat42.n)]
     sup42 = eigenspace_support(pencil, rel42, eig42)
-    good = sup42 <= {0, 1, 2}
-    details.append(f"Q(4,{q}) point-pencil support: {sorted(sup42)} (within [0, 1, 2])")
-    ok &= good
     b42 = classical_bound("Qparabolic", 2, q).bound
-    good = sum(pencil) == b42
-    details.append(f"pencil size {sum(pencil)} equals the bound {b42}")
-    ok &= good
-    return _report("thm5-support", ok, details, _space("*", 0, q))
+    lines += [
+        (f"Q(4,{q}) point-pencil support: {sorted(sup42)} (within [0, 1, 2])", sup42 <= {0, 1, 2}),
+        (f"pencil size {sum(pencil)} equals the bound {b42}", sum(pencil) == b42),
+    ]
+    return _report("thm5-support", lines, _space("*", 0, q))
 
 
 def check_thm7(q: int = 2) -> dict:
@@ -140,36 +146,29 @@ def check_thm7(q: int = 2) -> dict:
     d = 4
     g = _graph("Qplus", d, q)
     eig = eigen_data("Qplus", d, q)
-    details = []
-    ok = True
-
     x1, x2 = g.latins_greeks
     n = g.n
-    details.append(f"bipartition sizes: {len(x1)}, {len(x2)} (n = {n})")
-    ok &= len(x1) == len(x2) == n // 2
-
     sx1 = set(x1)
     x2mask = sum(1 << b for b in x2)
-    cross_ok = all(g.nonn[a] & x2mask == x2mask for a in x1)
-    details.append(f"(X1, X2) is a cross-intersecting pair (d even): {cross_ok}")
-    ok &= cross_ok
-    inner_disjoint = any(not g.nonn[a] >> b & 1 for a in x1 for b in x1 if b > a)
-    details.append(f"X1 contains a disjoint pair, so (X1, X1) is not one: {inner_disjoint}")
-    ok &= inner_disjoint
-
     bound = classical_bound("Qplus", d, q).bound
-    good = len(x1) * len(x2) == bound * bound
-    details.append(f"|X1||X2| = {len(x1) * len(x2)} = bound^2 = {bound * bound}: {good}")
-    ok &= good
-
     v = [1 if i in sx1 else -1 for i in range(n)]
     sup = eigenspace_support(v, g.rel, eig)
-    details.append(f"support(chi_X1 - chi_X2) = {sorted(sup)} (expected [{d}])")
-    ok &= sup == {d}
     md = eig.multiplicities[d]
-    details.append(f"multiplicity m_{d} = {md} (uniqueness: W_{d} is a line)")
-    ok &= md == 1
-    return _report("thm7", ok, details, _space("Qplus", d, q))
+    lines = [
+        (f"bipartition sizes: {len(x1)}, {len(x2)} (n = {n})", len(x1) == len(x2) == n // 2),
+        _verdict(
+            "(X1, X2) is a cross-intersecting pair (d even)",
+            all(g.nonn[a] & x2mask == x2mask for a in x1),
+        ),
+        _verdict(
+            "X1 contains a disjoint pair, so (X1, X1) is not one",
+            any(not g.nonn[a] >> b & 1 for a in x1 for b in x1 if b > a),
+        ),
+        _verdict(f"|X1||X2| = {len(x1) * len(x2)} = bound^2 = {bound * bound}", len(x1) * len(x2) == bound * bound),
+        (f"support(chi_X1 - chi_X2) = {sorted(sup)} (expected [{d}])", sup == {d}),
+        (f"multiplicity m_{d} = {md} (uniqueness: W_{d} is a line)", md == 1),
+    ]
+    return _report("thm7", lines, _space("Qplus", d, q))
 
 
 def _grid_pair(q: int = 2):
@@ -186,25 +185,19 @@ def check_prop10(q: int = 2) -> dict:
     odd.  Also Y and Z must be disjoint as sets.
     """
     rel, pair = _grid_pair(q)
-    details = [f"pair Y={pair.y} Z={pair.z}"]
+    lines = [(f"pair Y={pair.y} Z={pair.z}", True)]
     if pair.ymask & pair.zmask:
-        details.append("Y and Z are not disjoint as sets")
-        return _report("prop10", False, details, _space("Qparabolic", 2, q))
+        lines.append(("Y and Z are not disjoint as sets", False))
+        return _report("prop10", lines, _space("Qparabolic", 2, q))
     d, row = rel.d, rel.codim[pair.y[0]]
     # dim(G ∩ h) = d - C[G, h], counted over h in Y and in Z by dimension 0..d
     hist_y, hist_z = (np.bincount(d - row[list(ids)], minlength=d + 1).tolist() for ids in (pair.y, pair.z))
-    ok = True
     for s in range(d + 1):
         expected = gaussian(d, s, q) * q ** binom2(d - s)
-        ny, nz = hist_y[s], hist_z[s]
-        if (d - s) % 2 == 0:
-            ok &= nz == 0 and ny == expected
-            want = f"Y:{expected} Z:0"
-        else:
-            ok &= ny == 0 and nz == expected
-            want = f"Y:0 Z:{expected}"
-        details.append(f"s={s}: Y:{ny} Z:{nz} (expected {want})")
-    return _report("prop10", ok, details, _space("Qparabolic", 2, q))
+        want = (expected, 0) if (d - s) % 2 == 0 else (0, expected)
+        got = (hist_y[s], hist_z[s])
+        lines.append((f"s={s}: Y:{got[0]} Z:{got[1]} (expected Y:{want[0]} Z:{want[1]})", got == want))
+    return _report("prop10", lines, _space("Qparabolic", 2, q))
 
 
 def check_lemma11(q: int = 2) -> dict:
@@ -220,34 +213,29 @@ def check_lemma11(q: int = 2) -> dict:
     G, H = cat.generators[gidx], cat.generators[hidx]
     expected = nbracket(d, q)
     z_meet = [z for z in pair.z if C[gidx, z] == 1]  # dim(G ∩ z) = d - 1
-    details = [
-        f"pair Y={pair.y} Z={pair.z}, G={gidx}, H={hidx}",
-        f"elements of Z meeting G in dim {d - 1}: {len(z_meet)} (expected {expected})",
+    traces = [
+        (pi, intersect_bases(fld, perp(Subspace(pi), ps).basis, H.basis))
+        for pi in enumerate_subspaces_within(ps, G.basis, d - 1)
     ]
-    ok = len(z_meet) == expected
-    built = set()
-    single_points = True
-    for pi in enumerate_subspaces_within(ps, G.basis, d - 1):
-        trace = intersect_bases(fld, perp(Subspace(pi), ps).basis, H.basis)
-        single_points &= len(trace) == 1
-        built.add(rref(fld, list(pi) + list(trace)))
-    details.append(f"perp traces on H are single points: {single_points}")
-    ok &= single_points
-    same = built == {cat.generators[z].basis for z in z_meet}
-    details.append(f"{{<pi, perp(pi) ∩ H>}} equals the Z-slice: {same}")
-    ok &= same
-    pairwise = all(C[a, b] > 1 for i, a in enumerate(z_meet) for b in z_meet[i + 1 :])
-    details.append(f"pairwise dim(z_i ∩ z_j) < {d - 1}: {pairwise}")
-    ok &= pairwise
-    return _report("lemma11", ok, details, _space("Qparabolic", 2, q))
+    built = {rref(fld, list(pi) + list(trace)) for pi, trace in traces}
+    lines = [
+        (f"pair Y={pair.y} Z={pair.z}, G={gidx}, H={hidx}", True),
+        (f"elements of Z meeting G in dim {d - 1}: {len(z_meet)} (expected {expected})", len(z_meet) == expected),
+        _verdict("perp traces on H are single points", all(len(trace) == 1 for _, trace in traces)),
+        _verdict("{<pi, perp(pi) ∩ H>} equals the Z-slice", built == {cat.generators[z].basis for z in z_meet}),
+        _verdict(
+            f"pairwise dim(z_i ∩ z_j) < {d - 1}",
+            all(C[a, b] > 1 for i, a in enumerate(z_meet) for b in z_meet[i + 1 :]),
+        ),
+    ]
+    return _report("lemma11", lines, _space("Qparabolic", 2, q))
 
 
 def check_lemma12(q: int = 2) -> dict:
     """span(G, H) of disjoint generators G = 0 and H, the first generator
     disjoint from it, cuts a hyperbolic polar space of the same rank out of
     Q(4,q) and Q(6,q)."""
-    details = []
-    ok = True
+    lines = []
     for d in (2, 3):
         rel = _graph("Qparabolic", d, q).rel
         cat = rel.cat
@@ -257,52 +245,47 @@ def check_lemma12(q: int = 2) -> dict:
         npts = hmask.bit_count()
         ngens = sum(1 for m in cat.point_masks if m & ~hmask == 0)
         want_pts, want_gens = num_points("Qplus", d, q), num_generators("Qplus", d, q)
-        details += [
-            f"Q({2 * d},{q}) with G=0, H={hidx}:",
-            f"  dim span(G,H) = {len(h)} (expected {2 * d})",
-            f"  singular points in the section: {npts} (expected {want_pts})",
-            f"  generators inside the section: {ngens} (expected {want_gens})",
+        lines += [
+            (f"Q({2 * d},{q}) with G=0, H={hidx}:", True),
+            (f"  dim span(G,H) = {len(h)} (expected {2 * d})", len(h) == 2 * d),
+            (f"  singular points in the section: {npts} (expected {want_pts})", npts == want_pts),
+            (f"  generators inside the section: {ngens} (expected {want_gens})", ngens == want_gens),
         ]
-        ok &= len(h) == 2 * d and npts == want_pts and ngens == want_gens
-    return _report("lemma12", ok, details, _space("Qparabolic", 0, q))
+    return _report("lemma12", lines, _space("Qparabolic", 0, q))
 
 
 def check_lemma13() -> dict:
     """The product inequality for all q in 2..9 and d in 1..12, exactly."""
     failures = [(q, d) for q in range(2, 10) for d in range(1, 13) if not lemma_bound_gens_check(q, d)]
-    details = [f"checked q in 2..9, d in 1..12: {96 - len(failures)}/96 hold"]
+    lines = [(f"checked q in 2..9, d in 1..12: {96 - len(failures)}/96 hold", True)]
     if failures:
-        details.append(f"failures: {failures}")
-    return _report("lemma13", not failures, details)
+        lines.append((f"failures: {failures}", False))
+    return _report("lemma13", lines)
 
 
 def check_thm15() -> dict:
     """Maximum pairs of Q(4,2) / W(3,2) (q even) and W(3,3) (q odd), by full sweep."""
-    details = []
-    ok = True
+    lines = []
     for family, d, q in (("Qparabolic", 2, 2), ("W", 2, 2)):
         g = _graph(family, d, q)
         certs = enumerate_maximal_cross_pairs(g)
         best = max(c.product for c in certs)
         top = [c for c in certs if c.product == best]
         labels = sorted({c.label for c in top})
-        good = (
+        lines.append((
+            f"{g.rel.cat.space.label}: max product {best}, attained by {labels} ({len(top)} pairs)",
             best == 9
             and labels == ["hyperbolic-subgeometry", "point-pencil-EKR"]
-            and all(c.y == c.z for c in top if c.label == "point-pencil-EKR")
-        )
-        details.append(
-            f"{g.rel.cat.space.label}: max product {best}, attained by {labels} "
-            f"({len(top)} pairs)"
-        )
-        ok &= good
+            and all(c.y == c.z for c in top if c.label == "point-pencil-EKR"),
+        ))
     certs = enumerate_maximal_cross_pairs(_graph("W", 2, 3))
     best = max(c.product for c in certs)
     top = [c for c in certs if c.product == best]
-    good = best == 16 and all(c.y == c.z for c in top)
-    details.append(f"W(3,3): max product {best}, all {len(top)} maximum pairs have Y = Z: {good}")
-    ok &= good
-    return _report("thm15", ok, details)
+    lines.append(_verdict(
+        f"W(3,3): max product {best}, all {len(top)} maximum pairs have Y = Z",
+        best == 16 and all(c.y == c.z for c in top),
+    ))
+    return _report("thm15", lines)
 
 
 def check_thm16(q: int = 3) -> dict:
@@ -320,18 +303,18 @@ def check_thm16(q: int = 3) -> dict:
             for c in bit_indices(rest_a & ~nonn[b] >> (b + 1) << (b + 1)):
                 t = (nonn[a] & nonn[b] & nonn[c]).bit_count()
                 counts[t] = counts.get(t, 0) + 1
-    details = [f"disjoint triples: {sum(counts.values())}", f"transversal counts: {dict(sorted(counts.items()))}"]
-    if q % 2 == 1:
-        ok = set(counts) <= {0, 2}
-        details.append(f"all counts in {{0, 2}}: {ok}")
-    else:
-        ok = True
-        details.append("q even: outside the statement, distribution reported only")
-    return _report("thm16", ok, details, _space("W", 2, q))
+    lines = [
+        (f"disjoint triples: {sum(counts.values())}", True),
+        (f"transversal counts: {dict(sorted(counts.items()))}", True),
+        _verdict("all counts in {0, 2}", set(counts) <= {0, 2})
+        if q % 2 == 1
+        else ("q even: outside the statement, distribution reported only", True),
+    ]
+    return _report("thm16", lines, _space("W", 2, q))
 
 
 def _maximality_lemma(rel, pair) -> tuple[int, bool]:
-    """(tested, ok): whenever y1, y2 in Y meet in dimension d-1, every z in Z
+    """(tested, holds): whenever y1, y2 in Y meet in dimension d-1, every z in Z
     meets y1 ∩ y2; tested counts those (y1, y2).
 
     y1 ∩ y2 is totally isotropic, so each of its points is a singular point
@@ -340,18 +323,10 @@ def _maximality_lemma(rel, pair) -> tuple[int, bool]:
     """
     C = rel.codim
     pm = rel.cat.point_masks
-    ys, zs = pair.y, pair.z
-    tested = 0
-    ok = True
-    for i, y1 in enumerate(ys):
-        for y2 in ys[i + 1 :]:
-            if C[y1, y2] != 1:  # dim(y1 ∩ y2) = d - 1
-                continue
-            meet = pm[y1] & pm[y2]
-            tested += 1
-            if not all(pm[z] & meet for z in zs):
-                ok = False
-    return tested, ok
+    ys = pair.y
+    # the point masks of y1 ∩ y2 for the pairs with dim(y1 ∩ y2) = d - 1
+    meets = [pm[y1] & pm[y2] for i, y1 in enumerate(ys) for y2 in ys[i + 1 :] if C[y1, y2] == 1]
+    return len(meets), all(pm[z] & meet for meet in meets for z in pair.z)
 
 
 def check_thm20(q: int = 2) -> dict:
@@ -366,40 +341,31 @@ def check_thm20(q: int = 2) -> dict:
         "two-line-transversal": 2 * (q * q + 1),
         "regulus-triple": (q + 1) ** 2,
     }
-    details = [f"maximal pairs: {len(certs)}"]
-    ok = True
+    lines = [(f"maximal pairs: {len(certs)}", True)]
     seen = {}
     for c in certs:
         seen.setdefault(c.label, set()).add(c.product)
     for label, want in expected.items():
         got = seen.get(label, set())
-        good = got == {want}
-        details.append(f"{label}: products {sorted(got)} (expected [{want}])")
-        ok &= good
+        lines.append((f"{label}: products {sorted(got)} (expected [{want}])", got == {want}))
     extra = set(seen) - set(expected)
     if extra:
-        details.append(f"unexpected families: {sorted(extra)}")
-        ok = False
+        lines.append((f"unexpected families: {sorted(extra)}", False))
     best = max(c.product for c in certs)
-    good = best == q**3 + q + 1
-    details.append(f"max product {best} = q^3+q+1 = {q ** 3 + q + 1}: {good}")
-    ok &= good
+    lines.append(_verdict(f"max product {best} = q^3+q+1 = {q ** 3 + q + 1}", best == q**3 + q + 1))
     plain = classical_bound("Hodd", 2, qq)
     nontight = plain.bound * plain.bound > best
     verdict = f"> {best}: confirmed non-tight" if nontight else f"<= {best}: not non-tight"
-    details.append(
-        f"plain ratio bound {plain.bound} squared = {float(plain.bound * plain.bound):.2f} "
-        f"{verdict}"
-    )
-    ok &= nontight
-    for c in certs:
-        if not _maximality_lemma(g.rel, c)[1]:
-            details.append(f"maximality lemma fails on {c.y} / {c.z}")
-            ok = False
-            break
+    lines.append((
+        f"plain ratio bound {plain.bound} squared = {float(plain.bound * plain.bound):.2f} {verdict}",
+        nontight,
+    ))
+    failing = next((c for c in certs if not _maximality_lemma(g.rel, c)[1]), None)
+    if failing is None:
+        lines.append(("maximality lemma holds on every certificate", True))
     else:
-        details.append("maximality lemma holds on every certificate")
-    return _report("thm20", ok, details, _space("Hodd", 2, qq), exact=best)
+        lines.append((f"maximality lemma fails on {failing.y} / {failing.z}", False))
+    return _report("thm20", lines, _space("Hodd", 2, qq), exact=best)
 
 
 def _reduced_ranks(fld, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -460,15 +426,13 @@ def check_example21(q: int = 2, samples: int = 10_000) -> dict:
     size_y, size_z = example_h7_sizes(data)
     want_y = 1 + q + q**3 + q**4 + q**5 + q**6 + q**7 + 2 * q**8 + q**10 + q**12
     want_z = 1 + q + q**3 + q**5 + q**7
-    details = [
-        f"|Y| = {size_y} (polynomial value {want_y})",
-        f"|Z| = {size_z} (polynomial value {want_z})",
-    ]
-    ok = size_y == want_y and size_z == want_z
     bad = example_h7_cross_sample(data, samples)
-    details.append(f"{samples} random (y, z) samples, disjoint pairs: {bad}")
-    ok &= bad == 0
-    return _report("example21", ok, details, _space("Hodd", 4, q * q), exact=size_y * size_z)
+    lines = [
+        (f"|Y| = {size_y} (polynomial value {want_y})", size_y == want_y),
+        (f"|Z| = {size_z} (polynomial value {want_z})", size_z == want_z),
+        (f"{samples} random (y, z) samples, disjoint pairs: {bad}", bad == 0),
+    ]
+    return _report("example21", lines, _space("Hodd", 4, q * q), exact=size_y * size_z)
 
 
 def check_q_col_signs(d: int = 3, q: int = 2) -> dict:
@@ -477,40 +441,26 @@ def check_q_col_signs(d: int = 3, q: int = 2) -> dict:
     eig = eigen_data("Hodd", d, qq)
     rep = hermitian_cross_report(d, q, eig)
     p = rep.params
-    details = []
-    ok = True
-
-    good = eig.Q[0][1] == p.f1
-    details.append(f"Q[0][1] = {eig.Q[0][1]} equals f1 = {p.f1}: {good}")
-    ok &= good
-    good = eig.Q[d - 1][1] == p.f1 * p.c
-    details.append(f"Q[{d - 1}][1] = {eig.Q[d - 1][1]} equals f1*c = {p.f1 * p.c}: {good}")
-    ok &= good
-    good = all(eig.Q[s][1] >= p.f1 * p.c for s in range(d))
-    details.append(f"Q[s][1] >= f1*c for s < {d}: {good}")
-    ok &= good
-    good = eig.Q[d][1] < 0
-    details.append(f"Q[{d}][1] = {eig.Q[d][1]} < 0: {good}")
-    ok &= good
-
+    Q1 = [row[1] for row in eig.Q]
     w = rep.weighted.entries
     conds = rep.weighted.sign_conditions()
-    details.append(f"weights w = {[str(x) for x in w]}")
-    good = conds["w0_zero"] and w[d - 1] == 0 and conds["middle_nonpositive"] and conds["wd_positive"]
-    details.append(
-        f"w_0 = 0, w_{d - 1} = 0, middle non-positive, w_{d} > 0: {good}"
-    )
-    ok &= good
-    details.append(f"lambda_b = {p.lambda_b} second largest absolute: {p.second_largest_ok}")
-    ok &= p.second_largest_ok
-
     lo = q ** (d * d - 2 * d + 2)
     hi = 3 * lo
-    inside = rep.bound is not None and lo < rep.bound < hi
-    details.append(f"cross bound {rep.bound} inside ({lo}, {hi}): {inside}")
-    ok &= inside
-    details.append(f"plain ratio bound {rep.plain.bound}; weighted bound improves: {rep.improves_plain}")
-    return _report("q-col-signs", ok, details, _space("Hodd", d, qq), exact=rep.bound)
+    lines = [
+        _verdict(f"Q[0][1] = {Q1[0]} equals f1 = {p.f1}", Q1[0] == p.f1),
+        _verdict(f"Q[{d - 1}][1] = {Q1[d - 1]} equals f1*c = {p.f1 * p.c}", Q1[d - 1] == p.f1 * p.c),
+        _verdict(f"Q[s][1] >= f1*c for s < {d}", all(Q1[s] >= p.f1 * p.c for s in range(d))),
+        _verdict(f"Q[{d}][1] = {Q1[d]} < 0", Q1[d] < 0),
+        (f"weights w = {[str(x) for x in w]}", True),
+        _verdict(
+            f"w_0 = 0, w_{d - 1} = 0, middle non-positive, w_{d} > 0",
+            conds["w0_zero"] and w[d - 1] == 0 and conds["middle_nonpositive"] and conds["wd_positive"],
+        ),
+        _verdict(f"lambda_b = {p.lambda_b} second largest absolute", p.second_largest_ok),
+        _verdict(f"cross bound {rep.bound} inside ({lo}, {hi})", rep.bound is not None and lo < rep.bound < hi),
+        (f"plain ratio bound {rep.plain.bound}; weighted bound improves: {rep.improves_plain}", True),
+    ]
+    return _report("q-col-signs", lines, _space("Hodd", d, qq), exact=rep.bound)
 
 
 CHECKS = {

@@ -72,16 +72,16 @@ class CrossGraph:
         """The bit set of every vertex."""
         return (1 << self.n) - 1
 
-    def nonn_of(self, mask: int, sample: bool = False) -> int:
+    def nonn_of(self, mask: int) -> int:
         """nonN of the vertex set ``mask``: the vertices meeting all of them.
 
-        Without ``sample``, or below _SAMPLE_MIN members, every member's row is
-        ANDed.  With it, a set of k >= _SAMPLE_MIN members ANDs only about
-        sqrt(k) rows, those of the lowest member at or above each of isqrt(k)
-        evenly spaced bit offsets, into a superset c of nonN(mask); a window
-        with no member repeats a row, which AND ignores.  If c has fewer
-        members than rows are left, each j in c is kept exactly when
-        nonn[j] & mask == mask; otherwise every row is ANDed into c.
+        Below _SAMPLE_MIN members every member's row is ANDed.  A set of
+        k >= _SAMPLE_MIN members ANDs only about sqrt(k) rows, those of the
+        lowest member at or above each of isqrt(k) evenly spaced bit offsets,
+        into a superset c of nonN(mask); a window with no member repeats a
+        row, which AND ignores.  If c has fewer members than rows are left,
+        each j in c is kept exactly when nonn[j] & mask == mask; otherwise
+        every row is ANDed into c.
         The filter is exact because "meets" is symmetric (cross_graph reads
         nonn off the symmetric codimension matrix C), so for every j:
           j in nonN(mask)  <=>  bit j of nonn[i] is set for every i in mask
@@ -91,7 +91,7 @@ class CrossGraph:
         """
         rows = self.nonn
         k = mask.bit_count()
-        if not sample or k < _SAMPLE_MIN:
+        if k < _SAMPLE_MIN:
             return _and_rows(rows, mask, self.full)
         s = isqrt(k)
         width = mask.bit_length()
@@ -213,7 +213,7 @@ def cross_closure(z, g: CrossGraph) -> CrossPairCertificate:
     maximal pair (nonN(Z), nonN(nonN(Z)))."""
     zmask = z if isinstance(z, int) else _mask_of(z)
     ymask = g.nonn_of(zmask)
-    return _certificate(g, ymask, g.nonn_of(ymask, sample=True))
+    return _certificate(g, ymask, g.nonn_of(ymask))
 
 
 def _certificate(g: CrossGraph, ymask: int, zmask: int) -> CrossPairCertificate:
@@ -224,7 +224,7 @@ def _certificate(g: CrossGraph, ymask: int, zmask: int) -> CrossPairCertificate:
     Disjointness is the complement of nonn, so every z in Z = nonN(Y) meets
     every y in Y.
     """
-    if g.nonn_of(zmask) != ymask:
+    if _and_rows(g.nonn, zmask, g.full) != ymask:
         raise AssertionError("closure did not reach a fixed point")
     ny, nz = ymask.bit_count(), zmask.bit_count()
     if ny < nz or (ny == nz and ymask > zmask):
@@ -283,7 +283,7 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
     nonn, nonn_of, full = g.nonn, g.nonn_of, g.full
     cap = 1 << limit
     out = []
-    stack = [(full, nonn_of(full, sample=True), 0, (0,) * g.n)]
+    stack = [(full, nonn_of(full), 0, (0,) * g.n)]
     while stack:
         a, b, j0, failed = stack.pop()
         if len(out) == cap:
@@ -299,7 +299,7 @@ def enumerate_maximal_cross_pairs(g: CrossGraph, limit: int = 22) -> list[CrossP
             if failed[j] & low & ~b:
                 continue
             a2 = a & nonn[j]
-            b2 = nonn_of(a2, sample=True)
+            b2 = nonn_of(a2)
             if (b2 ^ b) & low:
                 if fresh is None:
                     fresh = list(failed)

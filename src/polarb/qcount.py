@@ -232,20 +232,3 @@ def lemma_bound_gens_check(q: int, d: int) -> bool:
     rhs = Fraction(2 * q**d, q**d + 1) * (qpow(binom2(d)) - qpow(binom2(d - 1)) + 1)
     rhs += qpow(binom2(d - 2) + 2 * (d - 2))
     return lhs <= rhs
-
-
-__all__ = [
-    "binom2",
-    "gaussian",
-    "nbracket",
-    "num_generators",
-    "num_points",
-    "generators_on_point",
-    "disjointness_eigenvalue",
-    "eigenvalue_P_entry",
-    "eigenmatrix_P",
-    "EigenData",
-    "eigen_data",
-    "lemma9_triple",
-    "lemma_bound_gens_check",
-]

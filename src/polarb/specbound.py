@@ -274,18 +274,3 @@ def hermitian_ekr_bound(d: int, q: int) -> Fraction:
     num = p.n * qd - p.f1 * (qd - 1) * (1 - p.c)
     den = q ** (2 * d - 1) + qd + p.f1 * (qd - 1) * p.c
     return num / den
-
-
-__all__ = [
-    "BoundReport",
-    "hoffman_cross_bound",
-    "classical_bound",
-    "HermitianParams",
-    "hermitian_params",
-    "WeightedMatrixSpec",
-    "hermitian_weighted_matrix",
-    "HermitianCrossReport",
-    "hermitian_cross_report",
-    "hermitian_ekr_bound",
-    "FAMILY_SUPPORT",
-]

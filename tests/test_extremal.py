@@ -401,9 +401,9 @@ def _counting_nonn_of(monkeypatch):
     calls = []
     original = CrossGraph.nonn_of
 
-    def counting(self, mask, sample=False):
+    def counting(self, mask):
         calls.append(1)
-        return original(self, mask, sample)
+        return original(self, mask)
 
     monkeypatch.setattr(CrossGraph, "nonn_of", counting)
     return calls
@@ -418,8 +418,10 @@ def test_fcbo_computes_fewer_closures_than_close_by_one(graph, monkeypatch, fami
     calls.clear()
     _, closed = _reference_close_by_one(g)
     assert fcbo < len(calls)
-    # Child closures alone, without the root's and the certificates' reductions.
-    assert fcbo - 1 - len(certs) < len(calls) - 1 - 2 * len(certs)
+    # Child closures alone, without the root's reduction and the reference
+    # certificates' two; FCbO's certificates check their fixed point with
+    # _and_rows, not nonn_of.
+    assert fcbo - 1 < len(calls) - 1 - 2 * len(certs)
     assert len(closed) == len(set(closed)) == sum(1 if c.y == c.z else 2 for c in certs)
     assert _closed_sets(certs) == set(closed)
 
@@ -427,10 +429,17 @@ def test_fcbo_computes_fewer_closures_than_close_by_one(graph, monkeypatch, fami
 def test_cross_closure_makes_three_reductions(graph, monkeypatch):
     g = graph("Hodd", 2, 4)
     calls = _counting_nonn_of(monkeypatch)
+    checked = []
+    and_rows = extremal._and_rows
+    monkeypatch.setattr(
+        extremal, "_and_rows", lambda *args: checked.append(sys._getframe(1).f_code.co_name) or and_rows(*args)
+    )
     for seed in [(0,), (0, 1), (3, 7, 11)]:
         calls.clear()
+        checked.clear()
         cross_closure(seed, g)
-        assert len(calls) == 3  # nonN(seed) = Y, nonN(Y) = Z, and the check nonN(Z) = Y
+        # nonN(seed) = Y and nonN(Y) = Z, then the plain check nonN(Z) = Y
+        assert len(calls) == 2 and checked.count("_certificate") == 1
 
 
 def _recording_bit_indices(monkeypatch):
@@ -495,7 +504,7 @@ class _ReadRows(tuple):
 
 def _sampled_nonn_case(seed, gapped):
     """A random symmetric graph on 16 to 96 vertices and a random vertex set; checks
-    nonn_of(mask, sample=True) against the plain reduction and names the branch it
+    nonn_of(mask) against the plain reduction and names the branch it
     took, and whether the sampled rows repeat.  A gapped set lies in a low and a
     high block with an empty middle, so the offsets that fall into the gap all
     pick the first member past it."""
@@ -516,9 +525,9 @@ def _sampled_nonn_case(seed, gapped):
     else:
         ids = rng.sample(range(n), rng.randint(0, n))
     mask = sum(1 << i for i in ids)
-    got = g.nonn_of(mask, sample=True)
+    got = g.nonn_of(mask)
     read = list(rows.read)
-    assert got == _reference_nonn(g, mask) == g.nonn_of(mask)
+    assert got == _reference_nonn(g, mask) == extremal._and_rows(rows, mask, g.full)
     k = len(ids)
     if k < extremal._SAMPLE_MIN:
         return "plain", False
@@ -545,7 +554,7 @@ def test_sampled_nonn_of_runs_the_filter_and_the_fallback():
 
 def test_nonn_of_the_empty_set_is_everything(graph):
     g = graph("Qminus", 3, 2)
-    assert g.nonn_of(0, sample=True) == g.nonn_of(0) == g.full == (1 << 765) - 1
+    assert g.nonn_of(0) == g.full == (1 << 765) - 1
 
 
 def test_cross_closure_matches_the_plain_reference_on_seed_drawn_sets(graph):

@@ -734,6 +734,28 @@ def test_a_passing_report_states_no_false_detail(check_id, kwargs):
         assert not [line for line in rep["details"] if line.endswith(": False")], rep["details"]
 
 
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(st.lists(st.booleans(), max_size=6))
+def test_a_report_passes_exactly_when_every_claim_holds(holds):
+    lines = [(f"claim {i}", h) for i, h in enumerate(holds)]
+    rep = checks._report("lemma13", lines, space={"family": "W", "d": 2, "q": 3}, exact=Fraction(-7, 2))
+    assert rep == {
+        "check_id": "lemma13",
+        "space": {"family": "W", "d": 2, "q": 3},
+        "status": "pass" if all(holds) else "fail",
+        "details": [f"claim {i}" for i in range(len(holds))],
+        "exact": {"num": "-7", "den": "2"},
+        "float": -3.5,
+    }
+    assert "exact" not in checks._report("lemma13", lines) and "float" not in checks._report("lemma13", lines)
+
+
+def test_a_report_of_notes_only_passes():
+    rep = checks.run_check("thm16", q=2)  # q even lies outside the statement: every line is a note
+    assert rep["status"] == "pass"
+    assert rep["details"][-1] == "q even: outside the statement, distribution reported only"
+
 def test_cli_summary(capsys):
     assert main(["summary", "--d", "3", "--q", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -829,7 +851,7 @@ def test_every_name_the_benchmark_reaches_resolves():
 # Stubs lemma13 with a failed report, then runs polarb/__main__.py as -m does.
 _FAILING_MAIN = (
     "import runpy, polarb.checks as c; "
-    "c.CHECKS['lemma13'] = lambda: c._report('lemma13', False, ['stub']); "
+    "c.CHECKS['lemma13'] = lambda: c._report('lemma13', [('stub', False)]); "
     "runpy.run_module('polarb', run_name='__main__', alter_sys=True)"
 )
 
