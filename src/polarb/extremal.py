@@ -28,6 +28,7 @@ from .geom import (
     PolarSpace,
     Subspace,
     _array_arithmetic,
+    _pivot,
     bit_indices,
     bits_to_masks,
     enumerate_subspaces_within,
@@ -225,7 +226,7 @@ def _certificate(g: CrossGraph, ymask: int, zmask: int) -> CrossPairCertificate:
     every y in Y.
     """
     if _and_rows(g.nonn, zmask, g.full) != ymask:
-        raise AssertionError("closure did not reach a fixed point")
+        raise SchemeError("closure did not reach a fixed point")
     ny, nz = ymask.bit_count(), zmask.bit_count()
     if ny < nz or (ny == nz and ymask > zmask):
         ymask, zmask = zmask, ymask
@@ -396,7 +397,7 @@ def _generators_through_subspaces(ps: PolarSpace, ks) -> tuple[np.ndarray, list[
     the group sizes then fix the stack, which is allocated once.  A^-1 comes
     from one rref_batch of [A | I], the images from _Gathers products, all in
     row_blocks of subspaces.  Raises ValueError for a form other than the
-    antidiagonal Hermitian one, and AssertionError when A J sigma(C)^T != J
+    antidiagonal Hermitian one, and SchemeError when A J sigma(C)^T != J
     for some S, an image has rank below d, or an S gets a repeated image.
     """
     d, nv, fld = ps.d, ps.nv, ps.field
@@ -421,7 +422,7 @@ def _generators_through_subspaces(ps: PolarSpace, ks) -> tuple[np.ndarray, list[
             block = subs[s]
             A = np.zeros((len(block), d, d), dtype=np.int32)
             for i, sub in enumerate(block):
-                pivots = {next(c for c, x in enumerate(row) if x) for row in sub}
+                pivots = set(map(_pivot, sub))
                 A[i] = [row[:d] for row in sub] + [eye[c] for c in range(d) if c not in pivots]
             inv = rref_batch(fld, np.concatenate([A, np.broadcast_to(eye, A.shape)], axis=2))[0][:, :, d:]
             C = _dual_blocks(ar, inv)
@@ -430,7 +431,7 @@ def _generators_through_subspaces(ps: PolarSpace, ks) -> tuple[np.ndarray, list[
             for t in range(d):
                 P = ar.add(P, ar.mul(A[:, :, t, None], Y[:, None, t, :]))
             if (P != eye[::-1]).any():
-                raise AssertionError(f"{ps.label}: diag(A, C) is not an isometry for some {k}-subspace")
+                raise SchemeError(f"{ps.label}: diag(A, C) is not an isometry for some {k}-subspace")
             M = np.zeros((len(block), nv, nv), dtype=np.int32)
             M[:, :d, :d] = A
             M[:, d : nv - d, d : nv - d] = np.eye(nv - 2 * d, dtype=np.int32)
@@ -440,11 +441,11 @@ def _generators_through_subspaces(ps: PolarSpace, ks) -> tuple[np.ndarray, list[
                 img = ar.add(img, ar.mul(W[None, :, :, t, None], M[:, None, None, t, :]))
             R, rank = rref_batch(fld, img.reshape(-1, d, nv))
             if (rank != d).any():
-                raise AssertionError(f"{ps.label}: an image of a generator has rank below {d}")
+                raise SchemeError(f"{ps.label}: an image of a generator has rank below {d}")
             keys = np.sort(R.reshape(len(block), n, d * nv).view(key)[..., 0], axis=1)
             twice = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
             if twice.any():
-                raise AssertionError(f"{ps.label}: two generators through S0 map to one through {block[twice.argmax()]}")
+                raise SchemeError(f"{ps.label}: two generators through S0 map to one through {block[twice.argmax()]}")
             images[s] = R.reshape(len(block), n, d, nv)
     return stack, starts
 

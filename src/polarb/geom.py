@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -26,6 +26,12 @@ from .qcount import nbracket, num_generators, num_points
 Vector = tuple[int, ...]
 
 ENUM_LIMIT_DEFAULT = 200_000
+
+
+class SchemeError(ValueError):
+    """An internal invariant failed: an enumeration count, a scheme axiom, a
+    spectral identity or a certificate.  Commands report it as a failed
+    verification, exit 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -45,21 +51,12 @@ def vec_scale(fld: FieldSpec, c: int, v: Vector) -> Vector:
     return tuple(fld.mul(c, a) for a in v)
 
 
-def normalize_point(fld: FieldSpec, v: Vector) -> Vector:
-    """Scale so the first nonzero coordinate is 1 (projective representative)."""
-    for c in v:
-        if c:
-            return v if c == 1 else vec_scale(fld, fld.inv(c), v)
-    raise ValueError("zero vector has no projective representative")
-
-
 def rref(fld: FieldSpec, rows) -> tuple[Vector, ...]:
     """Canonical reduced row-echelon basis of the row space."""
     work = [list(r) for r in rows]
     if not work:
         return ()
     ncols = len(work[0])
-    out: list[list[int]] = []
     r = 0
     for c in range(ncols):
         piv = next((i for i in range(r, len(work)) if work[i][c]), None)
@@ -76,53 +73,39 @@ def rref(fld: FieldSpec, rows) -> tuple[Vector, ...]:
         r += 1
         if r == len(work):
             break
-    out = [row for row in work[:r]]
-    return tuple(tuple(row) for row in out)
+    return tuple(map(tuple, work[:r]))
 
 
 def rref_insert(fld: FieldSpec, basis: tuple[Vector, ...], v: Vector):
     """Extend a canonical basis by one vector; None if v is already in the span."""
-    vv = list(v)
-    pivots = [next(i for i, x in enumerate(row) if x) for row in basis]
-    for row, p in zip(basis, pivots):
-        if vv[p]:
-            coef = vv[p]
-            vv = [fld.sub(x, fld.mul(coef, y)) for x, y in zip(vv, row)]
-    p_new = next((i for i, x in enumerate(vv) if x), None)
-    if p_new is None:
-        return None
-    inv = fld.inv(vv[p_new])
-    if inv != 1:
-        vv = [fld.mul(inv, x) for x in vv]
-    new_rows = []
-    inserted = False
-    for row, p in zip(basis, pivots):
-        if not inserted and p_new < p:
-            new_rows.append(vv)
-            inserted = True
-        reduced = list(row)
-        if reduced[p_new]:
-            coef = reduced[p_new]
-            reduced = [fld.sub(x, fld.mul(coef, y)) for x, y in zip(reduced, vv)]
-        new_rows.append(reduced)
-    if not inserted:
-        new_rows.append(vv)
-    return tuple(tuple(row) for row in new_rows)
+    out = rref(fld, [*basis, v])
+    return out if len(out) > len(basis) else None
+
+
+def _pivot(row: Vector) -> int:
+    """The position of the first nonzero entry of a nonzero row."""
+    return next(c for c, x in enumerate(row) if x)
 
 
 def nullspace(fld: FieldSpec, rows, ncols: int) -> tuple[Vector, ...]:
-    """Canonical basis of {v : sum_t row[t]*v[t] = 0 for every row}."""
-    R = rref(fld, rows) if rows else ()
-    pivots = [next(i for i, x in enumerate(row) if x) for row in R]
-    free = [c for c in range(ncols) if c not in pivots]
+    """Canonical basis of {v : sum_t row[t]*v[t] = 0 for every row}.
+
+    The rows are reduced once with their columns reversed.  Read back in the
+    original order, the kernel vector of a free column f is 1 at f, 0 at the
+    other free columns and nonzero only at pivot columns after f, so these
+    vectors by increasing f are already the canonical basis.
+    """
+    R = rref(fld, [tuple(r)[::-1] for r in rows])
+    pivots = {_pivot(row): row for row in R}
     basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for row, p in zip(R, pivots):
-            v[p] = fld.sub(0, row[f])
-        basis.append(tuple(v))
-    return rref(fld, basis)
+    for f in reversed(range(ncols)):  # f indexes the reversed rows: original column ncols-1-f
+        if f not in pivots:
+            v = [0] * ncols
+            v[f] = 1
+            for c, row in pivots.items():
+                v[c] = fld.sub(0, row[f])
+            basis.append(tuple(v[::-1]))
+    return tuple(basis)
 
 
 def intersect_bases(fld: FieldSpec, A: tuple[Vector, ...], B: tuple[Vector, ...]) -> tuple[Vector, ...]:
@@ -246,9 +229,9 @@ def is_totally_isotropic(S: Subspace, ps: PolarSpace) -> bool:
 
 
 def perp(S: Subspace, ps: PolarSpace) -> Subspace:
-    """{v : B(v, s) = 0 for all s in S}: B(v, s) = sum_t v_t T(s)_t, T = _gram_image."""
-    A = np.array(S.basis, dtype=np.int32).reshape(S.dim, ps.nv)
-    return Subspace(nullspace(ps.field, _gram_image(ps, A, _array_arithmetic(ps.field)).tolist(), ps.nv))
+    """{v : B(v, s) = 0 for all s in S}: B(v, s) = sum_t v_t B(e_t, s)."""
+    unit = [tuple(int(i == t) for i in range(ps.nv)) for t in range(ps.nv)]
+    return Subspace(nullspace(ps.field, [[bilinear(ps, e, s) for e in unit] for s in S.basis], ps.nv))
 
 
 def _validate_nondegenerate(ps: PolarSpace) -> None:
@@ -407,20 +390,22 @@ def _gram_image(ps: PolarSpace, A: np.ndarray, ar: _Gathers) -> np.ndarray:
 
 
 def subspace_points(ps: PolarSpace, basis: tuple[Vector, ...]) -> list[Vector]:
-    """Normalized representatives of the points of a subspace."""
+    """Normalized representatives of the points of a subspace, lexicographically sorted.
+
+    With B = rref(basis), each point is B[i] + sum_(j>i) c_j B[j] for one i
+    and one c: B is reduced, so that vector is 0 before B[i]'s pivot, 1 there
+    and c_j at B[j]'s pivot.  Taking i from the last row up and c in counting
+    order lists the points in lexicographic order.
+    """
     fld = ps.field
-    seen = set()
+    B = rref(fld, basis)
     out = []
-    for coeffs in product(range(fld.order), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        v = (0,) * len(basis[0]) if basis else ()
-        for c, row in zip(coeffs, basis):
-            if c:
-                v = vec_add(fld, v, vec_scale(fld, c, row))
-        v = normalize_point(fld, v)
-        if v not in seen:
-            seen.add(v)
+    for i in reversed(range(len(B))):
+        for coeffs in product(range(fld.order), repeat=len(B) - 1 - i):
+            v = B[i]
+            for c, row in zip(coeffs, B[i + 1 :]):
+                if c:
+                    v = vec_add(fld, v, vec_scale(fld, c, row))
             out.append(v)
     return out
 
@@ -690,39 +675,18 @@ def _generator_rows(ps: PolarSpace, limit: int):
     orth = _orth_masks(ps, pts)
     rows = _orderly_subspaces(ps, pts, orth, ps.d)
     if len(rows) != expected:
-        raise AssertionError(
+        raise SchemeError(
             f"enumeration bug: found {len(rows)} generators of {ps.label}, expected {expected}"
         )
     return pts, orth, np.array(sorted(rows), dtype=np.int32).reshape(len(rows), ps.d)
 
 
 def enumerate_subspaces_within(ps: PolarSpace, basis, k: int) -> list[tuple[Vector, ...]]:
-    """All k-dimensional subspaces of the span of ``basis`` (canonical bases, sorted).
-
-    B = rref(basis) is canonical with pivots p_1 < .. < p_m, so each k-subspace
-    of its row space is X·B for exactly one k x m matrix X in reduced
-    row-echelon form.  X·B is canonical too: at p_t it equals column t of X,
-    and row r of X·B vanishes before p_c for c the pivot of row r of X, so
-    its pivots are B's pivots in X's pivot columns.  The X with pivots
-    c_1 < .. < c_k fill their free cells (i, j), j > c_i and j no pivot, with
-    every field element; the products X·B are _Gathers sums.
-    """
-    fld, q = ps.field, ps.q
-    B = np.array(rref(fld, basis), dtype=np.int32).reshape(-1, ps.nv)
-    m = len(B)
-    ar = _array_arithmetic(fld)
-    out = []
-    for piv in combinations(range(m), k):
-        cells = [(i, j) for i, c in enumerate(piv) for j in range(c + 1, m) if j not in piv]
-        X = np.zeros((q ** len(cells), k, m), dtype=np.int32)
-        X[:, range(k), piv] = 1
-        for f, (i, j) in enumerate(cells):
-            X[:, i, j] = np.arange(len(X)) // q**f % q
-        XB = np.zeros((len(X), k, ps.nv), dtype=np.int32)
-        for t in range(m):
-            XB = ar.add(XB, ar.mul(X[:, :, t, None], B[t]))
-        out += _bases(XB)
-    return sorted(out)
+    """All k-dimensional subspaces of the span of ``basis`` (canonical bases,
+    sorted): the orderly search over the span's sorted points, every pair allowed."""
+    pts = subspace_points(ps, basis)
+    rows = _orderly_subspaces(ps, pts, [(1 << len(pts)) - 1] * len(pts), k)
+    return [tuple(map(pts.__getitem__, r)) for r in sorted(rows)]
 
 
 @dataclass(eq=False)
@@ -792,7 +756,7 @@ def catalog_from_bases(ps: PolarSpace, bases) -> GeneratorCatalog:
 def _catalog(ps: PolarSpace, pts, orth, rows: np.ndarray) -> GeneratorCatalog:
     npoints_expected = num_points(ps.family, ps.d, ps.q) if ps.d > 0 else 0
     if ps.d > 0 and len(pts) != npoints_expected:
-        raise AssertionError(
+        raise SchemeError(
             f"point count mismatch for {ps.label}: {len(pts)} vs {npoints_expected}"
         )
     size = nbracket(ps.d, ps.q)
@@ -826,31 +790,24 @@ class QuotientGeometry:
 
 
 def quotient_geometry(L: Subspace, ps: PolarSpace) -> QuotientGeometry:
+    """perp(L)/L, with the rows of P = perp(L) at pivots that are not L's as
+    the complement of L.  L lies in P, so L's pivots are among P's, and those
+    rows complete L's rows to a basis of P: all their pivots differ."""
     if not is_totally_isotropic(L, ps):
         raise ValueError("quotients are defined over totally isotropic subspaces only")
     if L.dim > ps.d:
         raise ValueError("subspace dimension exceeds the rank")
-    fld = ps.field
-    P = perp(L, ps)
-    comp: list[Vector] = []
-    cur = L.basis
-    for row in P.basis:
-        nb = rref_insert(fld, cur, row)
-        if nb is not None:
-            cur = nb
-            comp.append(row)
-    comp_t = tuple(comp)
-    m = len(comp_t)
-    gram_q = [[bilinear(ps, comp_t[i], comp_t[j]) for j in range(m)] for i in range(m)]
+    lead = set(map(_pivot, L.basis))
+    comp = tuple(row for row in perp(L, ps).basis if _pivot(row) not in lead)
+    gram_q = [[bilinear(ps, u, v) for v in comp] for u in comp]
     quad_q = None
-    if ps.is_orthogonal:
-        quad_q = [[0] * m for _ in range(m)]
-        for i in range(m):
-            quad_q[i][i] = quad_value(ps, comp_t[i])
-            for j in range(i + 1, m):
-                quad_q[i][j] = gram_q[i][j]
-    qs = _space_from_forms(ps.family, ps.d - L.dim, fld, gram_q, quad_q)
-    return QuotientGeometry(lift_rows=comp_t, space=qs)
+    if ps.is_orthogonal:  # Q(u) on the diagonal, the polarization above it
+        quad_q = [
+            [quad_value(ps, u) if i == j else g if i < j else 0 for j, g in enumerate(grow)]
+            for i, (u, grow) in enumerate(zip(comp, gram_q))
+        ]
+    qs = _space_from_forms(ps.family, ps.d - L.dim, ps.field, gram_q, quad_q)
+    return QuotientGeometry(lift_rows=comp, space=qs)
 
 
 def generators_through(S: Subspace, ps: PolarSpace) -> list[Subspace]:
@@ -875,5 +832,5 @@ def generators_through(S: Subspace, ps: PolarSpace) -> list[Subspace]:
         M[:, S.dim :] = ar.add(M[:, S.dim :], ar.mul(W[:, :, t, None], np.array(row, dtype=np.int32)))
     R, rank = rref_batch(ps.field, M)
     if (rank != ps.d).any():
-        raise AssertionError("enumeration bug: the lifted rows of a generator are dependent")
+        raise SchemeError("enumeration bug: the lifted rows of a generator are dependent")
     return [Subspace(b) for b in sorted(_bases(R))]

@@ -19,15 +19,11 @@ from math import lcm
 
 import numpy as np
 
-from .geom import GeneratorCatalog, row_blocks
+from .geom import GeneratorCatalog, SchemeError, row_blocks
 from .qcount import EigenData, nbracket
 
 # Every integer of absolute value below 2^63 is an int64.
 _INT64_EXACT = 1 << 63
-
-
-class SchemeError(ValueError):
-    """An association-scheme axiom or spectral identity failed."""
 
 
 @dataclass(eq=False)

@@ -105,7 +105,7 @@ def test_certificate_rejects_an_inconsistent_graph(graph, tamper):
     seed = next(j for j in range(1, g.n) if g.nonn[0] >> j & 1)
     # vertex 0 meets only itself, but its neighbours still meet 0
     bad = CrossGraph(rel=g.rel, nonn=(1,) + g.nonn[1:])
-    with pytest.raises(AssertionError, match="fixed point"):
+    with pytest.raises(SchemeError, match="fixed point"):
         cross_closure((seed,), bad)
 
 
@@ -575,7 +575,7 @@ def test_sampled_closure_still_rejects_an_asymmetric_nonn(graph):
     seed = next(j for j in range(1, g.n) if g.nonn[0] >> j & 1)
     bad = CrossGraph(rel=g.rel, nonn=(1,) + g.nonn[1:])  # 0 meets only itself; its neighbours still meet 0
     assert bad.nonn[seed].bit_count() >= extremal._SAMPLE_MIN  # Y = nonN(seed) takes the sampled path
-    with pytest.raises(AssertionError, match="fixed point"):
+    with pytest.raises(SchemeError, match="fixed point"):
         cross_closure((seed,), bad)
 
 
@@ -583,7 +583,7 @@ def test_close_by_one_rejects_a_doctored_nonn(graph):
     g = graph("Hodd", 2, 4)
     nonn = (1,) + g.nonn[1:]  # vertex 0 meets only itself, but its neighbours still meet 0
     bad = CrossGraph(rel=g.rel, nonn=nonn)
-    with pytest.raises(AssertionError, match="fixed point"):
+    with pytest.raises(SchemeError, match="fixed point"):
         enumerate_maximal_cross_pairs(bad)
 
 
@@ -926,7 +926,7 @@ def test_generators_through_subspaces_rejects_other_models():
 )
 def test_generators_through_subspaces_certifies_the_isometry(doctored, monkeypatch):
     monkeypatch.setattr(extremal, "_dual_blocks", doctored)
-    with pytest.raises(AssertionError, match="not an isometry"):
+    with pytest.raises(SchemeError, match="not an isometry"):
         extremal._generators_through_subspaces(polar_space_make("Hodd", 2, 4), (1,))
 
 
@@ -943,7 +943,7 @@ def test_generators_through_subspaces_rejects_a_repeated_image(monkeypatch):
         return R, rank
 
     monkeypatch.setattr(extremal, "rref_batch", repeating)
-    with pytest.raises(AssertionError, match="map to one"):
+    with pytest.raises(SchemeError, match="map to one"):
         extremal._generators_through_subspaces(polar_space_make("Hodd", 2, 4), (1,))
     assert len(calls) == 3
 

@@ -29,7 +29,7 @@ from polarb.geom import (
     vec_add,
     vec_scale,
 )
-from polarb.qcount import nbracket, num_generators, num_points
+from polarb.qcount import gaussian, nbracket, num_generators, num_points
 
 
 def test_standard_forms_are_nondegenerate():
@@ -496,6 +496,43 @@ def test_generators_through_matches_per_generator_lift_reference(family, d, q):
         assert generators_through(S, ps) == _reference_generators_through(S, ps)
 
 
+@pytest.mark.parametrize(
+    "family,d,q", [("W", 2, 2), ("Hodd", 2, 4), ("Qparabolic", 2, 3), ("Qminus", 2, 2), ("W", 3, 2)]
+)
+def test_generators_through_match_the_catalog_generators_on_their_points(family, d, q):
+    # For every point, and every line of one generator: the catalog
+    # generators whose point mask holds S's points, with no quotient and no
+    # lift rows.  The catalog lists its generators sorted by basis.
+    cat = enumerate_generators(polar_space_make(family, d, q))
+    ps = cat.space
+    index = {v: i for i, v in enumerate(cat.points)}
+    subspaces = [Subspace((p,)) for p in cat.points]
+    subspaces += [Subspace(line) for line in enumerate_subspaces_within(ps, cat.generators[0].basis, 2)]
+    for S in subspaces:
+        smask = sum(1 << index[v] for v in subspace_points(ps, S.basis))
+        want = [g for g, m in zip(cat.generators, cat.point_masks) if m & smask == smask]
+        assert generators_through(S, ps) == want
+
+
+@pytest.mark.parametrize("family,d,q", [("W", 2, 3), ("Qparabolic", 2, 3), ("Hodd", 2, 4), ("Qminus", 2, 2)])
+def test_subspaces_within_count_the_gaussian_binomial(family, d, q):
+    # [m choose k]_q subspaces of dimension k in a span of dimension m, for
+    # the identity basis and for the span of two disjoint generators, which
+    # is not totally isotropic; the span's points come sorted and distinct.
+    ps = polar_space_make(family, d, q)
+    cat = enumerate_generators(ps)
+    pm = cat.point_masks
+    G, H = cat.generators[0].basis, cat.generators[next(j for j in range(cat.n) if pm[0] & pm[j] == 0)].basis
+    identity = tuple(tuple(int(i == j) for j in range(ps.nv)) for i in range(ps.nv))
+    span = rref(ps.field, G + H)
+    assert not is_totally_isotropic(Subspace(span), ps)
+    for basis in (identity, span):
+        pts = subspace_points(ps, basis)
+        assert pts == sorted(set(pts)) and len(pts) == gaussian(len(basis), 1, q)
+        for k in range(len(basis) + 2):
+            assert len(enumerate_subspaces_within(ps, basis, k)) == gaussian(len(basis), k, q)
+
+
 @pytest.mark.parametrize("family,d,q", [("W", 2, 3), ("Hodd", 2, 4), ("Qparabolic", 2, 2)])
 def test_subspaces_within_identity_match_seen_set_reference(family, d, q):
     ps = polar_space_make(family, d, q)
@@ -559,15 +596,19 @@ def test_rank_4_bases_are_canonical_distinct_and_complete():
 )
 def test_echelon_search_lists_every_subspace_once(space, q, data):
     # Over every point of the ambient space, all of them pairwise
-    # "orthogonal", the search must list each k-subspace's canonical basis.
+    # "orthogonal", the search must list each k-subspace's canonical basis:
+    # [nv choose k]_q distinct canonical bases of k rows are all of them.
     family, d = space
     ps = polar_space_make(family, d, q)
     assume(q**ps.nv <= 4096)
     pts = tuple(v for v in product(range(q), repeat=ps.nv) if next((c for c in v if c), None) == 1)
     k = data.draw(st.integers(0, ps.nv), label="k")
-    bases = sorted(geom._orderly_subspaces(ps, pts, [(1 << len(pts)) - 1] * len(pts), k))
+    rows = sorted(geom._orderly_subspaces(ps, pts, [(1 << len(pts)) - 1] * len(pts), k))
+    bases = [tuple(pts[i] for i in b) for b in rows]
+    assert len(set(bases)) == len(bases) == gaussian(ps.nv, k, q)
+    assert all(len(b) == k and rref(ps.field, b) == b for b in bases)
     identity = tuple(tuple(int(i == j) for j in range(ps.nv)) for i in range(ps.nv))
-    assert [tuple(pts[i] for i in b) for b in bases] == enumerate_subspaces_within(ps, identity, k)
+    assert bases == enumerate_subspaces_within(ps, identity, k)
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +742,57 @@ def test_rref_batch_on_a_stack_of_several_blocks():
 def test_rref_batch_of_an_empty_stack():
     R, rank = rref_batch(field_of_order(9), np.zeros((0, 3, 4), dtype=np.int32))
     assert R.shape == (0, 3, 4) and rank.shape == (0,)
+
+
+_NULLSPACE_ORDERS = (2, 3, 4, 5, 8, 9, 16, 25, 27)
+
+
+def _reference_nullspace(fld, rows, ncols):
+    """The kernel vectors of the free columns of rref(rows), made canonical by a second rref."""
+    R = rref(fld, rows)
+    pivots = [next(i for i, x in enumerate(row) if x) for row in R]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for row, p in zip(R, pivots):
+            v[p] = fld.sub(0, row[f])
+        basis.append(tuple(v))
+    return rref(fld, basis)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(_NULLSPACE_ORDERS), st.integers(0, 8), st.data())
+def test_nullspace_matches_the_two_reduction_reference(q, ncols, data):
+    # 0 to ncols + 1 rows, random, zero or combinations of earlier rows.
+    fld = field_of_order(q)
+    rows = data.draw(_matrix(fld, data.draw(st.integers(0, ncols + 1), label="rows"), ncols), label="matrix")
+    got = geom.nullspace(fld, rows, ncols)
+    assert got == _reference_nullspace(fld, rows, ncols)
+    assert len(got) == ncols - len(rref(fld, rows))
+    for v in got:
+        for row in rows:
+            acc = 0
+            for a, b in zip(row, v):
+                acc = fld.add(acc, fld.mul(a, b))
+            assert acc == 0
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(_MASK_SPACES), st.data())
+def test_perp_matches_the_gram_image_reference(space, data):
+    # perp from the scalar form against the array form B(v, s) = sum_t v_t
+    # T(s)_t (T = _gram_image) and the two-reduction kernel.
+    ps = polar_space_make(*space)
+    fld = ps.field
+    rows = data.draw(_matrix(fld, data.draw(st.integers(0, ps.nv), label="rows"), ps.nv), label="matrix")
+    S = Subspace(rref(fld, rows))
+    A = np.array(S.basis, dtype=np.int32).reshape(S.dim, ps.nv)
+    T = geom._gram_image(ps, A, geom._array_arithmetic(fld))
+    P = perp(S, ps)
+    assert P.basis == _reference_nullspace(fld, T.tolist(), ps.nv)
+    assert P.dim == ps.nv - S.dim
+    assert all(bilinear(ps, v, s) == 0 for v in P.basis for s in S.basis)
 
 
 @st.composite

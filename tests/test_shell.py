@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from polarb import checks, extremal, ff, geom, scheme, shell
+from polarb import checks, extremal, ff, geom, qcount, scheme, shell
 from polarb.geom import enumerate_generators, polar_space_make
 from polarb.qcount import eigen_data, nbracket
 from polarb.scheme import SchemeError, build_relations, verify_spectrum
@@ -593,6 +593,26 @@ def test_cli_search_geometry_bug_exits_1(capsys, monkeypatch):
     assert main(["search", "max-pairs", "Qplus", "2", "2"]) == 1
     err = capsys.readouterr().err
     assert "verification failed" in err and "share a number of points that is no [j]_q" in err
+
+
+def test_cli_enumeration_count_bug_exits_1(capsys, monkeypatch):
+    # geom._generator_rows checks the search's count against the closed form.
+    monkeypatch.setattr(geom, "num_generators", lambda family, d, q: 1 + qcount.num_generators(family, d, q))
+    assert main(["scheme", "W", "2", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: enumeration bug: found 15 generators of W(3,2)")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_example21_isometry_bug_exits_1(capsys, monkeypatch):
+    # extremal._generators_through_subspaces checks each diag(A, C) is an isometry.
+    monkeypatch.setattr(extremal, "_dual_blocks", lambda ar, inv: inv.transpose(0, 2, 1)[:, ::-1, ::-1])  # no sigma
+    assert main(["verify", "example21"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: H(7,4): diag(A, C) is not an isometry")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.fixture
