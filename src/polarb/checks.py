@@ -24,7 +24,6 @@ from .extremal import (
 )
 from .geom import (
     Subspace,
-    _array_arithmetic,
     bit_indices,
     enumerate_generators,
     enumerate_subspaces_within,
@@ -376,11 +375,10 @@ def _reduced_ranks(fld, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     does not matter); the reduced z is zero there, so the rank of [y; z] is d
     plus that of z on y's nv - d free columns, one (m, d, nv - d) rref_batch.
     """
-    ar = _array_arithmetic(fld)
     m, d, nv = y.shape
     piv = (y != 0).argmax(axis=2)
     for i in range(d):
-        z = ar.sub(z, ar.mul(np.take_along_axis(z, piv[:, i, None, None], axis=2), y[:, i, None, :]))
+        z = fld.sub(z, fld.array_mul(np.take_along_axis(z, piv[:, i, None, None], axis=2), y[:, i, None, :]))
     free = np.ones((m, nv), dtype=bool)
     np.put_along_axis(free, piv, False, axis=1)
     cols = free.nonzero()[1].reshape(m, nv - d)

@@ -27,7 +27,6 @@ from .geom import (
     GeneratorCatalog,
     PolarSpace,
     Subspace,
-    _array_arithmetic,
     _pivot,
     bit_indices,
     bits_to_masks,
@@ -365,9 +364,9 @@ def bipartition_latins_greeks(cat: GeneratorCatalog) -> tuple[tuple[int, ...], t
 # ---------------------------------------------------------------------------
 
 
-def _dual_blocks(ar, Ainv: np.ndarray) -> np.ndarray:
+def _dual_blocks(fld, Ainv: np.ndarray) -> np.ndarray:
     """C = J sigma(A^-1)^T J for each matrix of a stack of inverses, J the reversal."""
-    return ar.conj[Ainv].transpose(0, 2, 1)[:, ::-1, ::-1]
+    return fld.conj_table[Ainv].transpose(0, 2, 1)[:, ::-1, ::-1]
 
 
 def _generators_through_subspaces(ps: PolarSpace, ks) -> tuple[np.ndarray, list[int]]:
@@ -395,16 +394,16 @@ def _generators_through_subspaces(ps: PolarSpace, ks) -> tuple[np.ndarray, list[
     For each k the generators through S0 are enumerated once and kept when
     X ∩ G = S0, that is when X[:, d:] has rank d - k, from one rref_batch;
     the group sizes then fix the stack, which is allocated once.  A^-1 comes
-    from one rref_batch of [A | I], the images from _Gathers products, all in
-    row_blocks of subspaces.  Raises ValueError for a form other than the
-    antidiagonal Hermitian one, and SchemeError when A J sigma(C)^T != J
-    for some S, an image has rank below d, or an S gets a repeated image.
+    from one rref_batch of [A | I], the isometry test and the images from
+    FieldSpec.matmul, all in row_blocks of subspaces.  Raises ValueError
+    for a form other than the antidiagonal Hermitian one, and SchemeError
+    when A J sigma(C)^T != J for some S, an image has rank below d, or an S
+    gets a repeated image.
     """
     d, nv, fld = ps.d, ps.nv, ps.field
     anti = tuple(tuple(int(j == nv - 1 - i) for j in range(nv)) for i in range(nv))
     if not ps.is_hermitian or ps.gram != anti:
         raise ValueError(f"{ps.label}: the isometries need the antidiagonal Hermitian form")
-    ar = _array_arithmetic(fld)
     unit = anti[::-1]
     eye = np.eye(d, dtype=np.int32)
     parts = []
@@ -425,21 +424,14 @@ def _generators_through_subspaces(ps: PolarSpace, ks) -> tuple[np.ndarray, list[
                 pivots = set(map(_pivot, sub))
                 A[i] = [row[:d] for row in sub] + [eye[c] for c in range(d) if c not in pivots]
             inv = rref_batch(fld, np.concatenate([A, np.broadcast_to(eye, A.shape)], axis=2))[0][:, :, d:]
-            C = _dual_blocks(ar, inv)
-            Y = ar.conj[C].transpose(0, 2, 1)[:, ::-1]  # J sigma(C)^T
-            P = 0
-            for t in range(d):
-                P = ar.add(P, ar.mul(A[:, :, t, None], Y[:, None, t, :]))
-            if (P != eye[::-1]).any():
+            C = _dual_blocks(fld, inv)
+            if (fld.matmul(A, fld.conj_table[C].transpose(0, 2, 1)[:, ::-1]) != eye[::-1]).any():  # A J sigma(C)^T = J
                 raise SchemeError(f"{ps.label}: diag(A, C) is not an isometry for some {k}-subspace")
             M = np.zeros((len(block), nv, nv), dtype=np.int32)
             M[:, :d, :d] = A
             M[:, d : nv - d, d : nv - d] = np.eye(nv - 2 * d, dtype=np.int32)
             M[:, nv - d :, nv - d :] = C
-            img = 0
-            for t in range(nv):
-                img = ar.add(img, ar.mul(W[None, :, :, t, None], M[:, None, None, t, :]))
-            R, rank = rref_batch(fld, img.reshape(-1, d, nv))
+            R, rank = rref_batch(fld, fld.matmul(W[None], M[:, None]).reshape(-1, d, nv))
             if (rank != d).any():
                 raise SchemeError(f"{ps.label}: an image of a generator has rank below {d}")
             keys = np.sort(R.reshape(len(block), n, d * nv).view(key)[..., 0], axis=1)

@@ -95,7 +95,11 @@ class FieldSpec:
 
     add and sub are XOR in characteristic 2 and one base-p digit loop
     otherwise (sub(0, a) negates); the same operators make them valid on
-    Python ints and elementwise on int arrays of codes alike.
+    Python ints and elementwise on int arrays of codes alike.  mul takes
+    int codes and gives an int; array_mul is its elementwise form on int
+    arrays, by gathers from exp_table and log_table, the int32 copies of exp
+    and log, every value below 4 order <= 2^18.  inv_table (inv_table[0] =
+    0) and, for square orders, conj_table are the other gather tables.
     """
 
     p: int
@@ -106,6 +110,21 @@ class FieldSpec:
     exp: tuple[int, ...]
     log: tuple[int, ...]
     places: tuple[int, ...]
+
+    def __post_init__(self):
+        # The int32 gather tables, built with the spec, so once per field
+        # (field_make caches it), and read-only, as every caller shares them.
+        # They are set here like the fields: a later write to the instance
+        # __dict__, as by a cached_property, takes CPython's attribute loads
+        # off their fast path and doubles the cost of every scalar op.
+        tables = {"exp_table": self.exp, "log_table": self.log}
+        tables["inv_table"] = [0] + [self.inv(a) for a in range(1, self.order)]
+        if self.k % 2 == 0:
+            tables["conj_table"] = [self.conjugate(a) for a in range(self.order)]
+        for name, values in tables.items():
+            table = np.array(values, dtype=np.int32)
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     def add(self, a, b):
         if self.p == 2:
@@ -126,18 +145,28 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         return self.exp[self.log[a] + self.log[b]]
 
+    def array_mul(self, a, b) -> np.ndarray:
+        return self.exp_table.take(self.log_table.take(a) + self.log_table.take(b))
+
+    def matmul(self, A, B) -> np.ndarray:
+        """A @ B over the field for int arrays of codes, with numpy's matmul
+        broadcasting of the stacked dimensions: one array_mul and add per inner index."""
+        A, B = np.asarray(A), np.asarray(B)
+        if A.shape[-1] != B.shape[-2]:
+            raise ValueError(f"matmul of shapes {A.shape} and {B.shape}")
+        out = np.zeros(np.broadcast_shapes(A.shape[:-1] + (1,), B.shape[:-2] + (1, B.shape[-1])), dtype=np.int32)
+        for t in range(A.shape[-1]):
+            out = self.add(out, self.array_mul(A[..., t, None], B[..., t, None, :]))
+        return out
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
         return self.exp[self.order - 1 - self.log[a]]
 
-    @property
-    def has_conjugation(self) -> bool:
-        return self.k % 2 == 0
-
     def conjugate(self, a: int) -> int:
         """The involutive automorphism x -> x^sqrt(order); needs a square order."""
-        if not self.has_conjugation:
+        if self.k % 2:
             raise ValueError(f"GF({self.order}) has no conjugation: order is not a square")
         if a == 0:
             return 0

@@ -13,14 +13,13 @@ byte-for-byte.  All dimensions are vector space dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import product
-from typing import Callable, Iterator, NamedTuple
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 from .families import HERMITIAN, ORTHOGONAL, TAU, ambient_dim, space_label
-from .ff import FieldSpec, field_make, field_of_order
+from .ff import FieldSpec, field_of_order
 from .qcount import nbracket, num_generators, num_points
 
 Vector = tuple[int, ...]
@@ -37,18 +36,6 @@ class SchemeError(ValueError):
 # ---------------------------------------------------------------------------
 # Linear algebra over a FieldSpec
 # ---------------------------------------------------------------------------
-
-
-def vec_add(fld: FieldSpec, u: Vector, v: Vector) -> Vector:
-    return tuple(map(fld.add, u, v))
-
-
-def vec_scale(fld: FieldSpec, c: int, v: Vector) -> Vector:
-    if c == 0:
-        return (0,) * len(v)
-    if c == 1:
-        return tuple(v)
-    return tuple(fld.mul(c, a) for a in v)
 
 
 def rref(fld: FieldSpec, rows) -> tuple[Vector, ...]:
@@ -152,7 +139,6 @@ class PolarSpace:
     d: int
     field: FieldSpec
     nv: int
-    tau: int
     gram: tuple[Vector, ...]
     quad: tuple[Vector, ...] | None
 
@@ -257,7 +243,6 @@ def _space_from_forms(family, d, fld, gram, quad) -> PolarSpace:
         d=d,
         field=fld,
         nv=len(gram),
-        tau=TAU[family],
         gram=tuple(tuple(r) for r in gram),
         quad=None if quad is None else tuple(tuple(r) for r in quad),
     )
@@ -338,76 +323,81 @@ def polar_space_make(family: str, d: int, q: int) -> PolarSpace:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_points(ps: PolarSpace) -> tuple[Vector, ...]:
-    """All singular/isotropic projective points, lexicographically ordered.
+def _normalized_vectors(ps: PolarSpace, m: int) -> Iterator[np.ndarray]:
+    """The normalized vectors of GF(q)^m in lexicographic order, in int32 row blocks.
 
-    A blocked scan of the normalized vectors by a running index i.  Group g
-    = 0, 1, .. holds the q^g vectors whose leading 1 sits at position
-    nv-1-g, so groups in order, each in base-q counting order, are
-    lexicographic order.  Vector i of group g has the base-q digits of
-    i - start[g] < q^g as coordinates, zero up to the leading 1.  The form
-    is evaluated on each block by integer gathers.
+    A blocked scan by a running index i.  Group g = 0, 1, .. holds the q^g
+    vectors whose leading 1 sits at position m-1-g, so groups in order, each
+    in base-q counting order, are lexicographic order.  Vector i of group g
+    has the base-q digits of i - start[g] < q^g as coordinates, zero up to
+    the leading 1.  Blocks are sized for the callers' rows of nv codes.
     """
-    q, nv = ps.q, ps.nv
-    place = _places(ps)
-    start = np.cumsum([0] + [q**i for i in range(nv)])
-    total = int(start[-1])
-    ar = _array_arithmetic(ps.field)
-    out: list[list[int]] = []
-    for s in row_blocks(total, 16 * nv):  # the int64 quotient and remainder of each coordinate
+    q = ps.q
+    place = _places(ps, m)
+    start = np.cumsum([0] + [q**i for i in range(m)])
+    for s in row_blocks(int(start[-1]), 16 * ps.nv):  # the int64 digits, or a product's gathers
         idx = np.arange(s.start, s.stop, dtype=np.int64)
         group = np.searchsorted(start, idx, side="right") - 1
         V = ((idx - start[group])[:, None] // place % q).astype(np.int32)
-        V[np.arange(idx.size), nv - 1 - group] = 1
-        out += V[_self_values(ps, V, ar) == 0].tolist()
+        V[np.arange(idx.size), m - 1 - group] = 1
+        yield V
+
+
+def enumerate_points(ps: PolarSpace) -> tuple[Vector, ...]:
+    """All singular/isotropic projective points, lexicographically ordered:
+    the normalized vectors of GF(q)^nv where the form vanishes."""
+    out: list[list[int]] = []
+    for V in _normalized_vectors(ps, ps.nv):
+        out += V[_self_values(ps, V) == 0].tolist()
     return tuple(map(tuple, out))
 
 
-def _self_values(ps: PolarSpace, V: np.ndarray, ar: _Gathers) -> np.ndarray:
+def _self_values(ps: PolarSpace, V: np.ndarray) -> np.ndarray:
     """Q(v) for orthogonal families, else B(v, v), for each row v of V."""
+    fld = ps.field
     acc = np.zeros(len(V), dtype=np.int32)
     if ps.is_orthogonal:
         for i, qrow in enumerate(ps.quad):
             for j in range(i, ps.nv):
                 if qrow[j]:
-                    acc = ar.add(acc, ar.mul(qrow[j], ar.mul(V[:, i], V[:, j])))
+                    acc = fld.add(acc, fld.array_mul(qrow[j], fld.array_mul(V[:, i], V[:, j])))
         return acc
-    T = _gram_image(ps, V, ar)
+    T = _gram_image(ps, V)
     for t in range(ps.nv):
-        acc = ar.add(acc, ar.mul(V[:, t], T[:, t]))
+        acc = fld.add(acc, fld.array_mul(V[:, t], T[:, t]))
     return acc
 
 
-def _gram_image(ps: PolarSpace, A: np.ndarray, ar: _Gathers) -> np.ndarray:
+def _gram_image(ps: PolarSpace, A: np.ndarray) -> np.ndarray:
     """T[:, t] = sum_j gram[t][j] sigma(A[:, j]), so that B(u, v) = sum_t u_t T(v)_t."""
-    sig = ar.conj[A] if ps.is_hermitian else A
+    fld = ps.field
+    sig = fld.conj_table[A] if ps.is_hermitian else A
     T = np.zeros_like(A)
     for t, grow in enumerate(ps.gram):
         for j, g in enumerate(grow):
             if g:
-                T[:, t] = ar.add(T[:, t], ar.mul(g, sig[:, j]))
+                T[:, t] = fld.add(T[:, t], fld.array_mul(g, sig[:, j]))
     return T
 
 
 def subspace_points(ps: PolarSpace, basis: tuple[Vector, ...]) -> list[Vector]:
     """Normalized representatives of the points of a subspace, lexicographically sorted.
 
-    With B = rref(basis), each point is B[i] + sum_(j>i) c_j B[j] for one i
-    and one c: B is reduced, so that vector is 0 before B[i]'s pivot, 1 there
-    and c_j at B[j]'s pivot.  Taking i from the last row up and c in counting
-    order lists the points in lexicographic order.
+    The rows of B = rref(basis) are independent, so each point is c . B for
+    exactly one normalized c in GF(q)^rank; c runs in lexicographic order.
+    c . B is normalized: B is reduced, so it is 0 before the pivot of the
+    first nonzero c_i and c_i = 1 there.  Let c < c' first differ at c_j <
+    c'_j.  Before the pivot of B[j] the rows from j on vanish and c, c'
+    agree on the rows before j, so c . B and c' . B agree there; at that
+    pivot every other row vanishes, so they hold c_j < c'_j.  Hence c . B <
+    c' . B, and the list is sorted.
     """
     fld = ps.field
-    B = rref(fld, basis)
-    out = []
-    for i in reversed(range(len(B))):
-        for coeffs in product(range(fld.order), repeat=len(B) - 1 - i):
-            v = B[i]
-            for c, row in zip(coeffs, B[i + 1 :]):
-                if c:
-                    v = vec_add(fld, v, vec_scale(fld, c, row))
-            out.append(v)
-    return out
+    B = _point_array(ps, rref(fld, basis))
+    out: list[list[int]] = []
+    for C in _normalized_vectors(ps, len(B)):
+        out += fld.matmul(C, B).tolist()
+    return list(map(tuple, out))
 
 
 # Bytes of the numpy temporaries one block of a row-blocked loop holds at once.
@@ -449,46 +439,6 @@ def bits_to_masks(bits) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-class _Gathers(NamedTuple):
-    """Exact GF(q) arithmetic on int32 arrays of field codes: integer table
-    gathers and the FieldSpec's digit expressions, no float."""
-
-    mul: Callable
-    add: Callable  # FieldSpec.add
-    sub: Callable  # FieldSpec.sub
-    inv: np.ndarray  # inv[a] = 1/a, inv[0] = 0
-    conj: np.ndarray | None  # conj[a] = a^sqrt(q), square orders only
-
-
-@lru_cache(maxsize=None)
-def _field_gathers(p: int, k: int) -> _Gathers:
-    """The gather tables of GF(p^k), made once per field from ff's.
-
-    mul gathers exp[log a + log b] from int32 copies of the FieldSpec tables,
-    whose zero tail takes every sum involving log 0, so no branch is needed
-    for zero.  add and sub are the FieldSpec's own digit expressions, which
-    act elementwise on arrays.  Every value stays below 4q <= 2^18.
-    """
-    fld = field_make(p, k)
-    exp = np.array(fld.exp, dtype=np.int32)
-    log = np.array(fld.log, dtype=np.int32)
-
-    def mul(a, b):
-        return exp.take(log.take(a) + log.take(b))
-
-    inv = np.array([0] + [fld.inv(a) for a in range(1, fld.order)], dtype=np.int32)
-    conj = np.array([fld.conjugate(a) for a in range(fld.order)], dtype=np.int32) if fld.has_conjugation else None
-    for table in (log, exp, inv, conj):
-        if table is not None:
-            table.flags.writeable = False  # shared by every caller through the cache
-    return _Gathers(mul, fld.add, fld.sub, inv, conj)
-
-
-def _array_arithmetic(fld: FieldSpec) -> _Gathers:
-    """The gather tables of fld, cached by (p, k)."""
-    return _field_gathers(fld.p, fld.k)
-
-
 def rref_batch(fld: FieldSpec, M) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row-echelon forms of a (B, r, c) stack of matrices of field codes.
 
@@ -497,13 +447,12 @@ def rref_batch(fld: FieldSpec, M) -> tuple[np.ndarray, np.ndarray]:
     together, column by column: the pivot is the first row at or below the
     current rank with a nonzero entry; it is swapped into place, normalized
     by the inv gather, and every other row loses its multiple of it.  Integer
-    gathers only, in row_blocks of matrices.
+    gathers only (FieldSpec's array arithmetic), in row_blocks of matrices.
     """
     R = np.array(M, dtype=np.int32)
     if R.ndim != 3:
         raise ValueError(f"rref_batch needs a (B, r, c) stack, got shape {R.shape}")
     B, r, c = R.shape
-    ar = _array_arithmetic(fld)
     rank = np.zeros(B, dtype=np.int64)
     rows = np.arange(r)
     for s in row_blocks(B, 16 * r * c):  # a product's two gathers, its difference and a row copy
@@ -522,11 +471,11 @@ def rref_batch(fld: FieldSpec, M) -> tuple[np.ndarray, np.ndarray]:
             piv, top = cand[sel].argmax(axis=1), rk[sel]
             prow = Rb[b, piv]
             Rb[b, piv] = Rb[b, top]
-            prow = ar.mul(ar.inv[prow[:, col, None]], prow)
+            prow = fld.array_mul(fld.inv_table[prow[:, col, None]], prow)
             Rb[b, top] = prow
             coef = Rb[sel, :, col].copy()
             coef[np.arange(b.size), top] = 0
-            Rb[sel] = ar.sub(Rb[sel], ar.mul(coef[:, :, None], prow[:, None, :]))
+            Rb[sel] = fld.sub(Rb[sel], fld.array_mul(coef[:, :, None], prow[:, None, :]))
             rk[sel] += 1
     return R, rank
 
@@ -540,11 +489,11 @@ def _point_array(ps: PolarSpace, pts) -> np.ndarray:
     return np.array(pts, dtype=np.int32).reshape(len(pts), ps.nv)
 
 
-def _places(ps: PolarSpace) -> np.ndarray:
-    """q^(nv-1), .., q, 1: the base-q place values of the coordinates of a vector."""
-    if ps.q**ps.nv >= 1 << 63:
-        raise ValueError(f"{ps.label}: q^nv = {ps.q}^{ps.nv} does not fit int64 point keys")
-    return ps.q ** np.arange(ps.nv - 1, -1, -1, dtype=np.int64)
+def _places(ps: PolarSpace, m: int) -> np.ndarray:
+    """q^(m-1), .., q, 1: the base-q place values of the coordinates of a vector of GF(q)^m."""
+    if ps.q**m >= 1 << 63:
+        raise ValueError(f"{ps.label}: q^{m} = {ps.q}^{m} does not fit int64 keys")
+    return ps.q ** np.arange(m - 1, -1, -1, dtype=np.int64)
 
 
 # Float products of non-negative integers are exact while the result stays
@@ -597,7 +546,7 @@ def _orth_masks(ps: PolarSpace, pts) -> list[int]:
     p, k, npts = fld.p, fld.k, len(pts)
     M, g = _orth_gate(fld, ps.nv, npts)
     A = _point_array(ps, pts)
-    T = _gram_image(ps, A, _array_arithmetic(fld))
+    T = _gram_image(ps, A)
     place = p ** np.arange(k)
     c = np.array([[fld.mul(p**a, p**b) for b in range(k)] for a in range(k)])[..., None] // place % p
     L = np.einsum("uta,abe->utbe", A[..., None] // place % p, c) % p  # npts, nv, k (b), k (e)
@@ -714,15 +663,13 @@ class GeneratorCatalog:
         return tuple(Subspace(tuple(map(self.points.__getitem__, r))) for r in self.rows.tolist())
 
     def mask_of_points_in_span(self, basis: tuple[Vector, ...]) -> int:
-        """Bitmask of the catalog points in the span of the independent rows
-        ``basis``, which need not be totally isotropic: one rref_batch of
-        every [basis; point], of rank len(basis) exactly when the point lies
-        in the span."""
-        ps, k = self.space, len(basis)
-        pts = _point_array(ps, self.points)
-        rows = np.broadcast_to(np.array(basis, dtype=np.int32).reshape(k, ps.nv), (len(pts), k, ps.nv))
-        _, rank = rref_batch(ps.field, np.concatenate([rows, pts[:, None]], axis=1))
-        return bits_to_masks([rank == k])[0]
+        """Bitmask of the catalog points in the span of the rows ``basis``,
+        which need not be totally isotropic: the span's points, looked up by
+        their base-q keys among the keys of the catalog points."""
+        ps = self.space
+        place = _places(ps, ps.nv)
+        span = _point_array(ps, subspace_points(ps, basis)) @ place
+        return bits_to_masks([np.isin(_point_array(ps, self.points) @ place, span)])[0]
 
 
 def enumerate_generators(ps: PolarSpace, limit: int = ENUM_LIMIT_DEFAULT) -> GeneratorCatalog:
@@ -814,22 +761,19 @@ def generators_through(S: Subspace, ps: PolarSpace) -> list[Subspace]:
     """All generators containing S, via enumeration of the quotient polar space.
 
     The canonical basis rows w of each quotient generator, as the
-    row-echelon search lists them, lift to w . lift_rows; with S's rows
-    prepended, one rref_batch gives the canonical bases of the lifts.
+    row-echelon search lists them, lift to w . lift_rows (one matmul); with
+    S's rows prepended, one rref_batch gives the canonical bases of the lifts.
     """
     if S.dim == ps.d:  # quotient_geometry checks S otherwise
         if not is_totally_isotropic(S, ps):
             raise ValueError("generators_through requires a totally isotropic subspace")
         return [S]
     qg = quotient_geometry(S, ps)
-    ar = _array_arithmetic(ps.field)
     qpts, _, rows = _generator_rows(qg.space, ENUM_LIMIT_DEFAULT)
     W = _point_array(qg.space, qpts)[rows]
     M = np.zeros((len(W), ps.d, ps.nv), dtype=np.int32)
-    if S.dim:
-        M[:, : S.dim] = S.basis
-    for t, row in enumerate(qg.lift_rows):
-        M[:, S.dim :] = ar.add(M[:, S.dim :], ar.mul(W[:, :, t, None], np.array(row, dtype=np.int32)))
+    M[:, : S.dim] = _point_array(ps, S.basis)
+    M[:, S.dim :] = ps.field.matmul(W, _point_array(ps, qg.lift_rows))
     R, rank = rref_batch(ps.field, M)
     if (rank != ps.d).any():
         raise SchemeError("enumeration bug: the lifted rows of a generator are dependent")

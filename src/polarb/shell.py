@@ -72,7 +72,7 @@ def _pack_bases(ps: PolarSpace, codes: np.ndarray) -> bytes:
     q^nv >= 2^63), then the d keys in base q^nv on Python ints.
     """
     width = _payload_width(ps)
-    keys = codes.reshape(len(codes), ps.d, ps.nv) @ _places(ps)[::-1]
+    keys = codes.reshape(len(codes), ps.d, ps.nv) @ _places(ps, ps.nv)[::-1]
     values = np.zeros(len(codes), dtype=object)
     for col in keys.T[::-1].astype(object):
         values = values * ps.q**ps.nv + col

@@ -142,9 +142,7 @@ def hermitian_params(d: int, q: int) -> HermitianParams:
     if d <= 1:
         raise ValueError("the weighted Hermitian machinery needs d > 1")
     prime_power(q)  # raises ValueError unless q is a prime power
-    n = 1
-    for i in range(d):
-        n *= q ** (2 * i + 1) + 1
+    n = num_generators("Hodd", d, q * q)
     f1 = Fraction(q**2 * nbracket(d, q**2) * (q ** (2 * d - 3) + 1), q + 1)
     c = (Fraction(q**2 - q - 1) + Fraction(1, q ** (2 * d - 3))) / (q ** (2 * d) - 1)
     if d % 2 == 1:

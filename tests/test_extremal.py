@@ -920,8 +920,8 @@ def test_generators_through_subspaces_rejects_other_models():
 @pytest.mark.parametrize(
     "doctored",
     [
-        lambda ar, inv: inv.transpose(0, 2, 1)[:, ::-1, ::-1],  # no sigma
-        lambda ar, inv: ar.conj[inv].transpose(0, 2, 1),  # no J
+        lambda fld, inv: inv.transpose(0, 2, 1)[:, ::-1, ::-1],  # no sigma
+        lambda fld, inv: fld.conj_table[inv].transpose(0, 2, 1),  # no J
     ],
 )
 def test_generators_through_subspaces_certifies_the_isometry(doctored, monkeypatch):

@@ -175,9 +175,36 @@ def test_digit_arithmetic_on_int32_arrays_matches_scalars(p, k):
     f = field_make(p, k)
     rng = np.random.default_rng(p * 100 + k)
     a, b = rng.integers(0, f.order, size=(2, 2000), dtype=np.int32)
+    A, B = a[:24].reshape(2, 3, 4), b[:40].reshape(2, 4, 5)  # a stack of two 3 x 4 times 4 x 5
     for got, want in [
         (f.add(a, b), [f.add(x, y) for x, y in zip(a.tolist(), b.tolist())]),
         (f.sub(a, b), [f.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]),
         (f.sub(0, a), [f.sub(0, x) for x in a.tolist()]),
+        (f.array_mul(a, b), [f.mul(x, y) for x, y in zip(a.tolist(), b.tolist())]),
+        (f.array_mul(3 % f.order, a), [f.mul(3 % f.order, x) for x in a.tolist()]),
+        (f.matmul(A, B), _reference_matmul(f, A.tolist(), B.tolist())),
+        (f.matmul(A, B[0]), _reference_matmul(f, A.tolist(), [B[0].tolist()] * 2)),  # broadcast B
+        (f.matmul(A[:, :, :0], B[:, :0]), np.zeros((2, 3, 5), dtype=np.int32).tolist()),  # empty inner index
     ]:
         assert got.dtype == np.int32 and got.tolist() == want
+    tables = [f.exp_table, f.log_table, f.inv_table] + ([f.conj_table] if k % 2 == 0 else [])
+    assert all(t.dtype == np.int32 and not t.flags.writeable for t in tables)
+    with pytest.raises(ValueError, match="matmul of shapes"):
+        f.matmul(A, B[:, :3])
+
+
+def _reference_matmul(f, A, B):
+    """The scalar triple loop over a stack of matrices."""
+    out = []
+    for X, Y in zip(A, B):
+        rows = []
+        for row in X:
+            out_row = []
+            for j in range(len(Y[0])):
+                acc = 0
+                for t, x in enumerate(row):
+                    acc = f.add(acc, f.mul(x, Y[t][j]))
+                out_row.append(acc)
+            rows.append(out_row)
+        out.append(rows)
+    return out

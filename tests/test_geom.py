@@ -26,10 +26,16 @@ from polarb.geom import (
     rref_batch,
     rref_insert,
     subspace_points,
-    vec_add,
-    vec_scale,
 )
 from polarb.qcount import gaussian, nbracket, num_generators, num_points
+
+
+def vec_add(fld, u, v):
+    return tuple(map(fld.add, u, v))
+
+
+def vec_scale(fld, c, v):
+    return tuple(fld.mul(c, a) for a in v)
 
 
 def test_standard_forms_are_nondegenerate():
@@ -91,7 +97,7 @@ def test_nondegeneracy_matches_radical_enumeration(family, q, nv, quadratic):
     raised = 0
     for gram, quad in forms:
         unchecked = geom.PolarSpace(
-            family, 1, fld, nv, 0, tuple(map(tuple, gram)), None if quad is None else tuple(map(tuple, quad))
+            family, 1, fld, nv, tuple(map(tuple, gram)), None if quad is None else tuple(map(tuple, quad))
         )
         want = _reference_degeneracy(unchecked)
         if want is None:
@@ -398,13 +404,29 @@ def _reference_generator_bases(ps):
     return sorted(found)
 
 
+def _reference_subspace_points(ps, basis):
+    """With B = rref(basis), each point is B[i] + sum_(j>i) c_j B[j] for one i
+    and one c: taking i from the last row up and c in counting order lists
+    them in lexicographic order, as B is reduced."""
+    fld = ps.field
+    B = rref(fld, basis)
+    out = []
+    for i in reversed(range(len(B))):
+        for coeffs in product(range(fld.order), repeat=len(B) - 1 - i):
+            v = B[i]
+            for c, row in zip(coeffs, B[i + 1 :]):
+                v = vec_add(fld, v, vec_scale(fld, c, row))
+            out.append(v)
+    return out
+
+
 def _reference_point_masks(ps, bases, points):
     index = {v: i for i, v in enumerate(points)}
-    return tuple(sum(1 << index[v] for v in subspace_points(ps, b)) for b in bases)
+    return tuple(sum(1 << index[v] for v in _reference_subspace_points(ps, b)) for b in bases)
 
 
 def _reference_subspaces_within(ps, basis, k):
-    pts = subspace_points(ps, tuple(basis))
+    pts = _reference_subspace_points(ps, tuple(basis))
     found, seen = set(), set()
 
     def extend(cur):
@@ -788,7 +810,7 @@ def test_perp_matches_the_gram_image_reference(space, data):
     rows = data.draw(_matrix(fld, data.draw(st.integers(0, ps.nv), label="rows"), ps.nv), label="matrix")
     S = Subspace(rref(fld, rows))
     A = np.array(S.basis, dtype=np.int32).reshape(S.dim, ps.nv)
-    T = geom._gram_image(ps, A, geom._array_arithmetic(fld))
+    T = geom._gram_image(ps, A)
     P = perp(S, ps)
     assert P.basis == _reference_nullspace(fld, T.tolist(), ps.nv)
     assert P.dim == ps.nv - S.dim
@@ -813,6 +835,22 @@ def _row_operations(draw):
         elif i != j:
             moved[i] = vec_add(fld, moved[i], vec_scale(fld, draw(st.integers(0, fld.order - 1)), moved[j]))
     return fld, rows, moved
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.sampled_from((2, 3, 4, 5, 8, 9, 16, 25, 27)),
+    st.sampled_from((("W", 0), ("W", 1), ("Qparabolic", 1), ("W", 2))),
+    st.data(),
+)
+def test_subspace_points_match_the_python_loop_reference(q, space, data):
+    # 0 to nv + 1 rows, random, zero or combinations of earlier rows, in
+    # spaces of dimension 0 (W(-1,q), rank 0) to 4.
+    ps = polar_space_make(*space, q)
+    rows = data.draw(_matrix(ps.field, data.draw(st.integers(0, ps.nv + 1), label="rows"), ps.nv), label="matrix")
+    got = subspace_points(ps, rows)
+    assert got == _reference_subspace_points(ps, rows)
+    assert all(type(x) is int for v in got for x in v)
 
 
 @settings(max_examples=150, deadline=None, database=None)

@@ -607,7 +607,7 @@ def test_cli_enumeration_count_bug_exits_1(capsys, monkeypatch):
 
 def test_cli_example21_isometry_bug_exits_1(capsys, monkeypatch):
     # extremal._generators_through_subspaces checks each diag(A, C) is an isometry.
-    monkeypatch.setattr(extremal, "_dual_blocks", lambda ar, inv: inv.transpose(0, 2, 1)[:, ::-1, ::-1])  # no sigma
+    monkeypatch.setattr(extremal, "_dual_blocks", lambda fld, inv: inv.transpose(0, 2, 1)[:, ::-1, ::-1])  # no sigma
     assert main(["verify", "example21"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

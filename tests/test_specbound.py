@@ -80,6 +80,11 @@ def test_hermitian_params_d3_q2():
     assert p.lambda_b == Fraction(-664, 9)
     assert p.k == Fraction(8048, 9)
     assert p.second_largest_ok
+    for d in range(2, 6):  # n is prod_i (q^(2i+1) + 1), multiplied out here
+        n = 1
+        for i in range(d):
+            n *= 2 ** (2 * i + 1) + 1
+        assert hermitian_params(d, 2).n == n
 
 
 def test_hermitian_params_d2_q2_degenerates():
